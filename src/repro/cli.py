@@ -48,7 +48,6 @@ from repro.errors import ReproError
 from repro.obs.instrument import Instrumentation
 from repro.obs.sinks import JsonlSink, NullSink
 from repro.place.annealing import PLACEMENT_ENGINES
-from repro.route.router import DEFAULT_ROUTE_ENGINE, ROUTE_ENGINES
 
 __all__ = ["build_parser", "run", "main", "EXIT_REPRO_ERROR"]
 
@@ -92,25 +91,15 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=PLACEMENT_ENGINES,
                         default="incremental",
                         help="SA placement engine: the incremental "
-                             "delta-energy workspace, the numpy batch "
-                             "best-of-K kernel, or the reference "
-                             "full-recompute path; incremental and "
-                             "reference give identical seeded results, "
-                             "and batch matches them at --batch-size 1 "
-                             "(default: incremental)")
+                             "delta-energy workspace or the numpy batch "
+                             "best-of-K kernel, which matches it at "
+                             "--batch-size 1 (default: incremental)")
     parser.add_argument("--batch-size", type=int, default=16,
                         help="candidates proposed per SA step by "
                              "--engine batch; 1 degenerates to the "
                              "incremental move loop bit for bit, larger "
                              "values trade acceptance rate for "
                              "vectorized throughput (default: 16)")
-    parser.add_argument("--route-engine",
-                        choices=ROUTE_ENGINES,
-                        default=DEFAULT_ROUTE_ENGINE,
-                        help="routing engine: the flat integer-indexed "
-                             "array state or the reference Cell/dict "
-                             "path; both give byte-identical routes "
-                             f"(default: {DEFAULT_ROUTE_ENGINE})")
     parser.add_argument("--restarts", type=int, default=1,
                         help="independent SA restarts; the best placement "
                              "wins deterministically (default: 1)")
@@ -226,7 +215,6 @@ def run(argv: list[str]) -> int:
             transport_time=args.tc,
             placement_engine=args.engine,
             sa_batch_size=args.batch_size,
-            route_engine=args.route_engine,
             restarts=args.restarts,
             jobs=args.jobs,
             portfolio=args.portfolio,

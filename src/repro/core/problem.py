@@ -51,22 +51,18 @@ class SynthesisParameters:
     grid_fill_ratio: float = 0.25
     #: RNG seed for the annealer.
     seed: int = 0
-    #: SA engine: ``"incremental"`` (delta-energy workspace),
+    #: SA engine: ``"incremental"`` (delta-energy workspace) or
     #: ``"batch"`` (numpy best-of-K kernel, see
-    #: :mod:`repro.place.batch`), or ``"reference"`` (immutable
-    #: full-recompute oracle).  Incremental and reference yield
-    #: identical seeded results; batch matches them bit for bit at
-    #: ``sa_batch_size=1`` and explores K candidates per step above it.
+    #: :mod:`repro.place.batch`).  Batch matches incremental bit for bit
+    #: at ``sa_batch_size=1`` and explores K candidates per step above it.
     placement_engine: str = "incremental"
     #: Candidates proposed per SA step by the batch placement engine
     #: (ignored by the other engines).  ``1`` degenerates to the
     #: incremental engine's exact move loop.
     sa_batch_size: int = 16
-    #: Routing engine: ``"flat"`` (integer-indexed arrays, see
-    #: :mod:`repro.route.flat`), ``"flat2"`` (vectorized kernels, see
-    #: :mod:`repro.route.flat2`), or ``"reference"`` (the Cell/dict
-    #: oracle).  All yield byte-identical paths, slot plans, and
-    #: metrics; the choice only affects runtime.
+    #: Routing engine: only ``"flat"`` (see :mod:`repro.route.flat`).
+    #: The field stays because its value is part of every problem
+    #: digest and result document.
     route_engine: str = DEFAULT_ROUTE_ENGINE
     #: Independent SA restarts; the best placement wins under the
     #: ``(energy, derived seed)`` total order.  Restart 0 keeps the base

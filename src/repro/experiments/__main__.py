@@ -5,9 +5,8 @@ the full paper evaluation (Table I, Fig. 8, Fig. 9); add ``--jobs N``
 to fan the benchmarks out over a process pool and ``--check
 report|strict`` to audit every result with the independent design-rule
 checker (:mod:`repro.check`).  ``python -m repro.experiments bench``
-runs the placement-engine perf comparison instead (see
-:mod:`repro.experiments.bench`), with ``--jobs``/``--repeat``/
-``--scaling``/``--multistart`` for the parallel-layer measurements.
+runs the portfolio-racing or service-tier benchmark instead (see
+:mod:`repro.experiments.bench`).
 """
 
 import sys

@@ -1,79 +1,34 @@
-"""``python -m repro.experiments bench`` — engine perf comparison.
+"""``python -m repro.experiments bench`` — the portfolio and service tiers.
 
-Two tiers, selected by ``--scale``:
+The repository's steady end-to-end benchmark is ``perfbench/`` (see
+``perfbench/README.md``).  This command keeps the two solver/service
+comparisons that have their own gates:
 
-* ``--scale table1`` (default) times every requested benchmark through
-  the full pipeline once per *placement* engine (reference vs
-  incremental) and writes the ``BENCH_pr3.json`` artifact.
-* ``--scale large`` times the scale tier (Scale50/100/200 synthetic
-  assays, where routing dominates) once per *routing* engine
-  (reference vs the fast engine — ``flat2`` by default, ``flat`` via
-  ``--fast-route-engine``) and writes the ``BENCH_pr7.json`` artifact;
-  the comparison carries path digests, so a routing-parity break fails
-  the run.
-
-A third tier, ``--portfolio N``, replaces the engine comparison with
-the solver comparison: a successive-halving race of ``N``
-heterogeneous SA arms versus classic ``restarts = N/2`` multi-start at
-the same total candidate budget (see ``docs/PERFORMANCE.md``).  It
-writes the ``BENCH_pr8.json`` artifact and exits non-zero unless the
-race is strictly better on energy-per-CPU-second, bit-identical
-across ``--jobs`` levels, and clean under the strict checker.
-
-Both tiers also record the per-search A* latency distribution
-(``astar.search_seconds`` — count/mean/p50/p90/p99/max from the
-in-memory histogram, see ``docs/OBSERVABILITY.md``) in each run's
-payload; the route table prints the fast engine's p99.  ``--throughput
-BATCH`` additionally measures raw SA placement throughput (legal
-candidate moves evaluated per second, every placement engine, batch at
-BATCH candidates per step) and attaches the section to the artifact.
-The committed ``BENCH_pr6.json`` artifact is the route tier rerun with
-``--output BENCH_pr6.json`` after latency histograms landed;
-``BENCH_pr7.json`` is the same tier after the flat2 routing engine and
-the numpy batch SA kernel landed, with the throughput section.
+* ``--portfolio N`` — a successive-halving race of ``N`` heterogeneous
+  SA arms versus classic ``restarts = N/2`` multi-start at the same
+  total candidate budget (see ``docs/PERFORMANCE.md``).  It writes the
+  ``BENCH_pr8.json`` artifact and exits non-zero unless the race is
+  strictly better on energy-per-CPU-second, bit-identical across
+  ``--jobs`` levels, and clean under the strict checker.
+* ``--serve`` — boots a synthesis server and measures cold submission
+  latency, then concurrent cache-hit latency/throughput
+  (``BENCH_pr9.json``); with ``--shards N`` the sharded tier
+  (``BENCH_pr10.json``; see ``docs/SERVICE.md``).
 
 Options::
 
-    --scale TIER         table1 (placement engines) or large (routing
-                         engines over the scale tier)
-    --quick              smallest-benchmark subset, fewer repeats (CI)
-    --benchmarks A B     explicit benchmark subset
-    --seed N             annealer seed shared by both engines
-    --repeat N           timed repetitions per engine; the median is
-                         reported with the min/max spread alongside
-                         (--repeats is accepted as an alias)
-    --jobs N             worker processes for the per-benchmark fan-out
-                         (0 = one per CPU); results are identical for
-                         every value
-    --scaling JOBS...    also wall-clock the suite at these job levels
-                         (e.g. --scaling 1 2 4) and record the rows
-    --multistart N       also record best-of-N-restarts placement
-                         energy vs the single run per benchmark
-    --check MODE         design-rule audit of every timed run: off,
-                         report (default; violation counts land in the
-                         table and artifact), or strict (fail on any
-                         violation)
-    --fast-route-engine  fast side of the --scale large comparison:
-                         flat2 (default) or flat
-    --throughput BATCH   also measure raw SA placement throughput
-                         (moves/sec per engine; batch at BATCH
-                         candidates per step) and record the section
-    --portfolio N        run the portfolio tier: N racing arms vs
-                         equal-budget multi-start on Scale100/200
-                         (--rungs sets the halving rungs)
-    --output PATH        JSON artifact path (default: BENCH_pr3.json,
-                         or BENCH_pr7.json with --scale large)
-    --require-speedup B  exit non-zero if the optimised engine is
-                         slower than the reference on benchmark B
-                         (placement phase on the table1 tier, routing
-                         phase on the large tier)
+    --portfolio N        race N arms vs equal-budget multi-start on
+                         Scale100/200 (--rungs sets the halving rungs)
+    --serve              run the service tier (--shards N: sharded)
+    --quick              smallest subset (CI)
+    --benchmarks A B     explicit benchmark subset (portfolio tier)
+    --seed N             annealer seed (default: 1)
+    --check MODE         design-rule audit of the portfolio pipeline:
+                         off, report (default), or strict
+    --output PATH        JSON artifact path
 
-Exit codes: 0 on success; 1 when a ``--require-speedup`` gate fails,
-the paired engines disagree on any best energy / path digest (which
-the parity guarantees forbid), a multi-start energy degrades below
-the single run (which the seed-derivation scheme forbids), or the
-batch placement engine's energy lands above the serial engines' on a
-``--throughput`` row (which the never-worse guarantee forbids).
+Exit codes: 0 on success; 1 when a tier's gate fails; 2 on a usage
+error, including a missing tier flag.
 """
 
 from __future__ import annotations
@@ -82,56 +37,16 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.benchmarks.registry import SCALE_ORDER, TABLE1_ORDER, benchmark_names
+from repro.benchmarks.registry import benchmark_names
 from repro.check.report import CHECK_MODES
-from repro.perf.harness import (
-    measure_jobs_scaling,
-    measure_multistart,
-    measure_placement_throughput,
-    measure_portfolio,
-    run_route_suite,
-    run_suite,
-)
+from repro.perf.harness import measure_portfolio
 from repro.perf.report import (
-    comparisons_to_payload,
     portfolio_rows_to_payload,
-    render_bench_table,
-    render_multistart_table,
     render_portfolio_table,
-    render_route_table,
-    render_scaling_table,
-    render_throughput_table,
-    route_comparisons_to_payload,
     write_bench_json,
 )
 
 __all__ = ["build_parser", "run", "main"]
-
-#: Subset exercised by ``--quick``: the smallest benchmark (the CI
-#: gate's subject), a mid-size one, and one large enough to show the
-#: incremental engine's asymptotic win.
-QUICK_BENCHMARKS = ("PCR", "IVD", "CPA")
-
-#: ``--quick`` subset of the scale tier: large enough for the routing
-#: phase to dominate, small enough for a CI job.
-QUICK_SCALE_BENCHMARKS = ("Scale50", "Scale100")
-
-#: Default artifact name; the trailing tag names the PR that introduced
-#: the numbers, so successive optimisation PRs each leave their own
-#: trajectory point in-tree.
-DEFAULT_OUTPUT = "BENCH_pr3.json"
-
-#: Default artifact for the routing-engine tier (``--scale large``).
-DEFAULT_ROUTE_OUTPUT = "BENCH_pr7.json"
-
-#: Benchmarks the ``--multistart`` section covers by default (two
-#: Table I rows, per the multi-start acceptance check).
-MULTISTART_BENCHMARKS = ("PCR", "IVD")
-
-#: Benchmark the ``--throughput`` section covers by default: the
-#: largest scale-tier assay, where the batch kernel's vectorization win
-#: is most visible.
-THROUGHPUT_BENCHMARKS = ("Scale200",)
 
 #: Benchmarks the ``--portfolio`` tier gates on: the two largest scale
 #: assays, where CPU efficiency is what matters.
@@ -148,71 +63,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments bench",
         description=(
-            "Time the SA placement engines (reference vs incremental) "
-            "across benchmarks and write the BENCH JSON artifact."
+            "Portfolio-racing and service-tier benchmarks (the steady "
+            "end-to-end benchmark is perfbench/run.py)."
         ),
     )
     parser.add_argument(
-        "--scale",
-        choices=("table1", "large"),
-        default="table1",
-        help="benchmark tier: table1 compares the placement engines on "
-             "the paper's rows, large compares the routing engines "
-             "(reference vs the fast engine) on the Scale50/100/200 "
-             "synthetic assays (default: table1)",
-    )
-    parser.add_argument(
-        "--fast-route-engine",
-        choices=("flat", "flat2"),
-        default="flat2",
-        help="fast side of the --scale large routing comparison "
-             "(default: flat2, the vectorized-cost engine)",
-    )
-    parser.add_argument(
         "--quick", action="store_true",
-        help=f"run only {', '.join(QUICK_BENCHMARKS)} with 2 repeats "
-             f"({', '.join(QUICK_SCALE_BENCHMARKS)} with --scale large)",
+        help="smallest subset: "
+             f"{', '.join(QUICK_PORTFOLIO_BENCHMARKS)} for --portfolio, "
+             "fewer requests for --serve",
     )
     parser.add_argument(
         "--benchmarks", nargs="+", metavar="NAME", default=None,
         choices=benchmark_names(),
-        help="explicit benchmark subset (default: all Table I rows)",
+        help="explicit benchmark subset for --portfolio "
+             f"(default: {', '.join(PORTFOLIO_BENCHMARKS)})",
     )
     parser.add_argument("--seed", type=int, default=1,
-                        help="annealer seed for both engines (default: 1)")
-    parser.add_argument("--repeat", "--repeats", dest="repeat", type=int,
-                        default=None,
-                        help="timed repetitions per engine; the median is "
-                             "kept and the min/max spread recorded "
-                             "(default: 3, or 2 with --quick)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the benchmark fan-out; "
-                             "results are identical for every value "
-                             "(default: 1, 0 = one per CPU)")
-    parser.add_argument("--scaling", nargs="+", type=int, metavar="JOBS",
-                        default=None,
-                        help="also wall-clock the suite at these job "
-                             "levels (e.g. --scaling 1 2 4) and record "
-                             "the rows in the artifact")
-    parser.add_argument("--multistart", type=int, metavar="N", default=None,
-                        help="also record best-of-N-restarts placement "
-                             "energy vs the single run")
-    parser.add_argument("--multistart-benchmarks", nargs="+", metavar="NAME",
-                        default=None, choices=benchmark_names(),
-                        help="benchmarks for the --multistart section "
-                             f"(default: {', '.join(MULTISTART_BENCHMARKS)})")
-    parser.add_argument("--throughput", type=int, metavar="BATCH",
-                        default=None,
-                        help="also measure raw SA placement throughput "
-                             "(moves/sec) for every placement engine, "
-                             "with the batch engine at BATCH candidates "
-                             "per step, and record the section")
-    parser.add_argument("--throughput-benchmarks", nargs="+", metavar="NAME",
-                        default=None, choices=benchmark_names(),
-                        help="benchmarks for the --throughput section "
-                             f"(default: {', '.join(THROUGHPUT_BENCHMARKS)})")
+                        help="annealer seed (default: 1)")
     parser.add_argument("--serve", action="store_true",
-                        help="run the service tier instead: boot a "
+                        help="run the service tier: boot a "
                              "synthesis server, measure cold submission "
                              "latency then concurrent cache-hit latency/"
                              "throughput, and gate on the cache-hit "
@@ -228,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(artifact: BENCH_pr10.json; see "
                              "docs/SERVICE.md \"Scaling out\")")
     parser.add_argument("--portfolio", type=int, metavar="N", default=None,
-                        help="run the portfolio tier instead: race N "
+                        help="run the portfolio tier: race N "
                              "successive-halving arms against equal-budget "
                              "multi-start (restarts = N/2) on "
                              f"{', '.join(PORTFOLIO_BENCHMARKS)}, gate on "
@@ -240,26 +110,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--check",
                         choices=CHECK_MODES,
                         default="report",
-                        help="audit every timed run with the independent "
-                             "design-rule checker and record the violation "
-                             "counts in the table and artifact "
+                        help="audit the portfolio pipeline with the "
+                             "independent design-rule checker "
                              "(default: report)")
     parser.add_argument("--output", type=Path, default=None,
-                        help=f"JSON artifact path (default: {DEFAULT_OUTPUT}, "
-                             f"or {DEFAULT_ROUTE_OUTPUT} with --scale large)")
-    parser.add_argument(
-        "--require-speedup", metavar="NAME", default=None,
-        choices=benchmark_names(),
-        help="exit non-zero when the optimised engine is slower than "
-             "the reference on this benchmark (CI gate); gates the "
-             "placement phase on the table1 tier and the routing phase "
-             "on the large tier",
-    )
+                        help="JSON artifact path (default: "
+                             f"{DEFAULT_PORTFOLIO_OUTPUT} for --portfolio, "
+                             "BENCH_pr9.json / BENCH_pr10.json for --serve)")
     return parser
 
 
 def run(argv: list[str]) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.serve:
         if args.shards is not None:
             from repro.serve.loadgen import run_shard_bench
@@ -272,137 +135,10 @@ def run(argv: list[str]) -> int:
 
         return run_serve_bench(quick=args.quick, output=args.output)
     if args.shards is not None:
-        build_parser().error("--shards requires --serve")
-    if args.portfolio is not None:
-        return _run_portfolio_tier(args)
-    if args.benchmarks is not None:
-        names = tuple(args.benchmarks)
-    elif args.scale == "large":
-        names = QUICK_SCALE_BENCHMARKS if args.quick else SCALE_ORDER
-    elif args.quick:
-        names = QUICK_BENCHMARKS
-    else:
-        names = TABLE1_ORDER
-    repeats = args.repeat if args.repeat is not None else (2 if args.quick else 3)
-    if args.require_speedup is not None and args.require_speedup not in names:
-        names = names + (args.require_speedup,)
-    if args.output is None:
-        args.output = Path(
-            DEFAULT_ROUTE_OUTPUT if args.scale == "large" else DEFAULT_OUTPUT
-        )
-
-    if args.scale == "large":
-        return _run_route_tier(args, names, repeats)
-
-    comparisons = run_suite(
-        names, seed=args.seed, repeats=repeats, jobs=args.jobs,
-        check=args.check,
-    )
-    print(render_bench_table(comparisons))
-
-    scaling = None
-    if args.scaling is not None:
-        scaling = measure_jobs_scaling(
-            names, jobs_levels=tuple(args.scaling), seed=args.seed,
-            repeats=min(repeats, 2),
-        )
-        print()
-        print(render_scaling_table(scaling))
-
-    multistart = None
-    if args.multistart is not None:
-        multistart_names = tuple(
-            args.multistart_benchmarks or MULTISTART_BENCHMARKS
-        )
-        multistart = measure_multistart(
-            multistart_names, restarts=args.multistart, seed=args.seed,
-            jobs=args.jobs,
-        )
-        print()
-        print(render_multistart_table(multistart))
-
-    throughput = _measure_throughput(args)
-
-    payload = comparisons_to_payload(
-        comparisons,
-        label=args.output.stem,
-        quick=args.quick,
-        jobs=args.jobs,
-        jobs_scaling=scaling,
-        multistart=multistart,
-        placement_throughput=throughput,
-    )
-    write_bench_json(args.output, payload)
-    print(f"\nwrote {args.output}")
-
-    status = 0
-    mismatched = [c.benchmark for c in comparisons if not c.energies_match]
-    if mismatched:
-        print(
-            "error: engines disagree on best energy for: "
-            + ", ".join(mismatched),
-            file=sys.stderr,
-        )
-        status = 1
-    if multistart is not None:
-        degraded = [r["benchmark"] for r in multistart if not r["non_degraded"]]
-        if degraded:
-            print(
-                "error: multi-start energy degraded below the single run "
-                "for: " + ", ".join(degraded),
-                file=sys.stderr,
-            )
-            status = 1
-    if args.require_speedup is not None:
-        gate = next(
-            c for c in comparisons if c.benchmark == args.require_speedup
-        )
-        if gate.place_speedup < 1.0:
-            print(
-                f"error: incremental engine slower than reference on "
-                f"{gate.benchmark} "
-                f"({gate.incremental.place_time:.3f}s vs "
-                f"{gate.reference.place_time:.3f}s)",
-                file=sys.stderr,
-            )
-            status = 1
-        else:
-            print(
-                f"speedup gate OK: {gate.benchmark} placement "
-                f"{gate.place_speedup:.2f}x"
-            )
-    status = max(status, _check_throughput(throughput))
-    return status
-
-
-def _measure_throughput(args) -> list[dict] | None:
-    """The optional ``--throughput`` section, shared by both tiers."""
-    if args.throughput is None:
-        return None
-    throughput_names = tuple(
-        args.throughput_benchmarks or THROUGHPUT_BENCHMARKS
-    )
-    rows = measure_placement_throughput(
-        throughput_names, seed=args.seed, batch_size=args.throughput
-    )
-    print()
-    print(render_throughput_table(rows))
-    return rows
-
-
-def _check_throughput(rows: list[dict] | None) -> int:
-    """Never-worse gate over the ``--throughput`` rows (0 ok, 1 fail)."""
-    if rows is None:
-        return 0
-    worse = [row["benchmark"] for row in rows if not row["batch_never_worse"]]
-    if worse:
-        print(
-            "error: batch engine energy degraded below the serial "
-            "engines on: " + ", ".join(worse),
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+        parser.error("--shards requires --serve")
+    if args.portfolio is None:
+        parser.error("choose a tier: --portfolio N or --serve")
+    return _run_portfolio_tier(args)
 
 
 def _run_portfolio_tier(args) -> int:
@@ -469,57 +205,6 @@ def _run_portfolio_tier(args) -> int:
             "better e/cpu-s, jobs-deterministic"
             + ("" if args.check == "off" else ", checker-clean")
         )
-    return status
-
-
-def _run_route_tier(args, names: tuple[str, ...], repeats: int) -> int:
-    """The ``--scale large`` branch: reference vs fast routing engine."""
-    comparisons = run_route_suite(
-        names, seed=args.seed, repeats=repeats, jobs=args.jobs,
-        check=args.check, fast_engine=args.fast_route_engine,
-    )
-    print(render_route_table(comparisons))
-
-    throughput = _measure_throughput(args)
-
-    payload = route_comparisons_to_payload(
-        comparisons,
-        label=args.output.stem,
-        quick=args.quick,
-        jobs=args.jobs,
-        placement_throughput=throughput,
-    )
-    write_bench_json(args.output, payload)
-    print(f"\nwrote {args.output}")
-
-    status = 0
-    mismatched = [c.benchmark for c in comparisons if not c.paths_match]
-    if mismatched:
-        print(
-            "error: routing engines disagree on paths for: "
-            + ", ".join(mismatched),
-            file=sys.stderr,
-        )
-        status = 1
-    if args.require_speedup is not None:
-        gate = next(
-            c for c in comparisons if c.benchmark == args.require_speedup
-        )
-        if gate.route_speedup < 1.0:
-            print(
-                f"error: {args.fast_route_engine} engine slower than "
-                f"reference on {gate.benchmark} "
-                f"({gate.flat.route_time:.3f}s vs "
-                f"{gate.reference.route_time:.3f}s)",
-                file=sys.stderr,
-            )
-            status = 1
-        else:
-            print(
-                f"speedup gate OK: {gate.benchmark} routing "
-                f"{gate.route_speedup:.2f}x"
-            )
-    status = max(status, _check_throughput(throughput))
     return status
 
 

@@ -1,47 +1,24 @@
-"""Performance measurement harness for the synthesis pipeline.
+"""Portfolio-racing measurement for ``python -m repro.experiments bench``.
 
-The paper's evaluation (Table I) reports runtime as a first-class
-metric, and every optimisation PR needs before/after numbers against
-the same yardstick.  This package is that yardstick:
+* :mod:`repro.perf.harness` races the successive-halving portfolio
+  against equal-budget multi-start (:func:`measure_portfolio`);
+* :mod:`repro.perf.report` renders its table and the machine-readable
+  ``BENCH_pr8.json`` artifact.
 
-* :mod:`repro.perf.harness` runs benchmarks through the full pipeline
-  once per placement engine, reading the per-phase wall-clock times the
-  :mod:`repro.obs` spans already measure, and pairs the runs into
-  engine comparisons;
-* :mod:`repro.perf.report` renders the comparison table and the
-  machine-readable JSON artifact (``BENCH_*.json``) committed at the
-  repo root, which successive PRs append their trajectory to.
-
-Run it via ``python -m repro.experiments bench`` (see
-``docs/PERFORMANCE.md``).
+The steady end-to-end benchmark of the synthesis flow and its service
+is ``perfbench/`` (see ``docs/PERFORMANCE.md``).
 """
 
-from repro.perf.harness import (
-    BenchComparison,
-    BenchRun,
-    measure_jobs_scaling,
-    measure_multistart,
-    run_engine,
-    run_suite,
-)
+from repro.perf.harness import measure_portfolio
 from repro.perf.report import (
-    comparisons_to_payload,
-    render_bench_table,
-    render_multistart_table,
-    render_scaling_table,
+    portfolio_rows_to_payload,
+    render_portfolio_table,
     write_bench_json,
 )
 
 __all__ = [
-    "BenchComparison",
-    "BenchRun",
-    "comparisons_to_payload",
-    "measure_jobs_scaling",
-    "measure_multistart",
-    "render_bench_table",
-    "render_multistart_table",
-    "render_scaling_table",
-    "run_engine",
-    "run_suite",
+    "measure_portfolio",
+    "portfolio_rows_to_payload",
+    "render_portfolio_table",
     "write_bench_json",
 ]

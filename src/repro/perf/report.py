@@ -1,8 +1,8 @@
-"""Rendering of benchmark comparisons: text table and JSON artifact.
+"""Rendering of the portfolio bench: text table and JSON artifact.
 
-The JSON payload is the schema of the committed ``BENCH_*.json``
-artifacts — one file per optimisation PR, so the perf trajectory of the
-codebase is recorded in-tree next to the code that produced it.
+The JSON payload is the schema of the committed ``BENCH_pr8.json``
+artifact; :func:`write_bench_json` also writes the service tier's
+artifacts.
 """
 
 from __future__ import annotations
@@ -13,153 +13,11 @@ import platform
 from pathlib import Path
 from typing import Iterable
 
-from repro.perf.harness import BenchComparison, RouteBenchComparison
-
 __all__ = [
-    "comparisons_to_payload",
     "portfolio_rows_to_payload",
-    "route_comparisons_to_payload",
-    "render_bench_table",
-    "render_multistart_table",
     "render_portfolio_table",
-    "render_route_table",
-    "render_scaling_table",
-    "render_throughput_table",
     "write_bench_json",
 ]
-
-
-def comparisons_to_payload(
-    comparisons: Iterable[BenchComparison],
-    label: str,
-    quick: bool = False,
-    jobs: int = 1,
-    jobs_scaling: list[dict] | None = None,
-    multistart: list[dict] | None = None,
-    placement_throughput: list[dict] | None = None,
-) -> dict:
-    """Machine-readable bench result (the ``BENCH_*.json`` schema).
-
-    *jobs_scaling* and *multistart* attach the optional parallel-layer
-    sections (see :func:`repro.perf.harness.measure_jobs_scaling` and
-    :func:`~repro.perf.harness.measure_multistart`); *jobs* records the
-    worker count the engine comparison itself ran under;
-    *placement_throughput* attaches the raw SA moves/sec section (see
-    :func:`~repro.perf.harness.measure_placement_throughput`).
-    """
-    comparisons = list(comparisons)
-    rows = []
-    for comparison in comparisons:
-        rows.append(
-            {
-                "benchmark": comparison.benchmark,
-                "seed": comparison.reference.seed,
-                "repeats": comparison.reference.repeats,
-                "statistic": "median",
-                "reference": _run_payload(comparison.reference),
-                "incremental": _run_payload(comparison.incremental),
-                "place_speedup": round(comparison.place_speedup, 3),
-                "total_speedup": round(comparison.total_speedup, 3),
-                "energies_match": comparison.energies_match,
-            }
-        )
-    payload = {
-        "label": label,
-        "quick": quick,
-        "jobs": jobs,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
-        "benchmarks": rows,
-        "max_place_speedup": (
-            round(max(c.place_speedup for c in comparisons), 3)
-            if comparisons
-            else None
-        ),
-        "all_energies_match": all(c.energies_match for c in comparisons),
-    }
-    if jobs_scaling is not None:
-        payload["jobs_scaling"] = jobs_scaling
-    if multistart is not None:
-        payload["multistart"] = multistart
-        payload["multistart_non_degraded"] = all(
-            row["non_degraded"] for row in multistart
-        )
-    _attach_throughput(payload, placement_throughput)
-    return payload
-
-
-def _attach_throughput(
-    payload: dict, placement_throughput: list[dict] | None
-) -> None:
-    """Attach the ``--throughput`` section and its summary keys."""
-    if placement_throughput is None:
-        return
-    payload["placement_throughput"] = placement_throughput
-    payload["batch_never_worse"] = all(
-        row["batch_never_worse"] for row in placement_throughput
-    )
-    ratios = [
-        row["batch_vs_reference"]
-        for row in placement_throughput
-        if row.get("batch_vs_reference")
-    ]
-    payload["max_batch_vs_reference"] = max(ratios) if ratios else None
-
-
-def route_comparisons_to_payload(
-    comparisons: Iterable[RouteBenchComparison],
-    label: str,
-    quick: bool = False,
-    jobs: int = 1,
-    placement_throughput: list[dict] | None = None,
-) -> dict:
-    """Machine-readable routing-engine bench result.
-
-    Same artifact family as :func:`comparisons_to_payload`, but the
-    paired engines are the routing ones (reference vs the fast engine,
-    recorded per row as ``fast_engine``) and the parity column is the
-    path digest instead of the placement energy.  The fast run stays
-    under the ``flat`` key for schema continuity with the earlier
-    route-tier artifacts.
-    """
-    comparisons = list(comparisons)
-    rows = []
-    for comparison in comparisons:
-        rows.append(
-            {
-                "benchmark": comparison.benchmark,
-                "seed": comparison.reference.seed,
-                "repeats": comparison.reference.repeats,
-                "statistic": "median",
-                "fast_engine": comparison.flat.route_engine,
-                "reference": _route_run_payload(comparison.reference),
-                "flat": _route_run_payload(comparison.flat),
-                "route_speedup": round(comparison.route_speedup, 3),
-                "total_speedup": round(comparison.total_speedup, 3),
-                "paths_match": comparison.paths_match,
-            }
-        )
-    speedups = sorted(c.route_speedup for c in comparisons)
-    payload = {
-        "label": label,
-        "kind": "route_engine",
-        "quick": quick,
-        "jobs": jobs,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
-        "benchmarks": rows,
-        "median_route_speedup": (
-            round(speedups[len(speedups) // 2], 3) if speedups else None
-        ),
-        "max_route_speedup": (
-            round(speedups[-1], 3) if speedups else None
-        ),
-        "all_paths_match": all(c.paths_match for c in comparisons),
-    }
-    _attach_throughput(payload, placement_throughput)
-    return payload
 
 
 def portfolio_rows_to_payload(
@@ -169,8 +27,7 @@ def portfolio_rows_to_payload(
 ) -> dict:
     """Machine-readable portfolio-racing bench result.
 
-    Same artifact family as :func:`comparisons_to_payload`, but the
-    paired solvers are the successive-halving portfolio race and the
+    The paired solvers are the successive-halving portfolio race and the
     equal-candidate-budget multi-start
     (see :func:`repro.perf.harness.measure_portfolio`).  The summary
     keys are the CI gates: every row must beat multi-start on
@@ -236,202 +93,8 @@ def render_portfolio_table(rows: Iterable[dict]) -> str:
     return "\n".join(lines)
 
 
-def _route_run_payload(run) -> dict:
-    payload = {
-        "route_engine": run.route_engine,
-        "route_s": round(run.route_time, 6),
-        "total_s": round(run.total_time, 6),
-        "paths_digest": run.paths_digest,
-        "postponed_tasks": run.postponed_tasks,
-        "postponement_total_s": round(run.postponement_total, 6),
-    }
-    if run.total_min is not None and run.total_max is not None:
-        payload["total_min_s"] = round(run.total_min, 6)
-        payload["total_max_s"] = round(run.total_max, 6)
-    if run.phase_min:
-        payload["route_min_s"] = round(run.phase_min.get("route", 0.0), 6)
-        payload["route_max_s"] = round(run.phase_max.get("route", 0.0), 6)
-    if run.violations is not None:
-        payload["violations"] = run.violations
-    if run.route_search_seconds is not None:
-        payload["route_search_seconds"] = run.route_search_seconds
-    return payload
-
-
-def _run_payload(run) -> dict:
-    payload = {
-        "engine": run.engine,
-        "placement_energy": run.placement_energy,
-        "place_s": round(run.place_time, 6),
-        "route_s": round(run.route_time, 6),
-        "total_s": round(run.total_time, 6),
-    }
-    if run.total_min is not None and run.total_max is not None:
-        payload["total_min_s"] = round(run.total_min, 6)
-        payload["total_max_s"] = round(run.total_max, 6)
-    if run.phase_min:
-        payload["place_min_s"] = round(run.phase_min.get("place", 0.0), 6)
-        payload["place_max_s"] = round(run.phase_max.get("place", 0.0), 6)
-    if run.violations is not None:
-        payload["violations"] = run.violations
-    if run.route_search_seconds is not None:
-        payload["route_search_seconds"] = run.route_search_seconds
-    if run.moves_per_second is not None:
-        payload["moves_proposed"] = run.moves_proposed
-        payload["moves_accepted"] = run.moves_accepted
-        payload["moves_per_second"] = round(run.moves_per_second, 1)
-    return payload
-
-
 def write_bench_json(path: Path, payload: dict) -> None:
     """Write the payload as stable, diff-friendly JSON."""
     path.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-
-
-def render_scaling_table(rows: Iterable[dict]) -> str:
-    """Wall-clock per ``--jobs`` level (see ``measure_jobs_scaling``)."""
-    rows = list(rows)
-    header = f"{'jobs':>4s} {'wall (s)':>10s} {'speedup':>8s}"
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        speedup = row.get("speedup_vs_serial")
-        lines.append(
-            f"{row['jobs']:>4d} {row['wall_s']:>9.3f}s "
-            f"{(f'{speedup:.2f}x' if speedup else '-'):>8s}"
-        )
-    if rows:
-        lines.append(f"(host cpu_count = {rows[0].get('cpu_count')})")
-    return "\n".join(lines)
-
-
-def render_multistart_table(rows: Iterable[dict]) -> str:
-    """Single-run vs best-of-restarts energy per benchmark."""
-    header = (
-        f"{'Benchmark':12s} {'restarts':>8s} {'single E':>10s} "
-        f"{'best-of-N E':>11s} {'impr %':>7s}  {'verdict':s}"
-    )
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        verdict = "ok" if row["non_degraded"] else "DEGRADED"
-        lines.append(
-            f"{row['benchmark']:12s} {row['restarts']:>8d} "
-            f"{row['single_energy']:>10.4f} {row['multistart_energy']:>11.4f} "
-            f"{row['improvement_pct']:>7.2f}  {verdict}"
-        )
-    return "\n".join(lines)
-
-
-def render_route_table(comparisons: Iterable[RouteBenchComparison]) -> str:
-    """Routing-engine comparison table, one row per benchmark.
-
-    The ``paths`` column asserts byte-identical routing (digest
-    equality); ``postponed`` shows how many tasks the router had to
-    slide, identical on both sides by the parity guarantee; ``p99``
-    is the fast engine's per-search A* latency (the
-    ``astar.search_seconds`` histogram), shown when recorded.
-    """
-    comparisons = list(comparisons)
-    with_latency = any(
-        c.flat.route_search_seconds is not None for c in comparisons
-    )
-    fast = comparisons[0].flat.route_engine if comparisons else "flat"
-    header = (
-        f"{'Benchmark':12s} {'ref route':>10s} {fast + ' route':>12s} "
-        f"{'speedup':>8s} {'ref total':>10s} {fast + ' total':>12s} "
-        f"{'speedup':>8s}  {'paths':5s}  {'postponed':>9s}"
-    )
-    if with_latency:
-        header += f"  {'p99 search':>11s}"
-    lines = [header, "-" * len(header)]
-    for c in comparisons:
-        paths = "match" if c.paths_match else "DIFF!"
-        line = (
-            f"{c.benchmark:12s} "
-            f"{c.reference.route_time:9.3f}s {c.flat.route_time:11.3f}s "
-            f"{c.route_speedup:7.2f}x "
-            f"{c.reference.total_time:9.3f}s {c.flat.total_time:11.3f}s "
-            f"{c.total_speedup:7.2f}x  {paths:5s}  "
-            f"{c.flat.postponed_tasks:>9d}"
-        )
-        if with_latency:
-            summary = c.flat.route_search_seconds
-            p99 = summary.get("p99") if summary else None
-            line += (
-                f"  {p99 * 1e3:>9.3f}ms" if p99 is not None else f"  {'-':>11s}"
-            )
-        lines.append(line)
-    return "\n".join(lines)
-
-
-def render_throughput_table(rows: Iterable[dict]) -> str:
-    """Raw SA placement throughput per engine, one row per benchmark.
-
-    Rows come from
-    :func:`repro.perf.harness.measure_placement_throughput`: moves/sec
-    is legal candidate moves evaluated per second of annealing
-    wall-clock, ``batch xN`` names the batch engine's candidates per
-    step, and the verdict asserts the batch energy never landed above
-    the serial engines' shared energy.
-    """
-    rows = list(rows)
-    batch_label = (
-        f"batch x{rows[0]['batch_size']} mv/s" if rows else "batch mv/s"
-    )
-    header = (
-        f"{'Benchmark':12s} {'ref mv/s':>10s} {'inc mv/s':>10s} "
-        f"{batch_label:>16s} {'vs ref':>7s} {'batch E':>10s}  {'verdict':s}"
-    )
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        engines = row["engines"]
-        ratio = row.get("batch_vs_reference")
-        verdict = "ok" if row["batch_never_worse"] else "DEGRADED"
-        lines.append(
-            f"{row['benchmark']:12s} "
-            f"{engines['reference']['moves_per_second']:>10.0f} "
-            f"{engines['incremental']['moves_per_second']:>10.0f} "
-            f"{engines['batch']['moves_per_second']:>16.0f} "
-            f"{(f'{ratio:.1f}x' if ratio else '-'):>7s} "
-            f"{engines['batch']['energy']:>10.3f}  {verdict}"
-        )
-    return "\n".join(lines)
-
-
-def render_bench_table(comparisons: Iterable[BenchComparison]) -> str:
-    """Aligned before/after comparison table, one row per benchmark.
-
-    A ``viol`` column (design-rule violations found by ``repro.check``)
-    is appended when the suite ran with the checker enabled.
-    """
-    comparisons = list(comparisons)
-    with_check = any(
-        c.reference.violations is not None
-        or c.incremental.violations is not None
-        for c in comparisons
-    )
-    header = (
-        f"{'Benchmark':12s} {'ref place':>10s} {'inc place':>10s} "
-        f"{'speedup':>8s} {'ref total':>10s} {'inc total':>10s} "
-        f"{'speedup':>8s}  {'energy':s}"
-    )
-    if with_check:
-        header += f"  {'viol':>4s}"
-    lines = [header, "-" * len(header)]
-    for c in comparisons:
-        energy = "match" if c.energies_match else "MISMATCH"
-        line = (
-            f"{c.benchmark:12s} "
-            f"{c.reference.place_time:9.3f}s {c.incremental.place_time:9.3f}s "
-            f"{c.place_speedup:7.2f}x "
-            f"{c.reference.total_time:9.3f}s {c.incremental.total_time:9.3f}s "
-            f"{c.total_speedup:7.2f}x  {energy}"
-        )
-        if with_check:
-            counts = {c.reference.violations, c.incremental.violations}
-            counts.discard(None)
-            shown = "-" if not counts else str(max(counts))
-            line += f"  {shown:>4s}"
-        lines.append(line)
-    return "\n".join(lines)

@@ -9,30 +9,29 @@ Defaults are the paper's: ``T0=10000, Tmin=1.0, α=0.9, Imax=150``.
 The best placement ever seen is returned (not merely the final one) —
 standard practice that only improves on the paper's description.
 
-Two interchangeable engines implement the move loop:
+Two engines implement the move loop:
 
 * ``engine="incremental"`` (default) — the
   :class:`~repro.place.incremental.PlacementWorkspace`: in-place
   apply/undo moves, occupancy-index legality, and delta energy over only
   the nets incident to the moved components.
-* ``engine="reference"`` — the original immutable path (one new
-  :class:`~repro.place.placement.Placement`, full legality scan, and
-  full Eq. 3 evaluation per trial), kept as the correctness oracle.
+* ``engine="batch"`` (:mod:`repro.place.batch`) vectorizes the move
+  loop with numpy: per step it proposes ``batch_size`` candidate moves,
+  evaluates every delta as array ops, and applies Metropolis acceptance
+  to the greedily-best candidate.  At ``batch_size=1`` it delegates to
+  the incremental loop and is therefore bit-identical to it; at larger
+  batch sizes it explores more and trades the bit-level contract for a
+  never-worse-energy gate (see the batch module docstring for the
+  RNG-stream contract).
 
-A third engine, ``engine="batch"`` (:mod:`repro.place.batch`),
-vectorizes the move loop with numpy: per step it proposes
-``batch_size`` candidate moves, evaluates every delta as array ops,
-and applies Metropolis acceptance to the greedily-best candidate.  At
-``batch_size=1`` it delegates to the incremental loop and is therefore
-bit-identical to the engines above; at larger batch sizes it explores
-more and trades the bit-level contract for a never-worse-energy gate
-(see the batch module docstring for the RNG-stream contract).
-
-Both engines consume the seeded RNG through the *identical* draw
-sequence and make identical accept/reject decisions, so a given seed
-yields the same best placement and — because the returned best energy
-is always a full Eq. 3 evaluation — bit-identical best energy.  The
-parity tests in ``tests/place/test_incremental.py`` assert this.
+The incremental engine consumes the seeded RNG through the *identical*
+draw sequence as the straightforward immutable formulation (one new
+:class:`~repro.place.placement.Placement`, full legality scan, and full
+Eq. 3 evaluation per trial) and makes identical accept/reject
+decisions, so a given seed yields the same best placement and —
+because the returned best energy is always a full Eq. 3 evaluation —
+bit-identical best energy.  The test suite keeps that formulation as an
+oracle and asserts the parity in ``tests/place/test_incremental.py``.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from repro.obs.instrument import Instrumentation
 from repro.place.energy import ConnectionPriorities, placement_energy
 from repro.place.grid import ChipGrid
 from repro.place.incremental import PlacementWorkspace
-from repro.place.moves import random_move, random_placement
+from repro.place.moves import random_placement
 from repro.place.placement import Placement
 
 __all__ = [
@@ -65,23 +64,22 @@ __all__ = [
 #: ``"batch"`` is the numpy best-of-K kernel of :mod:`repro.place.batch`;
 #: at ``batch_size=1`` it delegates to the incremental loop and is
 #: bit-identical to ``"incremental"``.
-PLACEMENT_ENGINES = ("incremental", "batch", "reference")
+PLACEMENT_ENGINES = ("incremental", "batch")
 
-#: Move kinds in the reference sampler's tuple order — the incremental
-#: sampler draws from this tuple so both engines consume the RNG
-#: identically (``rng.choice`` on any length-3 sequence draws the same
-#: underlying integer).
+#: Move kinds in :func:`~repro.place.moves.random_move`'s tuple order —
+#: the incremental sampler draws from this tuple so it consumes the RNG
+#: exactly like the immutable sampler (``rng.choice`` on any length-3
+#: sequence draws the same underlying integer).
 _MOVE_KINDS = ("translate", "swap", "rotate")
 
 #: Below this magnitude the incident-nets delta estimate cannot be
-#: trusted to carry the same *sign* as the reference engine's
-#: full-evaluation difference (symmetric moves have a true delta of
-#: exactly zero, and the two computations round differently), so the
-#: incremental engine falls back to the exact delta.  A wrong sign
-#: would desynchronise the engines' RNG streams: ``delta < 0`` accepts
-#: without drawing ``rng.random()``.  The estimate and the exact delta
-#: agree within ~1e-11, so any estimate beyond this threshold has a
-#: reliable sign.
+#: trusted to carry the same *sign* as a full-evaluation difference
+#: (symmetric moves have a true delta of exactly zero, and the two
+#: computations round differently), so the incremental engine falls
+#: back to the exact delta.  A wrong sign would change the RNG stream:
+#: ``delta < 0`` accepts without drawing ``rng.random()``.  The
+#: estimate and the exact delta agree within ~1e-11, so any estimate
+#: beyond this threshold has a reliable sign.
 _EXACT_DELTA_THRESHOLD = 1e-6
 
 
@@ -97,13 +95,10 @@ class AnnealingParameters:
     #: "batch"``); the other engines ignore it.  ``1`` degenerates to
     #: the incremental engine's exact move loop.
     batch_size: int = 16
-    #: Optional move-mix weights ``(translate, swap, rotate)`` for the
-    #: incremental and batch engines.  ``None`` (the default) keeps the
-    #: uniform reference sampler and its exact RNG draw sequence — the
-    #: bit-parity contract between engines only covers that default.
-    #: Portfolio arms set this to bias exploration; the reference
-    #: engine rejects non-uniform weights rather than silently ignore
-    #: them.
+    #: Optional move-mix weights ``(translate, swap, rotate)``.
+    #: ``None`` (the default) keeps the uniform sampler and its exact
+    #: RNG draw sequence — the bit-parity contract only covers that
+    #: default.  Portfolio arms set this to bias exploration.
     move_weights: tuple[float, float, float] | None = None
 
     def __post_init__(self) -> None:
@@ -195,16 +190,15 @@ def anneal_placement(
     parameters:
         SA knobs; ``None`` selects the paper's defaults.
     seed:
-        RNG seed — annealing is fully deterministic given the seed,
-        and the same seed gives the same result on either engine.
+        RNG seed — annealing is fully deterministic given the seed.
     instrumentation:
         Optional :class:`~repro.obs.Instrumentation`; receives move
         counters (``sa.moves_*``) and one ``sa.step`` convergence event
         per temperature (temperature, energy, best energy, acceptance
         ratio) — the trace Fig.-style solver papers report.
     engine:
-        ``"incremental"`` (default), ``"batch"``, or ``"reference"`` —
-        see the module docstring.
+        ``"incremental"`` (default) or ``"batch"`` — see the module
+        docstring.
     verify:
         Incremental engine only: after every accepted move, assert the
         accumulated energy agrees with a from-scratch Eq. 3 evaluation
@@ -217,11 +211,6 @@ def anneal_placement(
             f"expected one of {PLACEMENT_ENGINES}"
         )
     params = parameters or AnnealingParameters()
-    if engine == "reference" and params.move_weights is not None:
-        raise PlacementError(
-            "move_weights is only supported by the incremental and "
-            "batch engines; the reference sampler is uniform"
-        )
     rng = random.Random(seed)
 
     current = random_placement(grid, footprints, rng)
@@ -231,13 +220,8 @@ def anneal_placement(
             f"{len(footprints)} components on a "
             f"{grid.width}x{grid.height} grid"
         )
-    if engine == "reference":
-        result = _anneal_reference(
-            current, priorities, params, rng, instrumentation
-        )
-    elif engine == "batch":
-        # Imported lazily: the other engines never pay for the numpy
-        # import, and reference/incremental runs work without numpy.
+    if engine == "batch":
+        # Imported lazily: repro.place.batch imports this module.
         from repro.place.batch import anneal_batch
 
         result = anneal_batch(
@@ -260,7 +244,7 @@ def _flush_step(
     step_accepted: int,
     elapsed: float = 0.0,
 ) -> None:
-    """Per-temperature instrumentation flush shared by both engines."""
+    """Per-temperature instrumentation flush shared by the engines."""
     if instrumentation is None:
         return
     instrumentation.count("sa.moves_proposed", step_trials)
@@ -288,60 +272,6 @@ def _flush_final(
     instrumentation.gauge("sa.initial_energy", initial_energy)
 
 
-def _anneal_reference(
-    current: Placement,
-    priorities: ConnectionPriorities,
-    params: AnnealingParameters,
-    rng: random.Random,
-    instrumentation: Instrumentation | None,
-) -> AnnealingResult:
-    """The original immutable move loop (full recompute per trial)."""
-    current_energy = placement_energy(current, priorities)
-    best, best_energy = current, current_energy
-    initial_energy = current_energy
-
-    accepted = 0
-    trials = 0
-    trace: list[float] = []
-    temperature = params.initial_temperature
-    while temperature > params.min_temperature:
-        # Per-temperature tallies are kept in locals and flushed once per
-        # cooling step, so instrumentation stays off the per-move path.
-        step_started = perf_counter()
-        step_accepted = 0
-        step_trials = 0
-        for _ in range(params.iterations_per_temperature):
-            candidate = random_move(current, rng)
-            if candidate is None:
-                continue
-            step_trials += 1
-            candidate_energy = placement_energy(candidate, priorities)
-            delta = candidate_energy - current_energy
-            if delta < 0 or rng.random() < math.exp(-delta / temperature):
-                current, current_energy = candidate, candidate_energy
-                step_accepted += 1
-                if current_energy < best_energy:
-                    best, best_energy = current, current_energy
-        accepted += step_accepted
-        trials += step_trials
-        trace.append(current_energy)
-        _flush_step(
-            instrumentation, temperature, current_energy, best_energy,
-            step_trials, step_accepted, perf_counter() - step_started,
-        )
-        temperature *= params.cooling_rate
-
-    _flush_final(instrumentation, initial_energy, best_energy)
-    return AnnealingResult(
-        placement=best,
-        energy=best_energy,
-        initial_energy=initial_energy,
-        accepted_moves=accepted,
-        trials=trials,
-        energy_trace=trace,
-    )
-
-
 def _sample_pending_move(
     workspace: PlacementWorkspace,
     rng: random.Random,
@@ -350,11 +280,11 @@ def _sample_pending_move(
 ):
     """Incremental twin of :func:`~repro.place.moves.random_move`.
 
-    With *weights* ``None`` it replicates the reference sampler's RNG
-    draw sequence exactly — same move-kind choice, same component
-    choices, same ``randint`` bounds, and the same early-return points
-    that skip draws — so a shared seed drives both engines through
-    identical move proposals.  Non-``None`` weights bias the move-kind
+    With *weights* ``None`` it replicates that sampler's RNG draw
+    sequence exactly — same move-kind choice, same component choices,
+    same ``randint`` bounds, and the same early-return points that skip
+    draws — so a shared seed drives both through identical move
+    proposals.  Non-``None`` weights bias the move-kind
     draw (``rng.choices``) and deliberately leave the bit-parity
     contract: a weighted arm is a *different* deterministic walk.
     """
@@ -500,9 +430,8 @@ class AnnealCheckpoint:
     finished: bool = False
 
 
-#: Engines the checkpoint seam supports (``reference`` is the immutable
-#: oracle and intentionally stays a single uninterruptible run).
-RESUMABLE_ENGINES = ("incremental", "batch")
+#: Engines the checkpoint seam supports: every placement engine.
+RESUMABLE_ENGINES = PLACEMENT_ENGINES
 
 
 def anneal_start(

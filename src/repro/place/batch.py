@@ -49,10 +49,7 @@ import math
 import random
 from time import perf_counter
 
-try:  # the kernel is numpy-only; batch_size=1 works without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - the test image ships numpy
-    _np = None
+import numpy as _np
 
 from repro.errors import PlacementError
 from repro.obs.instrument import Instrumentation
@@ -77,11 +74,6 @@ def numpy_rng_state(np_seed: int) -> dict:
     checkpoint instead of the seed itself so every resume restores the
     *advanced* stream position, not the beginning.
     """
-    if _np is None:  # pragma: no cover - exercised via subprocess test
-        raise PlacementError(
-            "engine='batch' with batch_size > 1 requires numpy; "
-            "install it or use batch_size=1 / engine='incremental'"
-        )
     return _np.random.default_rng(np_seed).bit_generator.state
 
 
@@ -103,11 +95,6 @@ class BatchWorkspace:
         np_seed: int,
         move_weights: tuple[float, float, float] | None = None,
     ) -> None:
-        if _np is None:  # pragma: no cover - exercised via subprocess test
-            raise PlacementError(
-                "engine='batch' with batch_size > 1 requires numpy; "
-                "install it or use batch_size=1 / engine='incremental'"
-            )
         self.grid = placement.grid
         self.priorities = priorities
         self.k = batch_size

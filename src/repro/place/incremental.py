@@ -1,6 +1,6 @@
 """Incremental annealing workspace: in-place moves with delta energy.
 
-The reference SA path (``engine="reference"``) builds a brand-new
+The straightforward SA move loop builds a brand-new
 :class:`~repro.place.placement.Placement` per trial — a full dict copy
 in ``with_block``, an all-pairs ``is_legal()`` scan, and an Eq. 3
 re-evaluation over *every* net — even though one move touches at most
@@ -31,7 +31,7 @@ term order and float expressions as
 :func:`~repro.place.energy.placement_energy`, so :attr:`energy` is at
 all times *bit-identical* to a from-scratch evaluation — never merely
 "close".  That exactness is what lets a seeded incremental run make the
-same accept/reject and best-so-far decisions as the reference engine
+same accept/reject and best-so-far decisions as that immutable loop
 (see :mod:`repro.place.annealing`), and the incident-nets delta is
 guaranteed to agree with the realised energy change within ``1e-9`` on
 every accepted move (the property tests assert both).
@@ -142,7 +142,7 @@ class PlacementWorkspace:
             for b in (self._blocks[c] for c in self._components)
         ]
         # Validates that every net's endpoints are placed, exactly as
-        # the reference path would on its first evaluation — and before
+        # a full evaluation would on its first call — and before
         # the index-based net list below assumes the endpoints exist.
         self.energy: float = placement_energy(placement, priorities)
         #: Net list (index_a, index_b, priority) in the priorities dict's
@@ -279,7 +279,7 @@ class PlacementWorkspace:
         """Full Eq. 3 pass, bit-identical to ``placement_energy``.
 
         Iterates the nets in the same order and evaluates the same float
-        expressions as the reference evaluation; the cached centres hold
+        expressions as ``placement_energy``; the cached centres hold
         exactly the ``x + (width - 1) / 2.0`` floats a fresh evaluation
         would compute.
         """
@@ -293,8 +293,8 @@ class PlacementWorkspace:
     def exact_delta(self, move: PendingMove) -> float:
         """The move's exact energy change (full-evaluation difference).
 
-        Matches what the reference engine's ``candidate_energy -
-        current_energy`` computes, bit for bit.  The annealer falls back
+        Matches ``placement_energy(candidate) - placement_energy(current)``
+        bit for bit.  The annealer falls back
         to this when the incident-nets estimate is too close to zero to
         trust its sign.
         """

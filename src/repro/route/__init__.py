@@ -1,6 +1,5 @@
 """Routing stage (Algorithm 2, lines 9–18) and the baseline router."""
 
-from repro.route.astar import find_path
 from repro.route.baseline_router import route_tasks_baseline
 from repro.route.grid_graph import (
     DEFAULT_INITIAL_WEIGHT,
@@ -8,7 +7,6 @@ from repro.route.grid_graph import (
     RoutingGrid,
 )
 from repro.route.flat import FlatOccupancy, FlatRoutingState, find_path_flat
-from repro.route.flat2 import Flat2RoutingState, find_path_flat2
 from repro.route.paths import RoutedPath
 from repro.route.router import (
     DEFAULT_ROUTE_ENGINE,
@@ -22,7 +20,6 @@ __all__ = [
     "CellUsage",
     "DEFAULT_INITIAL_WEIGHT",
     "DEFAULT_ROUTE_ENGINE",
-    "Flat2RoutingState",
     "FlatOccupancy",
     "FlatRoutingState",
     "ROUTE_ENGINES",
@@ -31,9 +28,7 @@ __all__ = [
     "RoutingResult",
     "TimeSlot",
     "TimeSlotSet",
-    "find_path",
     "find_path_flat",
-    "find_path_flat2",
     "route_tasks",
     "route_tasks_baseline",
 ]

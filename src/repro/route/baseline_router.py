@@ -26,18 +26,15 @@ from repro.errors import RoutingError
 from repro.obs.instrument import Instrumentation
 from repro.place.grid import Cell
 from repro.place.placement import Placement
-from repro.route.astar import find_path
-from repro.route.grid_graph import RoutingGrid
+from repro.route.flat import FlatRoutingState, find_path_flat
 from repro.route.paths import RoutedPath
 from repro.route.router import (
     DEFAULT_ROUTE_ENGINE,
-    ROUTE_ENGINES,
     RoutingResult,
-    _ADVANCE_STRIDE,
-    _RETIRE_STRIDE,
     _cache_slot,
     _finalise_grid,
     _transit_slot,
+    check_route_engine,
     plan_path_slots,
 )
 from repro.route.timeslots import TimeSlot
@@ -49,60 +46,6 @@ __all__ = ["route_tasks_baseline"]
 _GEOMETRY_PROBE = TimeSlot(0.0, 0.0)
 
 
-def _shortest_path(
-    grid: RoutingGrid,
-    sources: list[Cell],
-    targets: list[Cell],
-    instrumentation: Instrumentation | None = None,
-) -> tuple[Cell, ...] | None:
-    """Uniform-cost shortest path ignoring slots and weights.
-
-    Implemented by running the shared A* on a throwaway zero-weight grid
-    view with an always-empty slot: geometry only.
-    """
-    probe = TimeSlot(0.0, 0.0)  # zero-length slot conflicts with nothing
-    return find_path(
-        _ZeroWeightView(grid), sources, targets, probe,
-        instrumentation=instrumentation,
-    )
-
-
-class _ZeroWeightView:
-    """Read-only adapter hiding weights and slots from the A* search."""
-
-    def __init__(self, grid: RoutingGrid):
-        self._grid = grid
-
-    def is_routable(self, cell: Cell) -> bool:
-        return self._grid.is_routable(cell)
-
-    def is_free(self, cell: Cell, _slot: TimeSlot) -> bool:
-        return self._grid.is_routable(cell)
-
-    def weight(self, _cell: Cell) -> float:
-        return 0.0
-
-
-class _UniformCostView:
-    """Adapter keeping occupation checks but hiding wash-time weights.
-
-    Used by BA's correction detours: conflict-aware, but with none of
-    the weight guidance that makes the proposed router share
-    cheap-to-wash channels."""
-
-    def __init__(self, grid: RoutingGrid):
-        self._grid = grid
-
-    def is_routable(self, cell: Cell) -> bool:
-        return self._grid.is_routable(cell)
-
-    def is_free(self, cell: Cell, slot: TimeSlot) -> bool:
-        return self._grid.is_free(cell, slot)
-
-    def weight(self, _cell: Cell) -> float:
-        return 0.0
-
-
 def route_tasks_baseline(
     placement: Placement,
     tasks: list[TransportTask],
@@ -111,9 +54,8 @@ def route_tasks_baseline(
 ) -> RoutingResult:
     """Route *tasks* with the construction-by-correction strategy.
 
-    *engine* picks the routing core (``"flat"`` or ``"reference"``,
-    see :data:`~repro.route.router.ROUTE_ENGINES`); results are
-    byte-identical either way.
+    *engine* must be ``"flat"`` (see
+    :data:`~repro.route.router.ROUTE_ENGINES`).
 
     *instrumentation* receives ``route.tasks_routed``,
     ``route.conflict_retries`` (postponement steps),
@@ -121,78 +63,39 @@ def route_tasks_baseline(
     the slide distance), and ``route.reroutes`` (accepted correction
     detours), plus the A* statistics of every search.
     """
-    if engine in ("flat", "flat2"):
-        if engine == "flat":
-            from repro.route.flat import FlatRoutingState, find_path_flat
+    check_route_engine(engine)
+    return _route_baseline(
+        placement,
+        tasks,
+        FlatRoutingState(placement, initial_weight=0.0),
+        find_path_flat,
+        instrumentation,
+    )
 
-            grid = FlatRoutingState(placement, initial_weight=0.0)
-            flat_finder = find_path_flat
-        else:
-            from repro.route.flat2 import Flat2RoutingState, find_path_flat2
 
-            grid = Flat2RoutingState(placement, initial_weight=0.0)
-            flat_finder = find_path_flat2
+def _route_baseline(
+    placement: Placement,
+    tasks: list[TransportTask],
+    grid,
+    finder,
+    instrumentation: Instrumentation | None,
+) -> RoutingResult:
+    """The construction-by-correction loop over a ``(grid, finder)`` pair.
 
-        def shortest(sources, targets):
-            # Geometry only: weights and occupation slots both hidden,
-            # like the reference _ZeroWeightView.
-            return flat_finder(
-                grid, sources, targets, _GEOMETRY_PROBE,
-                instrumentation=instrumentation,
-                use_weights=False, use_slots=False,
-            )
-
-        def detour(sources, targets, slot):
-            # Occupation-aware but uniform-cost, like _UniformCostView.
-            return flat_finder(
-                grid, sources, targets, slot,
-                instrumentation=instrumentation,
-                use_weights=False, use_slots=True,
-            )
-
-    elif engine == "reference":
-        grid = RoutingGrid(placement, initial_weight=0.0)
-
-        def shortest(sources, targets):
-            return _shortest_path(grid, sources, targets, instrumentation)
-
-        def detour(sources, targets, slot):
-            return find_path(
-                _UniformCostView(grid), sources, targets, slot,
-                instrumentation=instrumentation,
-            )
-
-    else:
-        raise RoutingError(
-            f"unknown route engine {engine!r}; expected one of {ROUTE_ENGINES}"
-        )
-    # flat2's postponement fast-forward (see repro.route.flat2): skip
-    # retry delays whose occupancy flags provably match the failing
-    # attempt's, bumping the retry counter by the skipped step count.
-    advance = getattr(grid, "advance_delay", None)
-    # Interval retirement (flat2): drop committed intervals that end
-    # before every conflict window the remaining tasks can query — see
-    # route_tasks; correction detours probe transit windows only, so
-    # the same suffix-minimum bound applies.
-    retire = getattr(grid, "retire_intervals", None)
+    *finder* has the signature of :func:`find_path_flat`; construction
+    calls it geometry-only (``use_weights=False, use_slots=False``) and
+    correction detours occupation-aware but uniform-cost
+    (``use_weights=False, use_slots=True``).
+    """
     result = RoutingResult(placement=placement, grid=None)
     ordered = sorted(tasks, key=lambda t: (t.depart, t.task_id))
-    retire_bounds: list[float] = []
-    if retire is not None:
-        low = float("inf")
-        for task in reversed(ordered):
-            low = min(low, task.transit_occupation[0])
-            retire_bounds.append(low)
-        retire_bounds.reverse()
     # Ports are pure geometry; compute them once per component instead
     # of once per task endpoint.
     port_cache = {
         cid: placement.ports(cid) for cid in placement.components()
     }
     all_ports = {cell for ports in port_cache.values() for cell in ports}
-    for task_index, task in enumerate(ordered):
-        if retire is not None and task_index % _RETIRE_STRIDE == 0:
-            retire(retire_bounds[task_index])
+    for task in ordered:
         sources = port_cache[task.src_component]
         targets = port_cache[task.dst_component]
         if task.src_component == task.dst_component:
@@ -200,7 +103,11 @@ def route_tasks_baseline(
             # then correct below like any other path.
             cells: tuple[Cell, ...] | None = (sources[0],)
         else:
-            cells = shortest(sources, targets)
+            cells = finder(
+                grid, sources, targets, _GEOMETRY_PROBE,
+                instrumentation=instrumentation,
+                use_weights=False, use_slots=False,
+            )
         if cells is None:
             raise RoutingError(
                 f"task {task.task_id} ({task.src_component} -> "
@@ -211,13 +118,16 @@ def route_tasks_baseline(
         # detour (uniform cost, occupation-aware), then postpone in
         # 1-second steps until a feasible plan exists.
         delay = 0.0
-        crawl_steps = 0
         slots = plan_path_slots(
             grid, cells, task, delay, avoid_for_cache=all_ports
         )
         while slots is None:
             if task.src_component != task.dst_component:
-                rerouted = detour(sources, targets, _transit_slot(task, delay))
+                rerouted = finder(
+                    grid, sources, targets, _transit_slot(task, delay),
+                    instrumentation=instrumentation,
+                    use_weights=False, use_slots=True,
+                )
                 if rerouted is not None:
                     candidate = plan_path_slots(
                         grid, rerouted, task, delay, avoid_for_cache=all_ports
@@ -228,22 +138,9 @@ def route_tasks_baseline(
                         if instrumentation is not None:
                             instrumentation.count("route.reroutes")
                         break
-            skip = 1
-            if (
-                advance is not None
-                and crawl_steps
-                and crawl_steps % _ADVANCE_STRIDE == 0
-            ):
-                # Deep crawls only — see route_tasks: on dense
-                # occupancies the hint is almost always 1 and paying for
-                # it every step costs more than the crawl itself.
-                hint = advance(task, delay, instrumentation=instrumentation)
-                if hint is not None and hint > 1:
-                    skip = hint
-            crawl_steps += skip
-            delay += skip * 1.0
+            delay += 1.0
             if instrumentation is not None:
-                instrumentation.count("route.conflict_retries", skip)
+                instrumentation.count("route.conflict_retries")
             slots = plan_path_slots(
                 grid, cells, task, delay, avoid_for_cache=all_ports
             )

@@ -1,34 +1,39 @@
-"""Flat array-backed routing engine (the ``flat`` route engine).
+"""Flat array-backed routing engine — the production router's state and
+A* search (Section IV-B.2, Eq. 5).
 
-The reference engine (:mod:`repro.route.astar` over
-:class:`~repro.route.grid_graph.RoutingGrid`) keeps its state in
-``dict``/``set`` structures keyed by :class:`~repro.place.grid.Cell`
-tuples and allocates a 4-tuple of neighbour cells on every A*
-expansion.  This module is the same algorithm on flat integer-indexed
-state:
+The search runs from the set of *port cells* of the source component to
+any port cell of the destination component.  The cost of expanding cell
+``ce_k`` is::
+
+    Cost(k) = h(k) + g(k) + w(k)     if the task's slot fits on ce_k,
+              +inf                   otherwise,
+
+where (keeping the paper's notation) ``h`` is the realised path length
+from the source, ``g`` the Manhattan lower bound to the nearest target,
+and ``w`` the cell's current weight.  Cells whose slot sets conflict
+with the task's occupation interval are pruned outright, which
+eliminates the three transportation-conflict types of Section II-C.2 by
+construction.
+
+All state is flat and integer-indexed:
 
 * a cell is the integer ``y * width + x``;
 * the obstacle mask is a :class:`bytearray`, cell weights a plain
-  ``list[float]`` — one indexed load instead of a hash probe per
-  Eq. 5 term;
+  ``list[float]`` — one indexed load per Eq. 5 term;
 * per-cell occupation slots live in :class:`FlatOccupancy`, an
   interval index of parallel sorted ``(starts, ends)`` float lists per
-  cell, replacing :class:`~repro.route.timeslots.TimeSlotSet` object
-  traffic on the admissibility check (untouched cells are a single
-  ``is None`` test);
-* neighbours come from a table precomputed once per grid — no
-  ``Cell.neighbours()`` tuple construction per expansion;
-* the A* heuristic is read from a distance array precomputed per
-  search (min Manhattan distance to the target set), instead of being
-  recomputed per visited cell.
+  cell with the exact :class:`~repro.route.timeslots.TimeSlotSet`
+  semantics (untouched cells are a single ``is None`` test);
+* neighbours come from a table precomputed once per grid signature;
+* the A* heuristic is read from a distance map (min Manhattan distance
+  to the target set), memoized per target set.
 
-The engine is **bit-compatible** with the reference: identical paths,
-identical expansion/reopen counters, and — because committed paths are
-replayed through :meth:`FlatRoutingState.to_routing_grid` — an
-identical final :class:`~repro.route.grid_graph.RoutingGrid` for the
-metrics, checker, wash, and visualisation stages.  The parity tests in
-``tests/route/test_flat_parity.py`` pin path-identity across every
-benchmark and both flows.
+Committed paths are replayed through
+:meth:`FlatRoutingState.to_routing_grid` into a
+:class:`~repro.route.grid_graph.RoutingGrid` for the metrics, checker,
+wash, and visualisation stages.  The test suite keeps the original
+Cell/dict A* as an oracle and pins path identity against it across
+every benchmark and both flows.
 """
 
 from __future__ import annotations
@@ -38,17 +43,13 @@ from bisect import bisect_left
 from time import perf_counter
 from typing import Iterable
 
-try:  # numpy accelerates the heuristic precompute; plain python works too
-    import numpy as _np
-except ImportError:  # pragma: no cover - the test image ships numpy
-    _np = None
+import numpy as _np
 
 from repro.assay.fluids import Fluid
 from repro.errors import RoutingError, ValidationError
 from repro.obs.instrument import Instrumentation
 from repro.place.grid import Cell
 from repro.place.placement import Placement
-from repro.route.astar import _flush_search_stats
 from repro.route.grid_graph import DEFAULT_INITIAL_WEIGHT, RoutingGrid
 from repro.route.timeslots import TimeSlot
 from repro.units import EPSILON, Seconds
@@ -78,9 +79,9 @@ def static_tables(
 ) -> tuple[list[int], list[tuple[int, ...]]]:
     """The ``(ties, neighbours)`` tables of a ``width x height`` grid.
 
-    ``ties[i]`` is the heap tie-break key replicating the reference's
-    ``(x, y)`` lexicographic order (``x * height + y``); ``neighbours[i]``
-    lists the valid orthogonal neighbours of cell ``i`` in the reference
+    ``ties[i]`` is the heap tie-break key encoding the ``(x, y)``
+    lexicographic order (``x * height + y``); ``neighbours[i]`` lists
+    the valid orthogonal neighbours of cell ``i`` in
     ``Cell.neighbours()`` order (E, W, S, N) with off-grid entries
     dropped.  Memoized per grid signature — callers must treat the
     returned lists as immutable.
@@ -182,17 +183,16 @@ class FlatOccupancy:
 
 
 class FlatRoutingState:
-    """Routing-time state of the flat engine.
+    """Routing-time state of the router.
 
     Exposes the same Cell-based query/commit surface as
     :class:`~repro.route.grid_graph.RoutingGrid` — ``is_routable`` /
-    ``is_free`` / ``weight`` / ``commit_path`` — so the slot-planning
-    and self-loop code of :mod:`repro.route.router` runs unchanged on
-    either engine, while :func:`find_path_flat` reads the flat arrays
-    directly.  Committed paths are logged; :meth:`to_routing_grid`
-    replays the log through the reference grid's own ``commit_path`` so
-    the result handed to metrics/checker/viz is *the same object kind
-    in the same state* as a reference-engine run.
+    ``is_free`` / ``weight`` / ``commit_path`` — which the slot-planning
+    and self-loop code of :mod:`repro.route.router` uses, while
+    :func:`find_path_flat` reads the flat arrays directly.  Committed
+    paths are logged; :meth:`to_routing_grid` replays the log into a
+    :class:`~repro.route.grid_graph.RoutingGrid` for metrics, checker
+    and visualisation.
     """
 
     def __init__(
@@ -228,10 +228,9 @@ class FlatRoutingState:
         #: cache lives as long as the state.  If a subclass ever mutates
         #: ``blocked`` it must call :meth:`invalidate_heuristics`.
         self._dist_cache: dict[tuple[int, ...], list[int]] = {}
-        if _np is not None:
-            indices = _np.arange(n, dtype=_np.int64)
-            self._np_xs = indices % width
-            self._np_ys = indices // width
+        indices = _np.arange(n, dtype=_np.int64)
+        self._np_xs = indices % width
+        self._np_ys = indices // width
         self._log: list[
             tuple[tuple[Cell, ...], str, Fluid, tuple[TimeSlot, ...], Seconds]
         ] = []
@@ -305,7 +304,8 @@ class FlatRoutingState:
         slots: list[TimeSlot],
         wash_time: Seconds,
     ) -> None:
-        """Claim *cells* for a routed task (mirror of the reference)."""
+        """Claim *cells* for a routed task (mirror of
+        :meth:`RoutingGrid.commit_path`)."""
         if len(slots) != len(cells):
             raise RoutingError(
                 f"task {task_id}: {len(slots)} slots for {len(cells)} cells",
@@ -328,7 +328,7 @@ class FlatRoutingState:
         self._log.append((cells, task_id, fluid, tuple(slots), wash_time))
 
     def to_routing_grid(self) -> RoutingGrid:
-        """Replay the commit log into a reference grid.
+        """Replay the commit log into a :class:`RoutingGrid`.
 
         Uses :meth:`RoutingGrid._replay_log`, which reproduces the
         state repeated :meth:`RoutingGrid.commit_path` calls would have
@@ -346,51 +346,51 @@ class FlatRoutingState:
 def _distance_map(state: FlatRoutingState, target_indices: list[int]) -> list[int]:
     """Min Manhattan distance from every cell to the target set.
 
-    The reference heuristic ignores obstacles (it is a lower bound), so
-    this is a pure geometric distance map.  With numpy it is a
-    vectorised min-reduction over the targets; the fallback is a
-    two-pass L1 chamfer sweep — both produce the exact same integers.
+    The heuristic ignores obstacles (it is a lower bound), so this is a
+    pure geometric distance map: a vectorised min-reduction over the
+    targets.
     """
     width = state.width
-    if _np is not None:
-        best = None
-        xs = state._np_xs
-        ys = state._np_ys
-        for index in target_indices:
-            d = abs(xs - (index % width)) + abs(ys - (index // width))
-            if best is None:
-                best = d
-            else:
-                _np.minimum(best, d, out=best)
-        assert best is not None
-        return best.tolist()
-    height = state.height
-    n = width * height
-    infinity = n * 4  # larger than any on-grid distance
-    dist = [infinity] * n
+    xs = state._np_xs
+    ys = state._np_ys
+    best = None
     for index in target_indices:
-        dist[index] = 0
-    for y in range(height):
-        row = y * width
-        for x in range(width):
-            i = row + x
-            d = dist[i]
-            if x and dist[i - 1] + 1 < d:
-                d = dist[i - 1] + 1
-            if y and dist[i - width] + 1 < d:
-                d = dist[i - width] + 1
-            dist[i] = d
-    for y in range(height - 1, -1, -1):
-        row = y * width
-        for x in range(width - 1, -1, -1):
-            i = row + x
-            d = dist[i]
-            if x + 1 < width and dist[i + 1] + 1 < d:
-                d = dist[i + 1] + 1
-            if y + 1 < height and dist[i + width] + 1 < d:
-                d = dist[i + width] + 1
-            dist[i] = d
-    return dist
+        d = abs(xs - (index % width)) + abs(ys - (index // width))
+        if best is None:
+            best = d
+        else:
+            _np.minimum(best, d, out=best)
+    assert best is not None
+    return best.tolist()
+
+
+def _flush_search_stats(
+    instrumentation: Instrumentation | None,
+    expanded: int,
+    reopened: int,
+    found: bool,
+    elapsed: float = 0.0,
+) -> None:
+    """Record one search's tallies on the instrumentation, if any.
+
+    ``astar.searches``, ``astar.nodes_expanded`` (closed-set additions),
+    ``astar.nodes_reopened`` (cost improvements of an already-discovered
+    cell), and ``astar.failures`` for exhausted searches.  *elapsed*
+    (wall-clock seconds of the whole search) additionally feeds the
+    ``astar.search_seconds`` latency histogram — the p50/p90/p99
+    route-search figures of the ledger.
+    """
+    if instrumentation is None:
+        return
+    instrumentation.count("astar.searches")
+    instrumentation.count("astar.nodes_expanded", expanded)
+    instrumentation.count("astar.nodes_reopened", reopened)
+    if not found:
+        instrumentation.count("astar.failures")
+    instrumentation.observe("astar.search_seconds", elapsed)
+    instrumentation.event(
+        "astar.search", expanded=expanded, reopened=reopened, found=found
+    )
 
 
 def find_path_flat(
@@ -404,16 +404,20 @@ def find_path_flat(
     use_weights: bool = True,
     use_slots: bool = True,
 ) -> tuple[Cell, ...] | None:
-    """Flat-index twin of :func:`repro.route.astar.find_path`.
+    """A* from any source port to any target port under Eq. 5.
 
-    Same Eq. 5 search, same cost arithmetic, same ``(f, (x, y))`` heap
-    order (encoded as ``x * height + y``), same instrumentation
-    counters — returning the identical cell path or ``None``.
+    *slot* is the transit occupation checked on every traversed cell;
+    *goal_slot* (defaulting to *slot*) is the — typically longer —
+    occupation the path's final cell must accommodate.  A target cell
+    whose goal slot is blocked may still be crossed in transit.
 
     ``use_weights=False`` zeroes the ``w(k)`` term and
-    ``use_slots=False`` skips occupation checks, replicating the
-    baseline router's ``_ZeroWeightView`` / ``_UniformCostView``
-    adapters without per-call object indirection.
+    ``use_slots=False`` skips occupation checks: the baseline router's
+    uniform-cost detours and geometry-only shortest paths.
+
+    Returns the cell path (source and target inclusive) or ``None``
+    when no admissible path exists.  Deterministic: ties in cost are
+    broken by ``(x, y)`` cell coordinates.
     """
     started = perf_counter()
     if goal_slot is None:

@@ -1,7 +1,7 @@
 """Transportation-conflict-aware routing (Algorithm 2, lines 9–18).
 
 Tasks are routed in non-decreasing start-time order.  For each task the
-improved A* of :mod:`repro.route.astar` searches a path whose *transit*
+improved A* of :mod:`repro.route.flat` searches a path whose *transit*
 occupation fits every traversed cell; the path is then given a **slot
 plan** assigning each cell the occupation matching its role:
 
@@ -32,7 +32,7 @@ from repro.errors import RoutingError
 from repro.obs.instrument import Instrumentation
 from repro.place.grid import Cell
 from repro.place.placement import Placement
-from repro.route.astar import find_path
+from repro.route.flat import FlatRoutingState, find_path_flat
 from repro.route.grid_graph import DEFAULT_INITIAL_WEIGHT, RoutingGrid
 from repro.route.paths import RoutedPath
 from repro.route.timeslots import TimeSlot
@@ -50,49 +50,28 @@ __all__ = [
 #: Step and budget for the defensive postponement fallback.
 _POSTPONE_STEP: Seconds = 1.0
 _POSTPONE_LIMIT: int = 1000
-#: Consult the flat2 postponement fast-forward only every this many
-#: crawl steps — deep crawls amortise its cost, shallow ones skip it.
-_ADVANCE_STRIDE: int = 32
-#: Compact the flat2 interval buffers only every this many tasks.
-_RETIRE_STRIDE: int = 8
 
-#: Routing engines: ``"flat"`` (integer-indexed arrays, see
-#: :mod:`repro.route.flat`), ``"flat2"`` (the vectorized kernels of
-#: :mod:`repro.route.flat2` — numpy admissibility masks, search arena,
-#: postponement fast-forward), and ``"reference"`` (the Cell/dict
-#: oracle).  All produce byte-identical paths, slot plans, and metrics;
-#: the choice only affects runtime.
-ROUTE_ENGINES = ("flat", "flat2", "reference")
+#: Settable values of ``route_tasks(engine=)`` and
+#: ``SynthesisParameters.route_engine``.  ``"flat"`` is the only router;
+#: the value stays part of every problem digest and result document.
+ROUTE_ENGINES = ("flat",)
 DEFAULT_ROUTE_ENGINE = "flat"
 
 
-def _make_engine(placement: Placement, initial_weight: float, engine: str):
-    """Build the (grid, path finder) pair for *engine*.
-
-    The flat engines are imported lazily so reference-engine runs never
-    pay for them (and the optional numpy import they may perform).
-    """
-    if engine == "flat":
-        from repro.route.flat import FlatRoutingState, find_path_flat
-
-        return FlatRoutingState(placement, initial_weight), find_path_flat
-    if engine == "flat2":
-        from repro.route.flat2 import Flat2RoutingState, find_path_flat2
-
-        return Flat2RoutingState(placement, initial_weight), find_path_flat2
-    if engine == "reference":
-        return RoutingGrid(placement, initial_weight), find_path
-    raise RoutingError(
-        f"unknown route engine {engine!r}; expected one of {ROUTE_ENGINES}"
-    )
+def check_route_engine(engine: str) -> None:
+    """Raise :class:`RoutingError` unless *engine* is a route engine."""
+    if engine not in ROUTE_ENGINES:
+        raise RoutingError(
+            f"unknown route engine {engine!r}; expected one of {ROUTE_ENGINES}"
+        )
 
 
 def _finalise_grid(result: RoutingResult, grid) -> None:
     """Install the final grid on *result*, converting flat state.
 
-    The flat engine's routing-time state is replayed into a genuine
-    :class:`RoutingGrid` so every downstream consumer sees exactly the
-    object a reference-engine run would have produced.
+    The flat state is replayed into a :class:`RoutingGrid` so metrics,
+    checker and visualisation read one grid type; a loop already
+    running on a :class:`RoutingGrid` installs it as is.
     """
     result.grid = (
         grid.to_routing_grid() if hasattr(grid, "to_routing_grid") else grid
@@ -245,56 +224,50 @@ def route_tasks(
     order is re-sorted defensively).  Raises :class:`RoutingError` when
     even the postponement fallback cannot realise a task.
 
-    *engine* picks the routing core (``"flat"`` or ``"reference"``,
-    see :data:`ROUTE_ENGINES`); the returned result is byte-identical
-    either way.
+    *engine* must be ``"flat"`` (see :data:`ROUTE_ENGINES`).
 
     *instrumentation* receives per-task ``route.task`` events plus the
     ``route.tasks_routed`` / ``route.self_loops`` /
     ``route.conflict_retries`` / ``route.postponements`` counters (and
-    the A* search statistics via the engine's path finder).
+    the A* search statistics of every search).
     """
-    grid, finder = _make_engine(placement, initial_weight, engine)
-    # Engines exposing advance_delay (flat2) can prove a span of
-    # postponement retries futile — the occupancy flags the failing
-    # attempt evaluated are unchanged across it — and let the crawl
-    # jump.  The retry counter is bumped by the skipped step count, so
-    # counter totals match the plain crawl exactly.
-    advance = getattr(grid, "advance_delay", None)
+    check_route_engine(engine)
+    return _route(
+        placement,
+        tasks,
+        FlatRoutingState(placement, initial_weight),
+        find_path_flat,
+        instrumentation,
+    )
+
+
+def _route(
+    placement: Placement,
+    tasks: list[TransportTask],
+    grid,
+    finder,
+    instrumentation: Instrumentation | None,
+) -> RoutingResult:
+    """The routing loop over a ``(grid, finder)`` pair.
+
+    *grid* offers the :class:`RoutingGrid` query/commit surface and
+    *finder* searches it with the signature of :func:`find_path_flat`.
+    """
     result = RoutingResult(placement=placement, grid=None)
     ordered = sorted(tasks, key=lambda t: (t.depart, t.task_id))
-    # Engines exposing retire_intervals (flat2) can drop committed
-    # intervals that end before every conflict window any remaining
-    # task can ever query — the suffix-minimum of the transit starts
-    # bounds those windows from below (delays only push them later).
-    # Masks, and therefore paths, are identical with or without this.
-    retire = getattr(grid, "retire_intervals", None)
-    retire_bounds: list[float] = []
-    if retire is not None:
-        low = float("inf")
-        for task in reversed(ordered):
-            low = min(low, task.transit_occupation[0])
-            retire_bounds.append(low)
-        retire_bounds.reverse()
     # Ports are pure geometry; compute them once per component instead
     # of once per task endpoint.
     port_cache = {
         cid: placement.ports(cid) for cid in placement.components()
     }
     all_ports = {cell for ports in port_cache.values() for cell in ports}
-    for task_index, task in enumerate(ordered):
-        if retire is not None and task_index % _RETIRE_STRIDE == 0:
-            # Any valid bound keeps masks identical; compacting every
-            # few tasks captures nearly all of the win at a fraction of
-            # the compaction cost.
-            retire(retire_bounds[task_index])
+    for task in ordered:
         sources = port_cache[task.src_component]
         targets = port_cache[task.dst_component]
         delay = 0.0
         cells: tuple[Cell, ...] | None = None
         slots: list[TimeSlot] | None = None
-        step_index = 0
-        while step_index < _POSTPONE_LIMIT:
+        for step_index in range(_POSTPONE_LIMIT):
             delay = step_index * _POSTPONE_STEP
             if task.src_component == task.dst_component:
                 cells = _route_self_loop(grid, sources, _cache_slot(task, delay))
@@ -316,26 +289,8 @@ def route_tasks(
                 )
             if slots is not None:
                 break
-            skip = 1
-            if (
-                advance is not None
-                and step_index
-                and step_index % _ADVANCE_STRIDE == 0
-            ):
-                # Consult the fast-forward only once the crawl is deep:
-                # on dense occupancies some flag flips almost every step
-                # (the hint is 1) and shallow crawls would pay its cost
-                # for nothing, while a crawl heading for the postponement
-                # budget gets rescued every stride.
-                hint = advance(
-                    task, delay, horizon=_POSTPONE_LIMIT - step_index,
-                    instrumentation=instrumentation,
-                )
-                if hint is not None and hint > 1:
-                    skip = min(hint, _POSTPONE_LIMIT - step_index)
-            step_index += skip
             if instrumentation is not None:
-                instrumentation.count("route.conflict_retries", skip)
+                instrumentation.count("route.conflict_retries")
         if cells is None or slots is None:
             raise RoutingError(
                 f"task {task.task_id} ({task.src_component} -> "

@@ -268,8 +268,6 @@ def _build_submission(args: Any) -> dict[str, Any]:
     parameters: dict[str, Any] = {"seed": args.seed}
     if args.engine is not None:
         parameters["placement_engine"] = args.engine
-    if args.route_engine is not None:
-        parameters["route_engine"] = args.route_engine
     if args.restarts is not None:
         parameters["restarts"] = args.restarts
     if args.check is not None:
@@ -352,9 +350,7 @@ def run_submit(argv: list[str] | None = None) -> int:
     parser.add_argument("-d", "--detectors", type=int, default=0)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--engine", default=None,
-                        choices=["naive", "incremental", "batch"])
-    parser.add_argument("--route-engine", default=None,
-                        choices=["grid", "flat", "flat2"])
+                        choices=["incremental", "batch"])
     parser.add_argument("--restarts", type=int, default=None)
     parser.add_argument("--check", default=None,
                         choices=["off", "basic", "strict"])

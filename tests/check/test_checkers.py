@@ -45,14 +45,16 @@ def test_benchmarks_are_checker_clean(name, flow):
 
 @pytest.mark.parametrize("name", ["PCR", "IVD"])
 def test_engines_and_jobs_agree_and_stay_clean(name):
-    """The incremental/reference engines and every ``jobs`` fan-out yield
-    the same solution, and the checker confirms each one clean."""
+    """The incremental engine, the batch engine at K=1 (bit-identical by
+    contract), and every ``jobs`` fan-out yield the same solution, and
+    the checker confirms each one clean."""
     reports = []
     metrics = []
-    for engine in ("incremental", "reference"):
+    for engine in ("incremental", "batch"):
         for jobs in (1, 2):
             result = _solve(
-                name, "ours", placement_engine=engine, restarts=2, jobs=jobs
+                name, "ours", placement_engine=engine, sa_batch_size=1,
+                restarts=2, jobs=jobs,
             )
             report = check_result(result)
             assert report.ok, (engine, jobs, report.render())

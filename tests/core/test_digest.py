@@ -13,7 +13,10 @@ from __future__ import annotations
 import hashlib
 import json
 
+import pytest
+
 from repro.benchmarks.registry import get_benchmark
+from repro.core.baseline import synthesize_problem_baseline
 from repro.core.digest import (
     DIGEST_EXCLUDED_PARAMETERS,
     canonical_json,
@@ -21,7 +24,9 @@ from repro.core.digest import (
     problem_digest,
     text_digest,
 )
+from repro.core.io import result_to_dict
 from repro.core.problem import SynthesisParameters, SynthesisProblem
+from repro.core.synthesizer import synthesize_problem
 
 
 def _problem(seed: int = 1, **overrides) -> SynthesisProblem:
@@ -97,3 +102,52 @@ class TestLedgerReExport:
 
         problem = _problem(seed=7)
         assert ledger_digest(problem) == problem_digest(problem)
+
+
+class TestIdentityPins:
+    """Literal SHA-256 pins of problem and solution identity.
+
+    A changed value means every cache key, ledger digest, or stored
+    layout of that problem changed with it; re-pin only on purpose.
+    """
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("PCR", "a4d609fede25d202dc0b4401f448086c383fc7bf0ec1293d4a3c09c2ed4d4c23"),
+            ("CPA", "2f83ccbd61fff57342bb713e9909ac2cee77ebec426dc144e987b72dc6c83557"),
+        ],
+    )
+    def test_default_problem_digest(self, name, expected):
+        case = get_benchmark(name)
+        problem = SynthesisProblem(assay=case.assay, allocation=case.allocation)
+        assert problem_digest(problem) == expected
+
+    @pytest.mark.parametrize(
+        "name, flow, expected",
+        [
+            ("PCR", "ours", "8ea3fe83175dafad8c8630e0705b58143ead1bda5ef41e4e2f81803bb8a8a4f1"),
+            ("PCR", "baseline", "5e34d36daee7227d6b1007b13cc0769eab3c8e683560cfc9f13bc6f51440ff04"),
+            ("CPA", "ours", "f6b1864efe89e3a9f77f2dfd0ca6a8a60dafc3129842605293a3bbafc7fc9eda"),
+            ("CPA", "baseline", "787e3b1220740b933708a075fca14e264e3c77a1fd558a9f03aff2c2045058b6"),
+        ],
+    )
+    def test_solution_document_digest(self, name, flow, expected):
+        # The whole repro-solution document (schedule, placement, routed
+        # paths, metrics) minus cpu_time_s, which measures the run.
+        synthesize = (
+            synthesize_problem if flow == "ours"
+            else synthesize_problem_baseline
+        )
+        document = result_to_dict(synthesize(_seeded(name)))
+        del document["metrics"]["cpu_time_s"]
+        assert text_digest(canonical_json(document)) == expected
+
+
+def _seeded(name: str) -> SynthesisProblem:
+    case = get_benchmark(name)
+    return SynthesisProblem(
+        assay=case.assay,
+        allocation=case.allocation,
+        parameters=SynthesisParameters(seed=1),
+    )

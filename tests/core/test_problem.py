@@ -37,12 +37,11 @@ class TestSynthesisParameters:
 
     def test_route_engine_default_and_validation(self):
         assert SynthesisParameters().route_engine == "flat"
-        assert (
-            SynthesisParameters(route_engine="reference").route_engine
-            == "reference"
-        )
-        with pytest.raises(ValidationError, match="route engine"):
-            SynthesisParameters(route_engine="quantum")
+        for removed in ("flat2", "reference", "quantum"):
+            with pytest.raises(ValidationError, match="route engine"):
+                SynthesisParameters(route_engine=removed)
+        with pytest.raises(ValidationError, match="placement engine"):
+            SynthesisParameters(placement_engine="reference")
 
     def test_parallel_defaults_are_serial(self):
         params = SynthesisParameters()

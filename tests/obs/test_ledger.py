@@ -46,7 +46,7 @@ class TestProblemDigest:
     def test_any_parameter_change_splits_the_digest(self):
         base = problem_digest(_problem())
         assert problem_digest(_problem(seed=2)) != base
-        assert problem_digest(_problem(route_engine="reference")) != base
+        assert problem_digest(_problem(placement_engine="batch")) != base
         assert problem_digest(_problem(restarts=4)) != base
 
     def test_jobs_is_excluded_from_the_digest(self):

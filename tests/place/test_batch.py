@@ -192,3 +192,36 @@ class TestBatchEndToEnd:
         )
         result = synthesize_problem(problem)
         assert result.routing.paths
+
+    def test_k64_never_worse_than_incremental_on_scale200(self):
+        """Best-of-64 at the paper's SA schedule ends no worse than the
+        incremental engine from the same seed on the largest assay."""
+        from repro.benchmarks.registry import get_benchmark
+        from repro.core.problem import SynthesisParameters, SynthesisProblem
+        from repro.place.energy import build_connection_priorities
+        from repro.schedule.list_scheduler import schedule_assay
+
+        case = get_benchmark("Scale200")
+        params = SynthesisParameters(seed=1)
+        problem = SynthesisProblem(
+            assay=case.assay, allocation=case.allocation, parameters=params
+        )
+        schedule = schedule_assay(
+            problem.assay, problem.allocation, params.transport_time
+        )
+        priorities = build_connection_priorities(
+            schedule, beta=params.beta, gamma=params.gamma
+        )
+        grid = problem.resolved_grid()
+        footprints = problem.footprints()
+        annealing = params.annealing()
+        incremental = anneal_placement(
+            grid, footprints, priorities, annealing, seed=1
+        )
+        batch = anneal_placement(
+            grid, footprints, priorities,
+            dataclasses.replace(annealing, batch_size=64),
+            seed=1, engine="batch",
+        )
+        assert batch.energy <= incremental.energy
+        assert batch.placement.is_legal()

@@ -4,8 +4,9 @@ The contract under test (see ``repro/place/incremental.py``): the
 workspace's maintained energy is at all times *bit-identical* to a
 from-scratch :func:`placement_energy`, proposals' incident-nets deltas
 agree with the realised change within ``1e-9``, the occupancy state
-always matches the blocks, and a seeded annealing run on either engine
-produces the identical best placement and energy.
+always matches the blocks, and a seeded incremental annealing run
+produces the identical best placement and energy as the immutable
+reference loop of :mod:`tests.oracles.annealing`.
 """
 
 from __future__ import annotations
@@ -17,11 +18,7 @@ import pytest
 from repro.benchmarks.registry import get_benchmark
 from repro.core.problem import SynthesisProblem
 from repro.errors import PlacementError
-from repro.place.annealing import (
-    PLACEMENT_ENGINES,
-    AnnealingParameters,
-    anneal_placement,
-)
+from repro.place.annealing import AnnealingParameters, anneal_placement
 from repro.place.energy import (
     ConnectionPriorities,
     build_connection_priorities,
@@ -34,6 +31,7 @@ from repro.place.incremental import (
 )
 from repro.place.moves import random_placement
 from repro.schedule import schedule_assay
+from tests.oracles.annealing import anneal_reference
 
 GRID = ChipGrid(12, 12)
 
@@ -244,17 +242,14 @@ class TestOccupancyIndexThreshold:
 
 
 class TestEngineParity:
-    """Seeded incremental and reference runs are interchangeable."""
+    """Seeded incremental and oracle reference runs are interchangeable."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fast_schedule_parity(self, seed):
-        results = {}
-        for engine in PLACEMENT_ENGINES:
-            results[engine] = anneal_placement(
-                GRID, FOOTPRINTS, PRIORITIES, FAST, seed=seed, engine=engine
-            )
-        ref = results["reference"]
-        inc = results["incremental"]
+        ref = anneal_reference(GRID, FOOTPRINTS, PRIORITIES, FAST, seed=seed)
+        inc = anneal_placement(
+            GRID, FOOTPRINTS, PRIORITIES, FAST, seed=seed, engine="incremental"
+        )
         assert inc.energy == ref.energy
         assert inc.initial_energy == ref.initial_energy
         assert inc.energy_trace == ref.energy_trace
@@ -272,9 +267,7 @@ class TestEngineParity:
         priorities = build_connection_priorities(schedule)
         grid = problem.resolved_grid()
         footprints = problem.footprints()
-        ref = anneal_placement(
-            grid, footprints, priorities, FAST, seed=11, engine="reference"
-        )
+        ref = anneal_reference(grid, footprints, priorities, FAST, seed=11)
         inc = anneal_placement(
             grid, footprints, priorities, FAST, seed=11,
             engine="incremental", verify=True,

@@ -27,6 +27,7 @@ from repro.place.annealing import (
 from repro.place.energy import ConnectionPriorities
 from repro.place.grid import ChipGrid
 from repro.place.moves import random_placement
+from tests.oracles.annealing import anneal_reference
 
 FOOTPRINTS = {
     "Mixer1": (3, 2),
@@ -89,6 +90,17 @@ class TestResumeBitParity:
         assert chopped.trials == full.trials
         assert chopped.placement.blocks() == full.placement.blocks()
         assert chopped.seed == full.seed
+
+    @pytest.mark.parametrize("chop", [1, 3])
+    def test_chopped_incremental_equals_reference_oracle(self, chop):
+        """Suspend/resume keeps the incremental walk on the oracle's."""
+        oracle = anneal_reference(
+            GRID, FOOTPRINTS, PRIORITIES, _params("incremental"), seed=7
+        )
+        chopped = _run_chopped("incremental", seed=7, chop=chop)
+        assert chopped.energy == oracle.energy
+        assert chopped.energy_trace == oracle.energy_trace
+        assert chopped.placement.blocks() == oracle.placement.blocks()
 
     def test_single_resume_runs_to_completion(self):
         cp = anneal_start(

@@ -9,8 +9,7 @@ from repro.assay.fluids import Fluid
 from repro.place.grid import Cell, ChipGrid
 from repro.place.moves import random_move, random_placement
 from repro.place.placement import Placement
-from repro.route.astar import find_path
-from repro.route.grid_graph import RoutingGrid
+from repro.route.flat import FlatRoutingState, find_path_flat
 from repro.route.timeslots import TimeSlot
 
 
@@ -84,8 +83,8 @@ def path_queries(draw):
 def test_astar_on_empty_grid_is_manhattan_optimal(query):
     width, height, source, target = query
     placement = Placement(ChipGrid(width, height), {})
-    grid = RoutingGrid(placement, initial_weight=0.0)
-    path = find_path(grid, [source], [target], TimeSlot(0.0, 1.0))
+    grid = FlatRoutingState(placement, initial_weight=0.0)
+    path = find_path_flat(grid, [source], [target], TimeSlot(0.0, 1.0))
     assert path is not None
     assert len(path) == source.manhattan(target) + 1
     assert path[0] == source and path[-1] == target
@@ -107,7 +106,7 @@ def test_astar_on_empty_grid_is_manhattan_optimal(query):
 def test_astar_never_uses_occupied_cells(query, busy_cells):
     width, height, source, target = query
     placement = Placement(ChipGrid(width, height), {})
-    grid = RoutingGrid(placement, initial_weight=0.0)
+    grid = FlatRoutingState(placement, initial_weight=0.0)
     slot = TimeSlot(0.0, 5.0)
     blocked = set()
     for x, y in busy_cells:
@@ -118,6 +117,6 @@ def test_astar_never_uses_occupied_cells(query, busy_cells):
         grid.commit_path(
             (cell,), f"busy{x}-{y}", Fluid("x"), [TimeSlot(0.0, 100.0)], 1.0
         )
-    path = find_path(grid, [source], [target], slot)
+    path = find_path_flat(grid, [source], [target], slot)
     if path is not None:
         assert not (set(path) & blocked)

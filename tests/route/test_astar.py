@@ -1,9 +1,13 @@
-"""Unit tests for the Eq. 5 A* path search."""
+"""Unit tests for the Eq. 5 A* path search (the reference oracle).
+
+The production router's search, ``find_path_flat``, is pinned to this
+oracle path for path in ``test_flat.py`` and ``test_flat_parity.py``.
+"""
 
 from repro.assay.fluids import Fluid
 from repro.place.grid import Cell, ChipGrid
 from repro.place.placement import PlacedComponent, Placement
-from repro.route.astar import find_path
+from tests.oracles.astar import find_path
 from repro.route.grid_graph import RoutingGrid
 from repro.route.timeslots import TimeSlot
 

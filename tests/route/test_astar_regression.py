@@ -1,10 +1,10 @@
 """Regression tests for the A* micro-optimisations.
 
-The optimised :func:`find_path` (memoised heuristic, hoisted locals,
+The oracle :func:`find_path` (memoised heuristic, hoisted locals,
 closed-neighbour push skip) must be *observationally identical* to the
 straightforward formulation: byte-identical paths and no increase in
 ``astar.nodes_expanded`` on seeded benchmark routes.  The reference
-below is that straightforward formulation, kept verbatim as the oracle.
+below is that straightforward formulation, kept verbatim.
 """
 
 from __future__ import annotations
@@ -17,15 +17,14 @@ from repro.benchmarks.registry import get_benchmark
 from repro.core.problem import SynthesisParameters, SynthesisProblem
 from repro.core.synthesizer import synthesize_problem
 from repro.obs.instrument import Instrumentation
-from repro.route import router as router_module
-from repro.route.astar import _heuristic, find_path
+from tests.oracles.astar import _heuristic, find_path, reference_routing
 
 
 def reference_find_path(grid, sources, targets, slot, goal_slot=None,
                         instrumentation=None):
     """Unoptimised A*: recomputes the heuristic per visit, no hoisting.
 
-    Semantically equivalent to :func:`repro.route.astar.find_path`; the
+    Semantically equivalent to :func:`tests.oracles.astar.find_path`; the
     tests assert the two return identical paths with identical
     expansion counts.
     """
@@ -88,21 +87,14 @@ def run_routes(find_path_impl, name, seed):
         cooling_rate=0.7,
         iterations_per_temperature=25,
         seed=seed,
-        # The monkeypatched find_path below is only consulted by the
-        # reference engine; the flat engine has its own search.
-        route_engine="reference",
     )
     case = get_benchmark(name)
     problem = SynthesisProblem(
         assay=case.assay, allocation=case.allocation, parameters=params
     )
-    original = router_module.find_path
-    router_module.find_path = find_path_impl
-    try:
-        instr = Instrumentation()
+    instr = Instrumentation()
+    with reference_routing(find_path_impl):
         result = synthesize_problem(problem, instrumentation=instr)
-    finally:
-        router_module.find_path = original
     paths = tuple((p.task.task_id, p.cells) for p in result.routing.paths)
     return paths, instr.counters.get("astar.nodes_expanded", 0)
 

@@ -9,7 +9,7 @@ Two layers:
   epsilon-adjacent slots (the joints where the half-open + EPSILON
   semantics live).
 * :func:`find_path_flat` must return the identical path as the
-  reference :func:`~repro.route.astar.find_path` on hand-built grids —
+  oracle :func:`tests.oracles.astar.find_path` on hand-built grids —
   including tie-break-sensitive and occupation-constrained cases.
 """
 
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.errors import RoutingError, ValidationError
 from repro.place.grid import Cell, ChipGrid
 from repro.place.placement import PlacedComponent, Placement
-from repro.route.astar import find_path
+from tests.oracles.astar import find_path
 from repro.route.flat import FlatOccupancy, FlatRoutingState, find_path_flat
 from repro.route.grid_graph import RoutingGrid
 from repro.route.timeslots import TimeSlot, TimeSlotSet

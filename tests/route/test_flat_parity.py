@@ -1,6 +1,6 @@
-"""End-to-end parity: flat vs reference routing engine.
+"""End-to-end parity: the flat router vs the reference A* oracle.
 
-The flat engine's contract is *path identity*, not merely equal path
+The flat router's contract is *path identity*, not merely equal path
 lengths: for every benchmark and both flows, the two engines must
 produce the identical sequence of routed paths — same task order, same
 cell sequences, same occupation slots, same postponements — and the
@@ -10,7 +10,9 @@ three scale-tier synthetic seeds.
 
 SA parameters are reduced (as in ``test_astar_regression``) so the full
 matrix stays fast; the routing inputs are still the real placements and
-schedules of each benchmark.
+schedules of each benchmark.  The reference side runs the same routing
+loops over a :class:`~repro.route.grid_graph.RoutingGrid` with the
+Cell/dict A* of :mod:`tests.oracles.astar`.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.benchmarks.registry import SCALE_ORDER, TABLE1_ORDER, get_benchmark
 from repro.core.baseline import synthesize_problem_baseline
 from repro.core.problem import SynthesisParameters, SynthesisProblem
 from repro.core.synthesizer import synthesize_problem
+from tests.oracles.astar import reference_routing
 
 _FLOWS = {
     "ours": synthesize_problem,
@@ -28,15 +31,14 @@ _FLOWS = {
 }
 
 
-def routed_paths(name: str, flow: str, engine: str, seed: int = 1):
+def routed_paths(name: str, flow: str, seed: int = 1):
     params = SynthesisParameters(
         initial_temperature=50.0,
         min_temperature=1.0,
         cooling_rate=0.7,
         iterations_per_temperature=25,
         seed=seed,
-        route_engine=engine,
-        check="strict",  # the checker must pass on both engines' results
+        check="strict",  # the checker must pass on both routers' results
     )
     case = get_benchmark(name)
     problem = SynthesisProblem(
@@ -53,15 +55,17 @@ class TestFlatReferencePathIdentity:
     @pytest.mark.parametrize("flow", ["ours", "baseline"])
     @pytest.mark.parametrize("name", list(TABLE1_ORDER) + ["Fig2a"])
     def test_benchmarks(self, name, flow):
-        flat = routed_paths(name, flow, "flat")
-        reference = routed_paths(name, flow, "reference")
+        flat = routed_paths(name, flow)
+        with reference_routing():
+            reference = routed_paths(name, flow)
         assert flat  # a vacuous pass would hide a broken pipeline
         assert flat == reference
 
     @pytest.mark.parametrize("flow", ["ours", "baseline"])
     @pytest.mark.parametrize("name", SCALE_ORDER)
     def test_scale_tier(self, name, flow):
-        flat = routed_paths(name, flow, "flat")
-        reference = routed_paths(name, flow, "reference")
+        flat = routed_paths(name, flow)
+        with reference_routing():
+            reference = routed_paths(name, flow)
         assert flat
         assert flat == reference

@@ -138,7 +138,7 @@ class TestPlanPathSlots:
         placement = two_component_placement()
         grid = RoutingGrid(placement, initial_weight=0.0)
         long_cache = task("tk0", depart=0.0, arrive=2.0, consume=40.0)
-        from repro.route.astar import find_path
+        from tests.oracles.astar import find_path
         from repro.route.timeslots import TimeSlot
 
         cells = find_path(

@@ -189,6 +189,24 @@ class TestJobLifecycle:
             assert status == 400, bad
             assert "error" in json.loads(body)
 
+    def test_removed_engines_are_400_and_not_journaled(self, harness):
+        from repro.serve.jobs import read_journal
+
+        journal = harness.config.state_dir / "journal.jsonl"
+        before = read_journal(journal)
+        for field, engine in (
+            ("route_engine", "flat2"),
+            ("route_engine", "reference"),
+            ("placement_engine", "reference"),
+        ):
+            bad = {"benchmark": "PCR", "parameters": {field: engine}}
+            status, _, body = harness.raw("POST", "/jobs", bad)
+            assert status == 400, bad
+            error = json.loads(body)["error"]
+            assert engine in error and "engine" in error
+        assert read_journal(journal) == before
+        assert harness.client.stats()["counters"]["serve.requests_invalid"] == 3
+
     def test_garbage_body_is_400(self, harness):
         connection = HTTPConnection(
             "127.0.0.1", harness.server.bound_port, timeout=30

@@ -101,16 +101,18 @@ class TestPortfolioFlags:
 
 class TestEngineFlag:
     def test_engines_reproduce_identical_results(self, capsys):
-        """Both placement engines must print the same synthesis summary
-        for a shared seed (the engine-parity guarantee, end to end)."""
-        assert run(["PCR", "--seed", "3", "--engine", "reference"]) == 0
-        reference = capsys.readouterr().out
+        """The incremental engine and the batch engine at --batch-size 1
+        must print the same synthesis summary for a shared seed (the
+        K=1 bit-parity guarantee, end to end)."""
+        assert run(["PCR", "--seed", "3", "--engine", "batch",
+                    "--batch-size", "1"]) == 0
+        batch = capsys.readouterr().out
         assert run(["PCR", "--seed", "3", "--engine", "incremental"]) == 0
         incremental = capsys.readouterr().out
         strip = lambda text: [
             line for line in text.splitlines() if "cpu time" not in line
         ]
-        assert strip(reference) == strip(incremental)
+        assert strip(batch) == strip(incremental)
 
     def test_unknown_engine_rejected(self, capsys):
         import pytest
@@ -118,14 +120,25 @@ class TestEngineFlag:
         with pytest.raises(SystemExit):  # argparse usage error
             run(["PCR", "--engine", "quantum"])
 
+    def test_reference_engine_rejected(self, capsys):
+        import pytest
+
+        with pytest.raises(SystemExit) as exit_info:
+            run(["PCR", "--engine", "reference"])
+        assert exit_info.value.code == 2
+
 
 class TestRouteEngineFlag:
     def test_route_engines_reproduce_identical_results(self, capsys):
-        """Both routing engines must print the same synthesis summary
-        for a shared seed (the routing-parity guarantee, end to end)."""
-        assert run(["IVD", "--seed", "3", "--route-engine", "reference"]) == 0
+        """The flat router and the reference A* oracle must print the
+        same synthesis summary for a shared seed (the routing-parity
+        guarantee, end to end)."""
+        from tests.oracles.astar import reference_routing
+
+        with reference_routing():
+            assert run(["IVD", "--seed", "3", "--no-ledger"]) == 0
         reference = capsys.readouterr().out
-        assert run(["IVD", "--seed", "3", "--route-engine", "flat"]) == 0
+        assert run(["IVD", "--seed", "3", "--no-ledger"]) == 0
         flat = capsys.readouterr().out
         strip = lambda text: [
             line for line in text.splitlines() if "cpu time" not in line
@@ -137,3 +150,10 @@ class TestRouteEngineFlag:
 
         with pytest.raises(SystemExit):  # argparse usage error
             run(["PCR", "--route-engine", "quantum"])
+
+    def test_route_engine_flag_removed(self):
+        import pytest
+
+        with pytest.raises(SystemExit) as exit_info:
+            run(["PCR", "--route-engine", "flat"])
+        assert exit_info.value.code == 2
