@@ -14,12 +14,14 @@ Two engines implement the move loop:
 * ``engine="incremental"`` (default) — the
   :class:`~repro.place.incremental.PlacementWorkspace`: in-place
   apply/undo moves, occupancy-index legality, and delta energy over only
-  the nets incident to the moved components.
+  the nets incident to the moved components.  One-shot, resumed and
+  portfolio anneals all run the same step loop
+  (:func:`_resume_incremental_checkpoint`).
 * ``engine="batch"`` (:mod:`repro.place.batch`) vectorizes the move
   loop with numpy: per step it proposes ``batch_size`` candidate moves,
   evaluates every delta as array ops, and applies Metropolis acceptance
-  to the greedily-best candidate.  At ``batch_size=1`` it delegates to
-  the incremental loop and is therefore bit-identical to it; at larger
+  to the greedily-best candidate.  At ``batch_size=1`` it runs the
+  incremental loop and is therefore bit-identical to it; at larger
   batch sizes it explores more and trades the bit-level contract for a
   never-worse-energy gate (see the batch module docstring for the
   RNG-stream contract).
@@ -28,10 +30,19 @@ The incremental engine consumes the seeded RNG through the *identical*
 draw sequence as the straightforward immutable formulation (one new
 :class:`~repro.place.placement.Placement`, full legality scan, and full
 Eq. 3 evaluation per trial) and makes identical accept/reject
-decisions, so a given seed yields the same best placement and —
-because the returned best energy is always a full Eq. 3 evaluation —
+decisions, so a given seed yields the same best placement and
 bit-identical best energy.  The test suite keeps that formulation as an
 oracle and asserts the parity in ``tests/place/test_incremental.py``.
+
+The loop does not pay a full Eq. 3 pass per accepted move.  After a
+commit it compares the workspace's running estimate with the best
+energy: only when the estimate lies within the workspace's guard band
+(``slack``) of the best, or below it, does it read the exact energy
+and compare that.  Outside the band the exact comparison cannot come
+out differently, so best-so-far decisions are unchanged.  Every energy
+that leaves the loop — ``best_energy``, the per-step ``energy_trace``
+and ``sa.step`` values, and checkpoint energies — is a full evaluation,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -45,7 +56,7 @@ from repro.errors import PlacementError
 from repro.obs.instrument import Instrumentation
 from repro.place.energy import ConnectionPriorities, placement_energy
 from repro.place.grid import ChipGrid
-from repro.place.incremental import PlacementWorkspace
+from repro.place.incremental import MOVE_KINDS, PendingMove, PlacementWorkspace
 from repro.place.moves import random_placement
 from repro.place.placement import Placement
 
@@ -62,15 +73,9 @@ __all__ = [
 
 #: Valid values of :func:`anneal_placement`'s ``engine`` parameter.
 #: ``"batch"`` is the numpy best-of-K kernel of :mod:`repro.place.batch`;
-#: at ``batch_size=1`` it delegates to the incremental loop and is
+#: at ``batch_size=1`` it runs the incremental loop and is
 #: bit-identical to ``"incremental"``.
 PLACEMENT_ENGINES = ("incremental", "batch")
-
-#: Move kinds in :func:`~repro.place.moves.random_move`'s tuple order —
-#: the incremental sampler draws from this tuple so it consumes the RNG
-#: exactly like the immutable sampler (``rng.choice`` on any length-3
-#: sequence draws the same underlying integer).
-_MOVE_KINDS = ("translate", "swap", "rotate")
 
 #: Below this magnitude the incident-nets delta estimate cannot be
 #: trusted to carry the same *sign* as a full-evaluation difference
@@ -117,10 +122,10 @@ class AnnealingParameters:
                 f"batch size must be >= 1, got {self.batch_size}"
             )
         if self.move_weights is not None:
-            if len(self.move_weights) != len(_MOVE_KINDS):
+            if len(self.move_weights) != len(MOVE_KINDS):
                 raise PlacementError(
                     f"move_weights needs one weight per kind "
-                    f"{_MOVE_KINDS}, got {self.move_weights!r}"
+                    f"{MOVE_KINDS}, got {self.move_weights!r}"
                 )
             if min(self.move_weights) < 0 or sum(self.move_weights) <= 0:
                 raise PlacementError(
@@ -200,10 +205,12 @@ def anneal_placement(
         ``"incremental"`` (default) or ``"batch"`` — see the module
         docstring.
     verify:
-        Incremental engine only: after every accepted move, assert the
-        accumulated energy agrees with a from-scratch Eq. 3 evaluation
-        within ``1e-9`` and the occupancy index matches the blocks.
-        Slow; meant for tests and debugging.
+        Incremental engine only: after every accepted move, check the
+        workspace against a from-scratch Eq. 3 evaluation — a bit-exact
+        full pass, the running estimate inside its guard band, the
+        move's delta within ``1e-9`` of the realised change — and the
+        occupancy structures against the blocks.  Does not change the
+        walk.  Slow; meant for tests and debugging.
     """
     if engine not in PLACEMENT_ENGINES:
         raise PlacementError(
@@ -211,8 +218,34 @@ def anneal_placement(
             f"expected one of {PLACEMENT_ENGINES}"
         )
     params = parameters or AnnealingParameters()
-    rng = random.Random(seed)
+    if engine == "batch" and params.batch_size > 1:
+        # Imported lazily: repro.place.batch imports this module.
+        from repro.place.batch import anneal_batch
 
+        rng = random.Random(seed)
+        current = _initial_placement(grid, footprints, rng)
+        result = anneal_batch(
+            current, priorities, params, rng, instrumentation, verify=verify
+        )
+        result.seed = seed
+        return result
+    # The incremental engine, and the batch engine at batch_size=1 (its
+    # degenerate case), run the resumable loop once to completion.
+    checkpoint = anneal_start(
+        grid, footprints, priorities, params, seed=seed, engine=engine
+    )
+    return checkpoint_result(
+        _resume_incremental_checkpoint(
+            checkpoint, priorities, params, None, instrumentation,
+            verify=verify,
+        )
+    )
+
+
+def _initial_placement(
+    grid: ChipGrid, footprints: dict[str, tuple[int, int]], rng: random.Random
+) -> Placement:
+    """The seeded random starting placement (Algorithm 2 line 1)."""
     current = random_placement(grid, footprints, rng)
     if current is None:
         raise PlacementError(
@@ -220,19 +253,7 @@ def anneal_placement(
             f"{len(footprints)} components on a "
             f"{grid.width}x{grid.height} grid"
         )
-    if engine == "batch":
-        # Imported lazily: repro.place.batch imports this module.
-        from repro.place.batch import anneal_batch
-
-        result = anneal_batch(
-            current, priorities, params, rng, instrumentation, verify=verify
-        )
-    else:
-        result = _anneal_incremental(
-            current, priorities, params, rng, instrumentation, verify=verify
-        )
-    result.seed = seed
-    return result
+    return current
 
 
 def _flush_step(
@@ -272,123 +293,6 @@ def _flush_final(
     instrumentation.gauge("sa.initial_energy", initial_energy)
 
 
-def _sample_pending_move(
-    workspace: PlacementWorkspace,
-    rng: random.Random,
-    attempts: int = 20,
-    weights: tuple[float, float, float] | None = None,
-):
-    """Incremental twin of :func:`~repro.place.moves.random_move`.
-
-    With *weights* ``None`` it replicates that sampler's RNG draw
-    sequence exactly — same move-kind choice, same component choices,
-    same ``randint`` bounds, and the same early-return points that skip
-    draws — so a shared seed drives both through identical move
-    proposals.  Non-``None`` weights bias the move-kind
-    draw (``rng.choices``) and deliberately leave the bit-parity
-    contract: a weighted arm is a *different* deterministic walk.
-    """
-    components = workspace.components()
-    for _ in range(attempts):
-        if weights is None:
-            kind = rng.choice(_MOVE_KINDS)
-        else:
-            kind = rng.choices(_MOVE_KINDS, weights=weights, k=1)[0]
-        pending = None
-        if kind == "translate":
-            if components:
-                cid = rng.choice(components)
-                block = workspace.block(cid)
-                max_x = workspace.grid.width - block.width
-                max_y = workspace.grid.height - block.height
-                if max_x >= 0 and max_y >= 0:
-                    x = rng.randint(0, max_x)
-                    y = rng.randint(0, max_y)
-                    pending = workspace.propose_translate(cid, x, y)
-        elif kind == "swap":
-            if len(components) >= 2:
-                cid_a, cid_b = rng.sample(components, 2)
-                pending = workspace.propose_swap(cid_a, cid_b)
-        else:  # rotate
-            if components:
-                cid = rng.choice(components)
-                pending = workspace.propose_rotate(cid)
-        if pending is not None:
-            return pending
-    return None
-
-
-def _anneal_incremental(
-    current: Placement,
-    priorities: ConnectionPriorities,
-    params: AnnealingParameters,
-    rng: random.Random,
-    instrumentation: Instrumentation | None,
-    verify: bool = False,
-) -> AnnealingResult:
-    """The incremental move loop over a :class:`PlacementWorkspace`."""
-    workspace = PlacementWorkspace(current, priorities)
-    current_energy = workspace.energy
-    initial_energy = current_energy
-    best_blocks = workspace.snapshot_blocks()
-    best_energy = current_energy
-
-    accepted = 0
-    trials = 0
-    trace: list[float] = []
-    exp = math.exp
-    temperature = params.initial_temperature
-    while temperature > params.min_temperature:
-        step_started = perf_counter()
-        step_accepted = 0
-        step_trials = 0
-        for _ in range(params.iterations_per_temperature):
-            pending = _sample_pending_move(
-                workspace, rng, weights=params.move_weights
-            )
-            if pending is None:
-                continue
-            step_trials += 1
-            delta = pending.delta
-            if -_EXACT_DELTA_THRESHOLD < delta < _EXACT_DELTA_THRESHOLD:
-                delta = workspace.exact_delta(pending)
-            if delta < 0 or rng.random() < exp(-delta / temperature):
-                if verify:
-                    applied = workspace.apply(pending)
-                    workspace.check_consistency()
-                    if abs(pending.delta - applied.delta) > 1e-9:
-                        raise PlacementError(
-                            f"delta estimate {pending.delta!r} disagrees "
-                            f"with realised change {applied.delta!r}"
-                        )
-                else:
-                    workspace.commit(pending)
-                current_energy = workspace.energy
-                step_accepted += 1
-                if current_energy < best_energy:
-                    best_energy = current_energy
-                    best_blocks = workspace.snapshot_blocks()
-        accepted += step_accepted
-        trials += step_trials
-        trace.append(current_energy)
-        _flush_step(
-            instrumentation, temperature, current_energy, best_energy,
-            step_trials, step_accepted, perf_counter() - step_started,
-        )
-        temperature *= params.cooling_rate
-
-    best = Placement(workspace.grid, best_blocks)
-    _flush_final(instrumentation, initial_energy, best_energy)
-    return AnnealingResult(
-        placement=best,
-        energy=best_energy,
-        initial_energy=initial_energy,
-        accepted_moves=accepted,
-        trials=trials,
-        energy_trace=trace,
-    )
-
-
 # ----------------------------------------------------------------------
 # Suspend/resume seam (the portfolio racer's checkpoint substrate)
 # ----------------------------------------------------------------------
@@ -399,12 +303,13 @@ class AnnealCheckpoint:
     Captures everything the move loop needs to continue bit-exactly:
     the placement, the python RNG state (and the batch kernel's PCG64
     state), the temperature, and the step/iteration counters.  Pauses
-    happen only at temperature-step boundaries, and the incremental
-    workspace's energy is a full-pass recomputation after every commit
-    (bit-identical to a from-scratch evaluation), so an anneal split
-    across any number of suspend/resume cycles walks the *identical*
-    trajectory as an uninterrupted run — the property the resume parity
-    tests pin and the racer's determinism contract stands on.
+    happen only at temperature-step boundaries, where the incremental
+    loop reads the workspace's exact energy (a full pass, bit-identical
+    to a from-scratch evaluation) and a resumed workspace starts from
+    the same full pass, so an anneal split across any number of
+    suspend/resume cycles walks the *identical* trajectory as an
+    uninterrupted run — the property the resume parity tests pin and
+    the racer's determinism contract stands on.
 
     ``iterations_done`` counts inner-loop move iterations
     (``steps_done * Imax``) — the budget unit of the racer's rungs.
@@ -473,13 +378,7 @@ def anneal_start(
             )
         current = initial
     else:
-        current = random_placement(grid, footprints, rng)
-        if current is None:
-            raise PlacementError(
-                f"could not find an initial legal placement of "
-                f"{len(footprints)} components on a "
-                f"{grid.width}x{grid.height} grid"
-            )
+        current = _initial_placement(grid, footprints, rng)
     energy = placement_energy(current, priorities)
     np_state: dict | None = None
     if engine == "batch" and params.batch_size > 1:
@@ -560,19 +459,27 @@ def _resume_incremental_checkpoint(
     params: AnnealingParameters,
     until_iterations: int | None,
     instrumentation: Instrumentation | None,
+    verify: bool = False,
 ) -> AnnealCheckpoint:
     """The incremental move loop over a rebuilt workspace.
 
-    Mirrors :func:`_anneal_incremental` draw for draw; the only
-    additions are the budget check at the step boundary and the state
-    capture at suspension.  The workspace energy after reconstruction
-    is bit-identical to the suspended value because both are full-pass
-    evaluations over the same blocks.
+    The only incremental step loop: :func:`anneal_placement` runs it
+    once to completion, :func:`anneal_resume` in budgeted slices.  The
+    workspace energy after reconstruction is bit-identical to the
+    suspended value because both are full-pass evaluations over the
+    same blocks.  With *verify*, every accepted move is re-checked
+    against the from-scratch oracle (see :func:`_verify_commit`).
     """
     workspace = PlacementWorkspace(cp.placement, priorities)
     rng = random.Random()
     rng.setstate(cp.rng_state)
+    propose = workspace.move_sampler(rng, params.move_weights)
+    draw = rng.random
+    commit = workspace.commit
+    exact_delta = workspace.exact_delta
+    exp = math.exp
     current_energy = workspace.energy
+    verified_energy = workspace.check_consistency() if verify else 0.0
     best_energy = cp.best_energy
     best_blocks = {
         cid: cp.best_placement.block(cid)
@@ -584,7 +491,6 @@ def _resume_incremental_checkpoint(
     temperature = cp.temperature
     steps_done = cp.steps_done
     iterations_done = cp.iterations_done
-    exp = math.exp
     while temperature > params.min_temperature and (
         until_iterations is None or iterations_done < until_iterations
     ):
@@ -592,22 +498,28 @@ def _resume_incremental_checkpoint(
         step_accepted = 0
         step_trials = 0
         for _ in range(params.iterations_per_temperature):
-            pending = _sample_pending_move(
-                workspace, rng, weights=params.move_weights
-            )
+            pending = propose()
             if pending is None:
                 continue
             step_trials += 1
             delta = pending.delta
             if -_EXACT_DELTA_THRESHOLD < delta < _EXACT_DELTA_THRESHOLD:
-                delta = workspace.exact_delta(pending)
-            if delta < 0 or rng.random() < exp(-delta / temperature):
-                workspace.commit(pending)
-                current_energy = workspace.energy
+                delta = exact_delta(pending)
+            if delta < 0 or draw() < exp(-delta / temperature):
+                commit(pending)
                 step_accepted += 1
-                if current_energy < best_energy:
-                    best_energy = current_energy
-                    best_blocks = workspace.snapshot_blocks()
+                if verify:
+                    verified_energy = _verify_commit(
+                        workspace, pending, verified_energy
+                    )
+                # Outside the guard band the exact energy cannot beat
+                # the best, so only a read inside it pays a full pass.
+                if workspace.estimate < best_energy + workspace.slack:
+                    current_energy = workspace.energy
+                    if current_energy < best_energy:
+                        best_energy = current_energy
+                        best_blocks = workspace.snapshot_blocks()
+        current_energy = workspace.energy
         accepted += step_accepted
         trials += step_trials
         trace.append(current_energy)
@@ -639,3 +551,23 @@ def _resume_incremental_checkpoint(
         energy_trace=trace,
         finished=finished,
     )
+
+
+def _verify_commit(
+    workspace: PlacementWorkspace, pending: PendingMove, energy_before: float
+) -> float:
+    """Re-check one accepted move against the from-scratch oracle.
+
+    Asserts the workspace invariants (occupancy, rectangles, centres,
+    legality, a bit-exact full pass, the estimate inside its guard
+    band) and that the proposal's incident-nets delta agrees with the
+    realised change within ``1e-9``.  Returns the new oracle energy.
+    """
+    energy_after = workspace.check_consistency()
+    realised = energy_after - energy_before
+    if abs(pending.delta - realised) > 1e-9:
+        raise PlacementError(
+            f"delta estimate {pending.delta!r} disagrees "
+            f"with realised change {realised!r}"
+        )
+    return energy_after

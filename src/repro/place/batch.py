@@ -24,12 +24,13 @@ partners ``(K,)``, positions ``(K, 2)`` — regardless of which lanes
 turn out legal, then at most one acceptance uniform (drawn only when
 the best delta is non-negative).  Runs are therefore bit-reproducible
 for a given ``(seed, batch_size)`` and independent of the host.  At
-``batch_size=1`` the kernel does not approximate the python loop — it
-**delegates** to :func:`repro.place.annealing._anneal_incremental`
-verbatim, so ``engine="batch", batch_size=1`` is bit-identical to
-``engine="incremental"`` (same trajectories, traces, and energies);
-that is the degenerate case of the contract and the anchor of the
-parity suite.
+``batch_size=1`` there is no kernel run at all:
+:func:`~repro.place.annealing.anneal_placement` and
+:func:`~repro.place.annealing.anneal_resume` route it to the
+incremental step loop, so ``engine="batch", batch_size=1`` is
+bit-identical to ``engine="incremental"`` (same trajectories, traces,
+and energies); that is the degenerate case of the contract and the
+anchor of the parity suite.
 
 At ``K > 1`` there is deliberately no bit-level contract against the
 serial engines (vectorized reductions sum in a different order, and
@@ -57,7 +58,6 @@ from repro.place.annealing import (
     AnnealCheckpoint,
     AnnealingParameters,
     AnnealingResult,
-    _anneal_incremental,
     _flush_final,
     _flush_step,
 )
@@ -420,13 +420,14 @@ def anneal_batch(
 ) -> AnnealingResult:
     """The batch engine's move loop (see the module docstring).
 
-    ``batch_size=1`` delegates to the incremental loop — bit-identical
-    to ``engine="incremental"`` by construction.  Larger batch sizes
-    run the vectorized best-of-K kernel.
+    Runs the vectorized best-of-K kernel; ``batch_size=1`` is the
+    incremental loop, which :func:`~repro.place.annealing.anneal_placement`
+    runs instead of calling this.
     """
     if params.batch_size == 1:
-        return _anneal_incremental(
-            current, priorities, params, rng, instrumentation, verify=verify
+        raise PlacementError(
+            "batch_size=1 is the incremental loop; run it through "
+            "anneal_placement"
         )
     workspace = BatchWorkspace(
         current, priorities, params.batch_size, rng.getrandbits(64),

@@ -17,24 +17,35 @@ two components.  :class:`PlacementWorkspace` replaces all three:
   :meth:`PlacedComponent.overlaps`), so legality cost depends on the
   footprint, not on the number of components.  Below
   :data:`INDEX_SCAN_THRESHOLD` components the index is not even
-  maintained — a plain loop of integer rectangle tests over the few
-  other blocks is cheaper than hashing the inflated rectangle's cells.
+  maintained — a loop of integer tests over an index-aligned list of
+  the other blocks' inflated rectangles is cheaper than hashing the
+  candidate's cells.
 * **Delta energy** — a per-component *net adjacency* is built once from
   the :class:`~repro.place.energy.ConnectionPriorities`; a proposal
   recomputes only the nets incident to the moved component(s).
 
 Rejected proposals — the annealer's overwhelmingly common case at low
 temperature — therefore cost only an inflated-rectangle scan plus the
-incident nets, and allocate nothing but the proposal record.  Accepted
-moves re-evaluate the energy with a tight full pass in the *identical*
-term order and float expressions as
-:func:`~repro.place.energy.placement_energy`, so :attr:`energy` is at
-all times *bit-identical* to a from-scratch evaluation — never merely
-"close".  That exactness is what lets a seeded incremental run make the
-same accept/reject and best-so-far decisions as that immutable loop
-(see :mod:`repro.place.annealing`), and the incident-nets delta is
-guaranteed to agree with the realised energy change within ``1e-9`` on
-every accepted move (the property tests assert both).
+incident nets, and allocate nothing but the proposal record.
+
+**Exact energy on read.**  :meth:`commit` does not re-evaluate Eq. 3.
+It adds the proposal's incident-nets delta to :attr:`estimate` and
+widens :attr:`slack`, a bound on ``|estimate - exact|`` that grows by a
+fixed per-commit allowance (far above the float rounding one commit can
+introduce; see ``_commit_slack``).  The :attr:`energy` property runs a
+tight full pass — the *identical* term order and float expressions as
+:func:`~repro.place.energy.placement_energy` — only when it is read
+while unsynced, so every value it returns is *bit-identical* to a
+from-scratch evaluation, never merely "close".  That exactness is what
+lets a seeded incremental run make the same accept/reject and
+best-so-far decisions as the immutable reference loop (see
+:mod:`repro.place.annealing`), while the estimate plus slack lets the
+annealer skip the pass whenever the estimate is clearly above its best.
+
+**Identity moves** — a proposal that leaves every component centre
+unchanged (the typical case: rotating a square footprint) has an exact
+delta of ``0.0`` by construction; :meth:`exact_delta` returns it
+without a pass and :meth:`commit` leaves the energy synced.
 
 Legality semantics are *exactly* those of :meth:`Placement.is_legal`:
 bounds, the no-full-span rule, and pairwise clearance of one cell.  The
@@ -44,13 +55,16 @@ only needs to validate the blocks it moves.
 
 from __future__ import annotations
 
+import random
+import sys
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.errors import PlacementError
 from repro.place.energy import ConnectionPriorities, placement_energy
 from repro.place.placement import PlacedComponent, Placement
 
-__all__ = ["PendingMove", "AppliedMove", "PlacementWorkspace"]
+__all__ = ["MOVE_KINDS", "PendingMove", "AppliedMove", "PlacementWorkspace"]
 
 #: Component count from which the cell-level occupancy scan beats the
 #: linear loop over blocks.  Below it, checking a candidate against
@@ -60,6 +74,22 @@ __all__ = ["PendingMove", "AppliedMove", "PlacementWorkspace"]
 #: number of components.  Both paths are exact — the choice only
 #: affects speed, never decisions.
 INDEX_SCAN_THRESHOLD = 12
+
+#: Move kinds in :func:`~repro.place.moves.random_move`'s tuple order.
+#: :meth:`PlacementWorkspace.move_sampler` draws the kind as an index
+#: into this tuple, exactly as ``rng.choice`` on any length-3 sequence.
+MOVE_KINDS = ("translate", "swap", "rotate")
+
+#: Largest population :meth:`random.Random.sample` draws two items from
+#: through its list-pool branch (``setsize`` for ``k <= 5``); larger
+#: populations take its set-rejection branch.
+_SAMPLE_POOL_MAX = 21
+
+#: Absolute part of the per-commit :attr:`PlacementWorkspace.slack`
+#: allowance.  The incident-nets delta agrees with the full-evaluation
+#: difference within ~1e-11 on the benchmark energies, so this is a
+#: wide margin, not a tuned tolerance.
+_COMMIT_SLACK = 1e-6
 
 
 @dataclass(slots=True)
@@ -133,18 +163,27 @@ class PlacementWorkspace:
         self._idx: dict[str, int] = {
             cid: i for i, cid in enumerate(self._components)
         }
-        self._cx: list[float] = [
-            b.x + (b.width - 1) / 2.0
-            for b in (self._blocks[c] for c in self._components)
-        ]
-        self._cy: list[float] = [
-            b.y + (b.height - 1) / 2.0
-            for b in (self._blocks[c] for c in self._components)
+        ordered = [self._blocks[c] for c in self._components]
+        self._cx: list[float] = [b.x + (b.width - 1) / 2.0 for b in ordered]
+        self._cy: list[float] = [b.y + (b.height - 1) / 2.0 for b in ordered]
+        #: Inflated rectangles, index-aligned with the centre cache:
+        #: ``(x, x + width + 1, y, y + height + 1)`` per block — the four
+        #: bounds the linear clearance test of :meth:`_fits` compares
+        #: against.  Kept at every size (one tuple per moved block), so
+        #: either legality strategy can run on any workspace.
+        self._rects: list[tuple[int, int, int, int]] = [
+            _inflated(b) for b in ordered
         ]
         # Validates that every net's endpoints are placed, exactly as
         # a full evaluation would on its first call — and before
         # the index-based net list below assumes the endpoints exist.
-        self.energy: float = placement_energy(placement, priorities)
+        self._energy: float = placement_energy(placement, priorities)
+        #: Running energy estimate: the last synced exact energy plus
+        #: the incident-nets deltas of the commits since.
+        self.estimate: float = self._energy
+        #: Bound on ``|estimate - energy|``; ``0.0`` exactly when the
+        #: exact energy is synced (the estimate then *is* the energy).
+        self.slack: float = 0.0
         #: Net list (index_a, index_b, priority) in the priorities dict's
         #: iteration order — the exact order ``placement_energy`` sums
         #: in, so :meth:`_exact_energy` reproduces its float result bit
@@ -153,6 +192,20 @@ class PlacementWorkspace:
             (self._idx[cid_a], self._idx[cid_b], priority)
             for (cid_a, cid_b), priority in priorities.priorities.items()
         )
+        #: Per-commit slack: the absolute allowance plus a generous
+        #: bound on the rounding of one commit's estimate update — a
+        #: float sum over the nets errs by about ``n·eps`` of the
+        #: largest possible energy (every net at the grid diameter).
+        max_energy = (self._width + self._height) * sum(
+            abs(priority) for _a, _b, priority in self._net_list
+        )
+        self._commit_slack = _COMMIT_SLACK + 4.0 * (
+            len(self._net_list) + 1
+        ) * sys.float_info.epsilon * max_energy
+        #: ``(move, exact energy with the move applied)`` from the last
+        #: :meth:`exact_delta` — lets the commit of that very move take
+        #: the already-computed full pass instead of marking unsynced.
+        self._candidate: tuple[PendingMove, float] | None = None
         #: Net adjacency: cid -> ((other_index, priority), ...).
         adjacency: dict[str, list[tuple[int, float]]] = {
             cid: [] for cid in self._blocks
@@ -222,10 +275,10 @@ class PlacementWorkspace:
         Clearance is checked either by scanning the occupancy index over
         the one-cell-inflated rectangle or — below
         :data:`INDEX_SCAN_THRESHOLD` components — by a linear loop over
-        the other blocks.  Both are equivalent to ``not
-        candidate.overlaps(other, spacing=1)`` for every other block:
-        two integer-aligned rectangles violate the clearance iff the
-        other covers a cell of the candidate inflated by one cell on
+        the other blocks' inflated rectangles.  Both are equivalent to
+        ``not candidate.overlaps(other, spacing=1)`` for every other
+        block: two integer-aligned rectangles violate the clearance iff
+        the other covers a cell of the candidate inflated by one cell on
         each side.
         """
         grid_w = self._width
@@ -239,15 +292,18 @@ class PlacementWorkspace:
         if not self._use_index_scan:
             x_end = x + width + 1
             y_end = y + height + 1
-            for other in self._blocks.values():
-                cid = other.cid
-                if cid == ignore_a or cid == ignore_b:
-                    continue
+            rects = self._rects
+            idx = self._idx
+            skip_a = rects[idx[ignore_a]]
+            skip_b = rects[idx[ignore_b]] if ignore_b is not None else None
+            for rect in rects:
                 if (
-                    x_end > other.x
-                    and other.x + other.width + 1 > x
-                    and y_end > other.y
-                    and other.y + other.height + 1 > y
+                    x_end > rect[0]
+                    and rect[1] > x
+                    and y_end > rect[2]
+                    and rect[3] > y
+                    and rect is not skip_a
+                    and rect is not skip_b
                 ):
                     return False
             return True
@@ -275,6 +331,19 @@ class PlacementWorkspace:
     # ------------------------------------------------------------------
     # Energy
     # ------------------------------------------------------------------
+    @property
+    def energy(self) -> float:
+        """Exact Eq. 3 energy of the current state.
+
+        Bit-identical to ``placement_energy(self.snapshot(), ...)``.
+        Reading it while unsynced (``slack > 0``) runs one full pass
+        and resyncs :attr:`estimate`; otherwise it costs nothing.
+        """
+        if self.slack:
+            self._energy = self.estimate = self._exact_energy()
+            self.slack = 0.0
+        return self._energy
+
     def _exact_energy(self) -> float:
         """Full Eq. 3 pass, bit-identical to ``placement_energy``.
 
@@ -294,25 +363,37 @@ class PlacementWorkspace:
         """The move's exact energy change (full-evaluation difference).
 
         Matches ``placement_energy(candidate) - placement_energy(current)``
-        bit for bit.  The annealer falls back
-        to this when the incident-nets estimate is too close to zero to
-        trust its sign.
+        bit for bit.  The annealer falls back to this when the
+        incident-nets estimate is too close to zero to trust its sign.
+        An identity move (every centre unchanged) is exactly ``0.0``
+        without a pass.
         """
-        # Write the candidate centres into the cache, evaluate, restore.
         cx = self._cx
         cy = self._cy
         idx = self._idx
-        saved = []
+        centres = []
+        identity = True
         for old, x, y, w, h in move.changes:
             i = idx[old.cid]
-            saved.append((i, cx[i], cy[i]))
-            cx[i] = x + (w - 1) / 2.0
-            cy[i] = y + (h - 1) / 2.0
+            nx = x + (w - 1) / 2.0
+            ny = y + (h - 1) / 2.0
+            if nx != cx[i] or ny != cy[i]:
+                identity = False
+            centres.append((i, nx, ny))
+        if identity:
+            return 0.0
+        current = self.energy
+        # Write the candidate centres into the cache, evaluate, restore.
+        saved = [(i, cx[i], cy[i]) for i, _nx, _ny in centres]
+        for i, nx, ny in centres:
+            cx[i] = nx
+            cy[i] = ny
         total = self._exact_energy()
         for i, ox, oy in saved:
             cx[i] = ox
             cy[i] = oy
-        return total - self.energy
+        self._candidate = (move, total)
+        return total - current
 
     def _delta_single(
         self, cid: str, new_x: int, new_y: int, new_w: int, new_h: int
@@ -385,35 +466,51 @@ class PlacementWorkspace:
     # ------------------------------------------------------------------
     def propose_translate(self, cid: str, x: int, y: int) -> PendingMove | None:
         """Translate *cid* to origin ``(x, y)``; ``None`` when illegal."""
-        old = self.block(cid)
-        if not self._fits(x, y, old.width, old.height, cid):
-            return None
-        delta = self._delta_single(cid, x, y, old.width, old.height)
-        return PendingMove(
-            "translate", ((old, x, y, old.width, old.height),), delta
-        )
+        return self._translate(self.block(cid), x, y)
 
     def propose_rotate(self, cid: str) -> PendingMove | None:
         """Transpose *cid*'s footprint in place; ``None`` when illegal."""
-        old = self.block(cid)
-        width, height = old.height, old.width
-        if not self._fits(old.x, old.y, width, height, cid):
-            return None
-        delta = self._delta_single(cid, old.x, old.y, width, height)
-        return PendingMove("rotate", ((old, old.x, old.y, width, height),), delta)
+        return self._rotate(self.block(cid))
 
     def propose_swap(self, cid_a: str, cid_b: str) -> PendingMove | None:
         """Exchange the origins of two components; ``None`` when illegal."""
         if cid_a == cid_b:
             return None
-        old_a = self.block(cid_a)
-        old_b = self.block(cid_b)
+        return self._swap(self.block(cid_a), self.block(cid_b))
+
+    def _translate(
+        self, old: PlacedComponent, x: int, y: int
+    ) -> PendingMove | None:
+        width = old.width
+        height = old.height
+        cid = old.cid
+        if not self._fits(x, y, width, height, cid):
+            return None
+        delta = self._delta_single(cid, x, y, width, height)
+        return PendingMove("translate", ((old, x, y, width, height),), delta)
+
+    def _rotate(self, old: PlacedComponent) -> PendingMove | None:
+        width = old.height
+        height = old.width
+        x = old.x
+        y = old.y
+        cid = old.cid
+        if not self._fits(x, y, width, height, cid):
+            return None
+        delta = self._delta_single(cid, x, y, width, height)
+        return PendingMove("rotate", ((old, x, y, width, height),), delta)
+
+    def _swap(
+        self, old_a: PlacedComponent, old_b: PlacedComponent
+    ) -> PendingMove | None:
+        cid_a = old_a.cid
+        cid_b = old_b.cid
         if not self._fits(old_b.x, old_b.y, old_a.width, old_a.height, cid_a, cid_b):
             return None
         if not self._fits(old_a.x, old_a.y, old_b.width, old_b.height, cid_a, cid_b):
             return None
-        # Clearance of the swapped pair against each other (the index
-        # scan above ignored both).  Inline inflated-rectangle test ==
+        # Clearance of the swapped pair against each other (the scans
+        # above ignored both).  Inline inflated-rectangle test ==
         # PlacedComponent.overlaps(spacing=1) on the moved blocks.
         if not (
             old_b.x + old_a.width + 1 <= old_a.x
@@ -432,6 +529,80 @@ class PlacementWorkspace:
             delta,
         )
 
+    def move_sampler(
+        self,
+        rng: random.Random,
+        weights: tuple[float, float, float] | None = None,
+        attempts: int = 20,
+    ) -> Callable[[], PendingMove | None]:
+        """A zero-argument sampler of random legal proposals.
+
+        Incremental twin of :func:`~repro.place.moves.random_move`:
+        each call samples up to *attempts* moves and returns the first
+        legal one (``None`` when all were illegal).  With *weights*
+        ``None`` it consumes *rng* draw for draw like that sampler —
+        ``rng.choice``, ``rng.randint`` and ``rng.sample(components,
+        2)`` are inlined as the bound ``rng._randbelow`` calls CPython
+        makes for them, including both of ``sample``'s branches (a
+        guard test pins the equivalence).  Non-``None`` weights draw
+        the move kind with ``rng.choices`` instead and deliberately
+        leave the bit-parity contract: a weighted arm is a *different*
+        deterministic walk.
+        """
+        components = self._components
+        n = len(components)
+        last = components[-1] if components else None
+        blocks = self._blocks
+        grid_w = self._width
+        grid_h = self._height
+        translate = self._translate
+        swap = self._swap
+        rotate = self._rotate
+        randbelow = rng._randbelow
+        choices = rng.choices
+        n_kinds = len(MOVE_KINDS)
+        kinds = range(n_kinds)
+
+        def sample() -> PendingMove | None:
+            for _ in range(attempts):
+                if weights is None:
+                    kind = randbelow(n_kinds)
+                else:
+                    kind = choices(kinds, weights=weights, k=1)[0]
+                if kind == 0:  # translate
+                    if not n:
+                        continue
+                    old = blocks[components[randbelow(n)]]
+                    max_x = grid_w - old.width
+                    max_y = grid_h - old.height
+                    if max_x < 0 or max_y < 0:
+                        continue
+                    pending = translate(
+                        old, randbelow(max_x + 1), randbelow(max_y + 1)
+                    )
+                elif kind == 1:  # swap
+                    if n < 2:
+                        continue
+                    first = randbelow(n)
+                    if n <= _SAMPLE_POOL_MAX:
+                        second = randbelow(n - 1)
+                        cid_b = last if second == first else components[second]
+                    else:
+                        second = randbelow(n)
+                        while second == first:
+                            second = randbelow(n)
+                        cid_b = components[second]
+                    pending = swap(blocks[components[first]], blocks[cid_b])
+                else:  # rotate
+                    if not n:
+                        continue
+                    pending = rotate(blocks[components[randbelow(n)]])
+                if pending is not None:
+                    return pending
+            return None
+
+        return sample
+
     # ------------------------------------------------------------------
     # Apply / undo
     # ------------------------------------------------------------------
@@ -439,38 +610,58 @@ class PlacementWorkspace:
         """Commit a proposal without building an undo token.
 
         The annealer's fast path — identical state transition to
-        :meth:`apply`, minus the :class:`AppliedMove` record.
+        :meth:`apply`, minus the :class:`AppliedMove` record.  No full
+        pass runs here: the estimate absorbs the proposal's delta and
+        the exact energy is recomputed when :attr:`energy` is next read.
+        Unchanged blocks (identity moves) are left in place.
         """
         blocks = self._blocks
-        for old, _x, _y, _w, _h in move.changes:
+        changes = move.changes
+        for old, _x, _y, _w, _h in changes:
             if blocks.get(old.cid) is not old:
                 raise PlacementError(
                     f"stale move: block of {old.cid!r} changed since the "
                     "proposal was made"
                 )
-        use_index = self._use_index_scan
-        if use_index:
-            for old, _x, _y, _w, _h in move.changes:
-                self._vacate(old)
+        candidate = self._candidate
+        self._candidate = None
         idx = self._idx
         cx = self._cx
         cy = self._cy
-        for old, x, y, w, h in move.changes:
-            new = PlacedComponent(old.cid, x, y, w, h)
-            if use_index:
-                self._occupy(new)
-            blocks[old.cid] = new
-            i = idx[old.cid]
+        rects = self._rects
+        moved = []
+        for old, x, y, w, h in changes:
+            if x == old.x and y == old.y and w == old.width and h == old.height:
+                continue
+            cid = old.cid
+            new = PlacedComponent(cid, x, y, w, h)
+            blocks[cid] = new
+            moved.append((old, new))
+            i = idx[cid]
             cx[i] = x + (w - 1) / 2.0
             cy[i] = y + (h - 1) / 2.0
-        self.energy = self._exact_energy()
+            rects[i] = (x, x + w + 1, y, y + h + 1)
+        if not moved:
+            return
+        if self._use_index_scan:
+            # Vacate every old block before occupying any new one: a
+            # swap's new blocks cover the pair's old cells.
+            for old, _new in moved:
+                self._vacate(old)
+            for _old, new in moved:
+                self._occupy(new)
+        if candidate is not None and candidate[0] is move:
+            self._energy = self.estimate = candidate[1]
+            self.slack = 0.0
+        else:
+            self.estimate += move.delta
+            self.slack += self._commit_slack
 
     def apply(self, move: PendingMove) -> AppliedMove:
         """Commit a proposal; returns the undo token.
 
-        The workspace energy is refreshed with an exact full evaluation
-        so it stays bit-identical to ``placement_energy`` of the new
-        state (see the module docstring for why that matters).
+        Reads the exact energy before and after the commit, so the
+        token's ``delta`` is the realised full-evaluation change.
         """
         energy_before = self.energy
         self.commit(move)
@@ -489,6 +680,7 @@ class PlacementWorkspace:
                 raise PlacementError(
                     f"cannot undo: block of {new.cid!r} changed after the move"
                 )
+        self._candidate = None
         use_index = self._use_index_scan
         if use_index:
             for _old, new in applied.replacements:
@@ -503,18 +695,23 @@ class PlacementWorkspace:
             i = idx[old.cid]
             cx[i] = old.x + (old.width - 1) / 2.0
             cy[i] = old.y + (old.height - 1) / 2.0
-        self.energy = applied.energy_before
+            self._rects[i] = _inflated(old)
+        self._energy = self.estimate = applied.energy_before
+        self.slack = 0.0
 
     # ------------------------------------------------------------------
     # Invariant checks (test / paranoid-mode hooks)
     # ------------------------------------------------------------------
-    def check_consistency(self, tolerance: float = 0.0) -> None:
+    def check_consistency(self, tolerance: float = 0.0) -> float:
         """Assert index + energy invariants against the from-scratch oracle.
 
-        Raises :class:`PlacementError` when the occupancy index disagrees
-        with the blocks, the placement is illegal, or the maintained
-        energy differs from a full ``placement_energy`` recompute by more
-        than *tolerance* (default: must be bit-exact).
+        Raises :class:`PlacementError` when the occupancy index or the
+        rectangle list disagrees with the blocks, the placement is
+        illegal, the full pass differs from a ``placement_energy``
+        recompute by more than *tolerance* (default: must be bit-exact),
+        or the estimate has left its guard band (``|estimate - exact| <
+        slack``, or equality while synced).  Reads nothing lazily, so it
+        never syncs the energy.  Returns the recomputed energy.
         """
         if self._use_index_scan:
             expected_owner: dict[int, str] = {}
@@ -527,6 +724,8 @@ class PlacementWorkspace:
             raise PlacementError(
                 "occupancy index should stay empty below the scan threshold"
             )
+        if self._rects != [_inflated(self._blocks[c]) for c in self._components]:
+            raise PlacementError("rectangle list out of sync with blocks")
         for cid, block in self._blocks.items():
             i = self._idx[cid]
             if (
@@ -543,8 +742,26 @@ class PlacementWorkspace:
                 + "; ".join(placement.violations())
             )
         exact = placement_energy(placement, self.priorities)
-        if abs(exact - self.energy) > tolerance:
+        full_pass = self._exact_energy()
+        if abs(exact - full_pass) > tolerance:
             raise PlacementError(
-                f"incremental energy drifted: maintained {self.energy!r} "
+                f"incremental energy drifted: full pass {full_pass!r} "
                 f"vs recomputed {exact!r}"
             )
+        if self.slack:
+            if not abs(self.estimate - exact) < self.slack:
+                raise PlacementError(
+                    f"energy estimate {self.estimate!r} left its guard band "
+                    f"{self.slack!r} around {exact!r}"
+                )
+        elif abs(exact - self._energy) > tolerance or self.estimate != self._energy:
+            raise PlacementError(
+                f"incremental energy drifted: maintained {self._energy!r} "
+                f"(estimate {self.estimate!r}) vs recomputed {exact!r}"
+            )
+        return exact
+
+
+def _inflated(block: PlacedComponent) -> tuple[int, int, int, int]:
+    """``(x, x + width + 1, y, y + height + 1)`` of *block*."""
+    return (block.x, block.x + block.width + 1, block.y, block.y + block.height + 1)

@@ -328,10 +328,11 @@ def _print_result(body: dict[str, Any]) -> int:
     return 0
 
 
-def run_submit(argv: list[str] | None = None) -> int:
-    """Implementation of ``python -m repro submit`` (returns exit code)."""
+def _submit_parser():
+    """The ``python -m repro submit`` argument parser."""
     import argparse
-    import sys
+
+    from repro.check.report import CHECK_MODES
 
     parser = argparse.ArgumentParser(
         prog="repro submit",
@@ -352,8 +353,7 @@ def run_submit(argv: list[str] | None = None) -> int:
     parser.add_argument("--engine", default=None,
                         choices=["incremental", "batch"])
     parser.add_argument("--restarts", type=int, default=None)
-    parser.add_argument("--check", default=None,
-                        choices=["off", "basic", "strict"])
+    parser.add_argument("--check", default=None, choices=CHECK_MODES)
     parser.add_argument("--tc", type=float, default=None,
                         help="transport time constant")
     parser.add_argument("--algorithm", default="ours",
@@ -374,7 +374,14 @@ def run_submit(argv: list[str] | None = None) -> int:
                         help="print GET /stats and exit")
     parser.add_argument("--shutdown", action="store_true",
                         help="ask the server to drain and stop")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def run_submit(argv: list[str] | None = None) -> int:
+    """Implementation of ``python -m repro submit`` (returns exit code)."""
+    import sys
+
+    args = _submit_parser().parse_args(argv)
 
     client = ServeClient(args.url)
     try:

@@ -72,6 +72,18 @@ class TestBatchSizeOneBitIdentity:
         assert batch.placement.blocks() == incremental.placement.blocks()
 
 
+    def test_kernel_refuses_batch_size_one(self):
+        """K=1 is the incremental loop; the kernel must not run it."""
+        from repro.errors import PlacementError
+        from repro.place.batch import anneal_batch
+
+        rng = random.Random(0)
+        start = random_placement(ChipGrid(10, 10), FOOTPRINTS, rng)
+        params = dataclasses.replace(FAST, batch_size=1)
+        with pytest.raises(PlacementError, match="incremental loop"):
+            anneal_batch(start, PRIORITIES, params, rng, None)
+
+
 class TestBatchKernel:
     @pytest.mark.parametrize("batch_size", [2, 8, 16])
     def test_result_is_legal_and_exact(self, batch_size):

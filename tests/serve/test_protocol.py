@@ -143,3 +143,32 @@ class TestResultDocument:
         assert document["solution_digest"] == text_digest(
             canonical_json(hashed)
         )
+
+
+class TestSubmitClientChoices:
+    """Every value ``repro submit`` offers must be one the server takes."""
+
+    @staticmethod
+    def _choices(option: str) -> list[str]:
+        from repro.serve.client import _submit_parser
+
+        for action in _submit_parser()._actions:
+            if option in action.option_strings:
+                return list(action.choices)
+        raise AssertionError(f"no {option} option")
+
+    @pytest.mark.parametrize("option", ["--check", "--engine", "--algorithm"])
+    def test_every_choice_is_accepted(self, option):
+        from repro.serve.client import _build_submission, _submit_parser
+
+        choices = self._choices(option)
+        assert choices
+        for value in choices:
+            args = _submit_parser().parse_args(["PCR", option, value])
+            submission = parse_submission(_build_submission(args))
+            assert len(submission.digest) == 64
+
+    def test_check_choices_are_the_library_modes(self):
+        from repro.check.report import CHECK_MODES
+
+        assert self._choices("--check") == list(CHECK_MODES)
