@@ -4,10 +4,7 @@ Subcommands:
 
 * ``serve``        — run the synthesis service: HTTP/JSON job API with
   a persistent queue and content-addressed result cache; see
-  :mod:`repro.serve` and ``docs/SERVICE.md``.  ``--shards N``
-  supervises N sharded backends behind a routing front tier.
-* ``shard``        — run just the digest-routing front tier over
-  already-running backends; see :mod:`repro.serve.shard`.
+  :mod:`repro.serve` and ``docs/SERVICE.md``.
 * ``submit``       — submit jobs to a running server (and query stats,
   follow progress, or drain it); see :mod:`repro.serve.client`.
 * ``stats``        — summarise the run ledger, optionally flagging
@@ -31,10 +28,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.serve.server import run_serve
 
         return run_serve(args[1:])
-    if args and args[0] == "shard":
-        from repro.serve.shard import run_shard
-
-        return run_shard(args[1:])
     if args and args[0] == "submit":
         from repro.serve.client import run_submit
 

@@ -11,15 +11,14 @@ comparisons that have their own gates:
   strictly better on energy-per-CPU-second, bit-identical across
   ``--jobs`` levels, and clean under the strict checker.
 * ``--serve`` — boots a synthesis server and measures cold submission
-  latency, then concurrent cache-hit latency/throughput
-  (``BENCH_pr9.json``); with ``--shards N`` the sharded tier
-  (``BENCH_pr10.json``; see ``docs/SERVICE.md``).
+  latency, concurrent cache-hit latency/throughput, and durable batch
+  ingest (``BENCH_pr9.json``; see ``docs/SERVICE.md``).
 
 Options::
 
     --portfolio N        race N arms vs equal-budget multi-start on
                          Scale100/200 (--rungs sets the halving rungs)
-    --serve              run the service tier (--shards N: sharded)
+    --serve              run the service tier
     --quick              smallest subset (CI)
     --benchmarks A B     explicit benchmark subset (portfolio tier)
     --seed N             annealer seed (default: 1)
@@ -84,19 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--serve", action="store_true",
                         help="run the service tier: boot a "
                              "synthesis server, measure cold submission "
-                             "latency then concurrent cache-hit latency/"
-                             "throughput, and gate on the cache-hit "
-                             "speedup (artifact: BENCH_pr9.json; see "
-                             "docs/SERVICE.md)")
-    parser.add_argument("--shards", type=int, metavar="N", default=None,
-                        choices=(1, 2, 4),
-                        help="with --serve: benchmark the sharded tier "
-                             "instead — boot shard counts up to N behind "
-                             "the digest-routing front, verify byte/digest "
-                             "identity across serving paths, and measure "
-                             "loaded throughput per shard count "
-                             "(artifact: BENCH_pr10.json; see "
-                             "docs/SERVICE.md \"Scaling out\")")
+                             "latency, concurrent cache-hit latency/"
+                             "throughput and durable batch ingest, and "
+                             "gate on the cache-hit speedup (artifact: "
+                             "BENCH_pr9.json; see docs/SERVICE.md)")
     parser.add_argument("--portfolio", type=int, metavar="N", default=None,
                         help="run the portfolio tier: race N "
                              "successive-halving arms against equal-budget "
@@ -116,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", type=Path, default=None,
                         help="JSON artifact path (default: "
                              f"{DEFAULT_PORTFOLIO_OUTPUT} for --portfolio, "
-                             "BENCH_pr9.json / BENCH_pr10.json for --serve)")
+                             "BENCH_pr9.json for --serve)")
     return parser
 
 
@@ -124,18 +114,9 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.serve:
-        if args.shards is not None:
-            from repro.serve.loadgen import run_shard_bench
-
-            return run_shard_bench(
-                max_shards=args.shards, quick=args.quick,
-                output=args.output,
-            )
         from repro.serve.loadgen import run_serve_bench
 
         return run_serve_bench(quick=args.quick, output=args.output)
-    if args.shards is not None:
-        parser.error("--shards requires --serve")
     if args.portfolio is None:
         parser.error("choose a tier: --portfolio N or --serve")
     return _run_portfolio_tier(args)

@@ -22,14 +22,14 @@ service (ROADMAP item 1).  Layers, bottom up:
   ``Retry-After``), SSE progress streams, graceful shutdown.
 * :mod:`repro.serve.client` — a blocking client and the
   ``python -m repro submit`` command.
-* :mod:`repro.serve.ring` — rendezvous hashing of submission digests
-  over shard ids (the scale-out routing function).
-* :mod:`repro.serve.aio` — the asyncio HTTP client used for
-  shard-to-shard and front-to-backend traffic.
-* :mod:`repro.serve.shard` — horizontal scale-out: the digest-routing
-  front tier and the ``python -m repro serve --shards N`` supervisor.
-* :mod:`repro.serve.loadgen` — the async load generator behind
-  ``bench --serve`` (throughput / latency / cache-speedup artifact).
+* :mod:`repro.serve.loadgen` — the load generator behind
+  ``bench --serve`` (latency / throughput / cache-speedup / durable
+  batch-ingest artifact).
+
+One process is the whole deployment: with batch submissions
+group-committed (one journal fsync per ``POST /jobs/batch``), a single
+server out-ingests the four-process front tier it replaced
+(``docs/PERFORMANCE.md``, "Batch ingest").
 
 See ``docs/SERVICE.md`` for the API reference and semantics.
 """
@@ -43,23 +43,17 @@ from repro.serve.protocol import (
     parse_submission,
     result_document,
 )
-from repro.serve.ring import RendezvousRing, routing_digest
 from repro.serve.server import ServeConfig, SynthesisServer
-from repro.serve.shard import ShardConfig, ShardFrontTier
 
 __all__ = [
     "JobQueue",
     "QueueFullError",
-    "RendezvousRing",
     "ResultCache",
     "ServeClient",
     "ServeConfig",
-    "ShardConfig",
-    "ShardFrontTier",
     "Submission",
     "SubmissionError",
     "SynthesisServer",
     "parse_submission",
     "result_document",
-    "routing_digest",
 ]

@@ -5,8 +5,7 @@
 ``http.client`` with keep-alive — the server answers JSON exchanges
 with ``Connection: keep-alive``, so the client holds one TCP
 connection across calls (per-request connection setup was a measured
-tax in the load generator; see ``BENCH_pr10.json``'s keep-alive
-delta), retrying once on a fresh connection when a kept-alive one
+tax in the load generator), retrying once on a fresh connection when a kept-alive one
 went stale.  JSON in/out, plus a tiny SSE parser for the progress
 stream; :meth:`ServeClient.follow_events` resumes a dropped stream
 from the last seen event index (``?start=``) without losing the

@@ -8,6 +8,15 @@ hardened :class:`~repro.obs.sinks.JsonlSink`: a process killed
 mid-append leaves at most one damaged *final* line, which replay
 skips.
 
+**Group commit.**  ``submit(..., sync=False)`` writes and flushes its
+``job`` line but defers the fsync; :meth:`JobQueue.sync` then makes
+every deferred line durable with one fsync.  ``POST /jobs/batch``
+submits all its items that way and syncs once before its response
+(the acknowledgement) is written — one fsync per batch request
+instead of one per item.  Every other append (single submits,
+``start`` / ``done`` / ``fail``) fsyncs itself, and any fsync also
+covers the deferred lines written before it.
+
 Replay rules (:meth:`JobQueue.replay`):
 
 * a ``job`` line (re)creates the job as *queued*; duplicate ids are
@@ -22,7 +31,7 @@ The bound (*limit*) applies to **pending** jobs only — that is the
 backpressure surface: a full queue makes ``POST /jobs`` answer 429
 with ``Retry-After`` instead of accepting work it cannot promise.
 
-**Compaction** (:meth:`JobQueue.compact`) keeps long-lived shards'
+**Compaction** (:meth:`JobQueue.compact`) keeps a long-lived server's
 journals from growing without bound.  The live state is snapshotted —
 one ``job`` line per retained job, a ``start`` line where attempts
 were made, a terminal line where one was reached — into a sibling
@@ -182,6 +191,9 @@ class JobQueue:
         #: costs more CPU than the record itself on the accept path.
         #: Invalidated by compaction (``os.replace`` swaps the inode).
         self._journal_stream: Any = None
+        #: True while flushed journal lines await their fsync (group
+        #: commit; see :meth:`sync`).
+        self._unsynced = False
         self.replay()
 
     # -- journal --------------------------------------------------------
@@ -193,7 +205,7 @@ class JobQueue:
                 pass
             self._journal_stream = None
 
-    def _append(self, record: dict[str, Any]) -> None:
+    def _append(self, record: dict[str, Any], sync: bool = True) -> None:
         line = json.dumps(record, sort_keys=True, default=repr)
         stream = self._journal_stream
         if stream is None:
@@ -202,7 +214,9 @@ class JobQueue:
             self._journal_stream = stream
         stream.write(line + "\n")
         stream.flush()
-        os.fsync(stream.fileno())
+        if sync:
+            os.fsync(stream.fileno())
+        self._unsynced = not sync
         self.journal_lines += 1
         if (
             self._compact_threshold is not None
@@ -210,8 +224,17 @@ class JobQueue:
         ):
             self._compact_locked()
 
+    def sync(self) -> None:
+        """Fsync journal lines appended with ``sync=False`` (group
+        commit); a no-op when nothing is pending."""
+        with self._lock:
+            if self._unsynced and self._journal_stream is not None:
+                os.fsync(self._journal_stream.fileno())
+            self._unsynced = False
+
     def close(self) -> None:
         """Release the persistent journal append handle (idempotent)."""
+        self.sync()
         with self._lock:
             self._close_journal_stream()
 
@@ -360,7 +383,9 @@ class JobQueue:
         os.replace(tmp, self.journal_path)
         # The old append handle now points at the replaced (unlinked)
         # inode; drop it so the next append reopens the new journal.
+        # Deferred lines need no fsync: the snapshot holds them.
         self._close_journal_stream()
+        self._unsynced = False
         for job_id in evicted:
             job = self._jobs.pop(job_id, None)
             if job is not None and job_id in self._pending:
@@ -391,11 +416,15 @@ class JobQueue:
         digest: str,
         cache_key: str,
         job_id: str | None = None,
+        sync: bool = True,
     ) -> tuple[Job, bool]:
         """Accept one submission; returns ``(job, created)``.
 
         A known *job_id* returns the existing job unchanged (idempotent
         resubmission); a full queue raises :class:`QueueFullError`.
+        With ``sync=False`` the ``job`` line is written but not yet
+        durable: the caller must call :meth:`sync` before it
+        acknowledges the job.
         """
         with self._lock:
             if job_id is not None and job_id in self._jobs:
@@ -427,7 +456,8 @@ class JobQueue:
                     "digest": digest,
                     "cache_key": cache_key,
                     "ts": job.created,
-                }
+                },
+                sync=sync,
             )
             return job, True
 

@@ -13,6 +13,13 @@ Measures the two numbers that justify the service's existence:
 * **Throughput under load** — many concurrent clients hammering the
   warm cache; the aggregate request rate plus the latency distribution
   *with* queueing.
+* **Durable ingest** — with execution paused, two keep-alive clients
+  pipeline fresh ``POST /jobs/batch`` requests (50 items each); every
+  item is journaled and group-committed before its batch is answered.
+  Items/s, best of :data:`INGEST_TRIALS` after one warmup.  This is the
+  number that retired the multi-process front tier: one
+  group-committing server out-ingests four backends behind it
+  (``docs/PERFORMANCE.md``, "Batch ingest").
 
 The headline gate: median cache-hit latency must be at least
 ``SPEEDUP_GATE``× faster than median cold synthesis — the artifact
@@ -37,29 +44,23 @@ from repro.errors import ReproError
 from repro.obs.histogram import Histogram
 
 __all__ = [
-    "SHARD_SCALING_GATE",
     "SPEEDUP_GATE",
     "run_serve_bench",
-    "run_shard_bench",
 ]
 
 #: Required cold-median / hot-median ratio (cache hits must be at
 #: least this much faster than synthesis).
 SPEEDUP_GATE = 100.0
 
-#: Target loaded-ingest scaling at 2 shards vs the 1-shard baseline.
-#: The artifact always records the measured ratio *and* the machine's
-#: fsync-ceiling probe: on a single-core, single-fsync-domain host the
-#: device group-commit bound (~1.4-1.5x for two writers) sits below
-#: this target, and the bench reports that honestly instead of gaming
-#: the workload (see docs/PERFORMANCE.md).
-SHARD_SCALING_GATE = 1.6
-
 #: Default artifact of the serve tier.
 DEFAULT_SERVE_OUTPUT = "BENCH_pr9.json"
 
-#: Default artifact of the sharded tier.
-DEFAULT_SHARD_OUTPUT = "BENCH_pr10.json"
+#: Durable-ingest row: batch items per trial (full / ``--quick``),
+#: timed trials after one warmup, pipelined keep-alive clients.
+INGEST_ITEMS = 900
+QUICK_INGEST_ITEMS = 400
+INGEST_TRIALS = 3
+INGEST_WORKERS = 2
 
 #: Cold-phase submissions: (benchmark, seed) pairs.  Quick keeps CI
 #: fast; full covers three assay shapes.
@@ -82,6 +83,8 @@ def _boot_server(state_dir: Path):
         state_dir=state_dir,
         ledger=None,
         heartbeats=False,
+        # The ingest row queues every trial's items while paused.
+        queue_limit=1_000_000,
     )
     server = SynthesisServer(config)
 
@@ -209,6 +212,19 @@ def run_serve_bench(
                 return 1
 
             stats = client.stats()
+
+            # -- ingest phase: execution paused, so the row measures
+            # accept + journal group commit alone ---------------------
+            client._request("POST", "/admin/pause", {})
+            try:
+                ingest = _measure_ingest(
+                    server.bound_port,
+                    QUICK_INGEST_ITEMS if quick else INGEST_ITEMS,
+                )
+            except ReproError as error:
+                print(f"error: ingest phase failed: {error}",
+                      file=sys.stderr)
+                return 1
         finally:
             try:
                 client.shutdown()
@@ -241,6 +257,7 @@ def run_serve_bench(
         "speedup_p50": round(speedup, 3),
         "speedup_gate": SPEEDUP_GATE,
         "speedup_ok": speedup_ok,
+        "ingest": ingest,
     }
     write_bench_json(artifact, payload)
 
@@ -254,6 +271,9 @@ def run_serve_bench(
           f"throughput: {throughput:.1f} req/s")
     print(f"  cache-hit speedup: {speedup:.0f}x "
           f"(gate: >={SPEEDUP_GATE:.0f}x)")
+    print(f"  durable batch ingest: {ingest['items_per_s']:.0f} items/s "
+          f"({ingest['items']} items, {ingest['workers']} pipelined "
+          f"clients, best of {ingest['trials']})")
     print(f"wrote {artifact}")
     if not speedup_ok:
         print(
@@ -263,177 +283,6 @@ def run_serve_bench(
         )
         return 1
     return 0
-
-
-# ----------------------------------------------------------------------
-# Sharded-tier benchmark: ``bench --serve --shards N``
-# ----------------------------------------------------------------------
-def _extract_result_bytes(raw: bytes) -> bytes:
-    """The balanced ``"result"`` object sliced out of a job envelope.
-
-    The envelope around it (job id, timestamps) legitimately differs
-    per boot; the result object is spliced verbatim from the content-
-    addressed cache and is the byte-identity surface the shard gate
-    verifies.
-    """
-    text = raw.decode("utf-8")
-    start = text.index('"result":') + len('"result":')
-    depth = 0
-    for i in range(start, len(text)):
-        if text[i] == "{":
-            depth += 1
-        elif text[i] == "}":
-            depth -= 1
-            if depth == 0:
-                return text[start: i + 1].encode("utf-8")
-    raise ReproError("unbalanced result object in job envelope")
-
-
-def _http_exchange(host: str, port: int, method: str, path: str,
-                   body: bytes | None = None) -> tuple[int, bytes]:
-    """One fresh-connection HTTP exchange returning raw body bytes."""
-    import http.client
-
-    connection = http.client.HTTPConnection(host, port, timeout=600.0)
-    try:
-        headers = {"Content-Type": "application/json"} if body else {}
-        connection.request(method, path, body=body, headers=headers)
-        response = connection.getresponse()
-        return response.status, response.read()
-    finally:
-        connection.close()
-
-
-class _ShardTier:
-    """One booted deployment: N backend processes + a front tier."""
-
-    def __init__(self, state_dir: Path, shards: int) -> None:
-        import asyncio
-        import socket
-
-        from repro.serve.client import ServeClient
-        from repro.serve.shard import (
-            ShardConfig,
-            ShardFrontTier,
-            backend_configs,
-            spawn_backend,
-            wait_for_http,
-        )
-
-        def free_port() -> int:
-            probe = socket.socket()
-            try:
-                probe.bind(("127.0.0.1", 0))
-                return probe.getsockname()[1]
-            finally:
-                probe.close()
-
-        self.shards = shards
-        ports = [free_port() for _ in range(shards)]
-        self.configs = backend_configs(
-            shards, "127.0.0.1", 0, state_dir,
-            pool_jobs=1, inflight=2, queue_limit=1_000_000,
-            ledger=None, heartbeats=False, ports=ports,
-        )
-        self.processes = [spawn_backend(c) for c in self.configs]
-        for config in self.configs:
-            if not wait_for_http(config.host, config.port):
-                raise ReproError(
-                    f"shard backend {config.self_id} failed to start"
-                )
-        self.admins = [
-            ServeClient(f"http://{c.host}:{c.port}") for c in self.configs
-        ]
-        self.front = ShardFrontTier(ShardConfig(
-            host="127.0.0.1", port=0,
-            backends=tuple(
-                (c.self_id, f"{c.host}:{c.port}") for c in self.configs
-            ),
-            probe_interval=0.5,
-        ))
-        self.front_thread = threading.Thread(
-            target=lambda: __import__("asyncio").run(
-                self.front.run(install_signal_handlers=False)
-            ),
-            name="repro-shard-bench-front", daemon=True,
-        )
-        self.front_thread.start()
-        if not self.front.ready.wait(30.0):
-            raise ReproError("shard front tier failed to start")
-        self.host = "127.0.0.1"
-        self.port = self.front.bound_port
-
-    def pause(self) -> None:
-        for admin in self.admins:
-            admin._request("POST", "/admin/pause")
-
-    def backend_stats(self) -> list[dict[str, Any]]:
-        return [admin.stats() for admin in self.admins]
-
-    def stop(self) -> None:
-        for admin in self.admins:
-            try:
-                admin.shutdown()
-            except ReproError:
-                pass
-            admin.close()
-        for process in self.processes:
-            process.join(timeout=30.0)
-            if process.is_alive():  # pragma: no cover - hung backend
-                process.kill()
-                process.join(timeout=5.0)
-        self.front.request_shutdown()
-        self.front_thread.join(timeout=30.0)
-
-
-def _fsync_worker(path: str, stop_at: float, counter: Any) -> None:
-    """Tight append+fsync loop — the device-level scaling probe."""
-    import os
-
-    count = 0
-    with open(path, "ab", buffering=0) as stream:
-        line = b'{"kind":"probe","payload":"' + b"x" * 64 + b'"}\n'
-        while time.monotonic() < stop_at:
-            stream.write(line)
-            os.fsync(stream.fileno())
-            count += 1
-    counter.value = count
-
-
-def _fsync_ceiling(root: Path, seconds: float = 0.4) -> dict[str, Any]:
-    """Measured aggregate fsync rate for 1 and 2 concurrent writers.
-
-    This is the storage device's group-commit ceiling for durable
-    appends — the hard upper bound on what sharding the journal across
-    processes can deliver on this host, independent of any HTTP or
-    parsing cost.  The artifact embeds it so a below-target scaling
-    row is distinguishable from a tier inefficiency.
-    """
-    import multiprocessing
-
-    rates: dict[int, float] = {}
-    for procs in (1, 2):
-        counters = [multiprocessing.Value("i", 0) for _ in range(procs)]
-        stop_at = time.monotonic() + seconds
-        workers = [
-            multiprocessing.Process(
-                target=_fsync_worker,
-                args=(str(root / f"probe-{procs}-{i}.jsonl"), stop_at,
-                      counters[i]),
-            )
-            for i in range(procs)
-        ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
-        rates[procs] = sum(c.value for c in counters) / seconds
-    scaling = rates[2] / rates[1] if rates[1] else 0.0
-    return {
-        "writers_1_per_s": round(rates[1], 1),
-        "writers_2_per_s": round(rates[2], 1),
-        "device_scaling_2x": round(scaling, 3),
-    }
 
 
 def _pipelined_ingest(
@@ -467,7 +316,7 @@ def _pipelined_ingest(
         while b"\r\n\r\n" not in buffer:
             chunk = sock.recv(65536)
             if not chunk:
-                raise ReproError("backend closed mid-response")
+                raise ReproError("server closed mid-response")
             buffer += chunk
         head, _, buffer = buffer.partition(b"\r\n\r\n")
         status = int(head.split(b" ", 2)[1])
@@ -479,7 +328,7 @@ def _pipelined_ingest(
         while len(buffer) < length:
             chunk = sock.recv(65536)
             if not chunk:
-                raise ReproError("backend closed mid-body")
+                raise ReproError("server closed mid-body")
             buffer += chunk
         return status, buffer[:length], buffer[length:]
 
@@ -538,8 +387,6 @@ def _pipelined_ingest(
     wall = time.perf_counter() - started
     if errors:
         raise ReproError(f"loaded ingest failed: {errors[0]}")
-    import json as _json
-
     accepted = 0
     for body in bodies:
         outcome = _json.loads(body)
@@ -552,235 +399,35 @@ def _pipelined_ingest(
     return wall, accepted
 
 
-def run_shard_bench(
-    max_shards: int = 4,
-    quick: bool = False,
-    output: Path | None = None,
-) -> int:
-    """Benchmark the sharded tier at 1..``max_shards`` (powers of two).
+def _measure_ingest(port: int, items: int) -> dict[str, Any]:
+    """The durable-ingest row against a paused server on *port*.
 
-    Per shard count: boot N backends + front tier, verify that the
-    front and every backend (via cache peering) serve byte-identical
-    result bytes — and that the timing-excluded ``solution_digest``
-    agrees across shard counts — then measure keep-alive vs
-    fresh-connection hit latency at the 1-shard baseline, then pause execution and measure durable-ingest
-    throughput through the front with pipelined clients (best of
-    ``trials``).  Writes ``BENCH_pr10.json``.
-
-    Exit code is 0 unless byte-identity fails or the tier errors; the
-    scaling gate verdict is recorded in the artifact (with the device
-    fsync-ceiling probe for context) rather than failing the run,
-    because on a single-core/single-disk host the ceiling itself can
-    sit below the target.
+    One warmup trial (connections, allocator, GC), then the best of
+    :data:`INGEST_TRIALS`; each trial submits *items* never-seen
+    submissions, so every item is a cache miss that is journaled.
+    Raises :class:`~repro.errors.ReproError` when any batch is not a
+    200 or any item is rejected or lost.
     """
-    import json as _json
-    import sys
-
-    from repro.perf.report import write_bench_json
-    from repro.serve.client import ServeClient
-
-    shard_counts = [n for n in (1, 2, 4) if n <= max_shards]
-    artifact = output or Path(DEFAULT_SHARD_OUTPUT)
-    items = 400 if quick else 900
-    trials = 2 if quick else 3
-    hot_requests = 20 if quick else 40
-    identity_plan = [
-        {"benchmark": "PCR", "parameters": {"seed": 901}},
-        {"benchmark": "PCR", "parameters": {"seed": 902}},
-    ]
-
-    rows: list[dict[str, Any]] = []
-    identity: dict[int, list[str]] = {}
-    keepalive: dict[str, Any] | None = None
-
-    with tempfile.TemporaryDirectory(prefix="repro-shard-bench-") as tmp:
-        root = Path(tmp)
-        ceiling = _fsync_ceiling(root)
-        for shards in shard_counts:
-            tier = _ShardTier(root / f"n{shards}", shards)
-            try:
-                # -- identity: cold synthesis via the front, then the
-                # same submission served by *every* path — front proxy
-                # and each backend directly (the non-owners answer via
-                # cache peering) — must replay the result byte for
-                # byte.  Across shard counts the executions are
-                # independent, so the raw bytes differ only in the
-                # recorded timings; ``solution_digest`` (timing-
-                # excluded) must still agree ---------------------------
-                digests: list[str] = []
-                for submission in identity_plan:
-                    body = _json.dumps(submission).encode()
-                    status, raw = _http_exchange(
-                        tier.host, tier.port, "POST", "/jobs?wait=600",
-                        body,
-                    )
-                    if status != 200:
-                        raise ReproError(
-                            f"cold identity run failed ({status}): "
-                            f"{raw[:200]!r}"
-                        )
-                    served: list[bytes] = []
-                    ports = [tier.port] + [
-                        c.port for c in tier.configs
-                    ]
-                    for port in ports:
-                        status, raw = _http_exchange(
-                            tier.host, port, "POST", "/jobs", body
-                        )
-                        compact = raw.replace(b" ", b"")
-                        if status != 200 or b'"cached":true' not in compact:
-                            raise ReproError(
-                                f"identity re-POST on :{port} was not "
-                                f"a cache hit ({status})"
-                            )
-                        served.append(_extract_result_bytes(raw))
-                    if any(bytes_ != served[0] for bytes_ in served[1:]):
-                        raise ReproError(
-                            "served result bytes differ between the "
-                            "front and a backend (cache peering broke "
-                            "byte identity)"
-                        )
-                    document = _json.loads(served[0])
-                    digests.append(document["solution_digest"])
-                identity[shards] = digests
-
-                # -- keep-alive satellite: measured at the baseline ----
-                if shards == 1:
-                    url = f"http://{tier.host}:{tier.port}"
-                    kept = ServeClient(url)
-                    warm = Histogram()
-                    for i in range(hot_requests):
-                        started = time.perf_counter()
-                        kept.submit(identity_plan[i % len(identity_plan)])
-                        warm.record(time.perf_counter() - started)
-                    kept.close()
-                    fresh = Histogram()
-                    for i in range(hot_requests):
-                        one_shot = ServeClient(url)
-                        started = time.perf_counter()
-                        one_shot.submit(
-                            identity_plan[i % len(identity_plan)]
-                        )
-                        fresh.record(time.perf_counter() - started)
-                        one_shot.close()
-                    keepalive = {
-                        "keepalive_p50_ms": round(warm.p50 * 1e3, 3),
-                        "fresh_p50_ms": round(fresh.p50 * 1e3, 3),
-                        "delta_p50_ms": round(
-                            (fresh.p50 - warm.p50) * 1e3, 3
-                        ),
-                    }
-
-                # -- loaded ingest: pause execution, hammer the front --
-                tier.pause()
-                best_rate, best_wall = 0.0, 0.0
-                for trial in range(trials + 1):
-                    base = 10_000 + trial * items
-                    submissions = [
-                        {"benchmark": "PCR",
-                         "parameters": {"seed": base + i}}
-                        for i in range(items)
-                    ]
-                    wall, accepted = _pipelined_ingest(
-                        tier.host, tier.port, submissions, workers=4
-                    )
-                    if accepted < items - 50:
-                        raise ReproError(
-                            f"loaded ingest lost items: {accepted}/{items}"
-                        )
-                    if trial == 0:
-                        continue  # warmup: connections, fragments, GC
-                    rate = accepted / wall
-                    if rate > best_rate:
-                        best_rate, best_wall = rate, wall
-                backends = tier.backend_stats()
-                peer_hits = sum(
-                    b["counters"].get("serve.cache_peer_hits", 0)
-                    for b in backends
-                )
-                peer_misses = sum(
-                    b["counters"].get("serve.cache_peer_misses", 0)
-                    for b in backends
-                )
-                rows.append({
-                    "shards": shards,
-                    "loaded_items_per_s": round(best_rate, 1),
-                    "loaded_wall_s": round(best_wall, 4),
-                    "loaded_items": items,
-                    "trials": trials,
-                    "cache_peer_hits": peer_hits,
-                    "cache_peer_misses": peer_misses,
-                    "solution_digests": identity[shards],
-                })
-                print(
-                    f"  shards={shards}: loaded ingest "
-                    f"{best_rate:.0f} items/s "
-                    f"(peer probes: {peer_hits + peer_misses})",
-                    file=sys.stderr,
-                )
-            finally:
-                tier.stop()
-
-    reference = identity[shard_counts[0]]
-    identity_ok = all(
-        identity[shards] == reference for shards in shard_counts
-    )
-    by_shards = {row["shards"]: row for row in rows}
-    scaling_2x = 0.0
-    if 1 in by_shards and 2 in by_shards:
-        baseline = by_shards[1]["loaded_items_per_s"]
-        if baseline:
-            scaling_2x = by_shards[2]["loaded_items_per_s"] / baseline
-    scaling_ok = scaling_2x >= SHARD_SCALING_GATE
-    ceiling_2x = ceiling["device_scaling_2x"]
-    ceiling_limited = (not scaling_ok) and ceiling_2x < SHARD_SCALING_GATE
-
-    payload = {
-        "schema": 1,
-        "label": artifact.stem,
-        "tier": "shard",
-        "quick": quick,
-        "shard_counts": shard_counts,
-        "rows": rows,
-        "identity_ok": identity_ok,
-        "keepalive": keepalive,
-        "scaling_2x": round(scaling_2x, 3),
-        "scaling_gate": SHARD_SCALING_GATE,
-        "scaling_ok": scaling_ok,
-        "fsync_ceiling": ceiling,
-        "ceiling_limited": ceiling_limited,
+    best_rate, best_wall = 0.0, 0.0
+    for trial in range(INGEST_TRIALS + 1):
+        base = 10_000 + trial * items
+        submissions = [
+            {"benchmark": "PCR", "parameters": {"seed": base + i}}
+            for i in range(items)
+        ]
+        wall, accepted = _pipelined_ingest(
+            "127.0.0.1", port, submissions, workers=INGEST_WORKERS
+        )
+        if accepted != items:
+            raise ReproError(
+                f"ingest accepted {accepted} of {items} items"
+            )
+        if trial and accepted / wall > best_rate:
+            best_rate, best_wall = accepted / wall, wall
+    return {
+        "items": items,
+        "workers": INGEST_WORKERS,
+        "trials": INGEST_TRIALS,
+        "items_per_s": round(best_rate, 1),
+        "wall_s": round(best_wall, 4),
     }
-    write_bench_json(artifact, payload)
-
-    print(f"\nshard tier: counts {shard_counts}, "
-          f"{items} ingest items/trial, best of {trials}")
-    for row in rows:
-        print(f"  shards={row['shards']}: "
-              f"{row['loaded_items_per_s']:.0f} items/s")
-    print(f"  2-shard scaling: {scaling_2x:.2f}x "
-          f"(gate: >={SHARD_SCALING_GATE}x, device fsync ceiling: "
-          f"{ceiling_2x:.2f}x)")
-    if keepalive:
-        print(f"  keep-alive hit p50: {keepalive['keepalive_p50_ms']}ms "
-              f"vs fresh-connection {keepalive['fresh_p50_ms']}ms")
-    print(f"  identity (serve paths + cross-shard-count solutions): "
-          f"{'ok' if identity_ok else 'FAILED'}")
-    print(f"wrote {artifact}")
-    if not identity_ok:
-        print(
-            "error: solution digests differ across shard counts",
-            file=sys.stderr,
-        )
-        return 1
-    if not scaling_ok:
-        note = (
-            " (device fsync ceiling on this host is below the target; "
-            "see fsync_ceiling in the artifact)"
-            if ceiling_limited else ""
-        )
-        print(
-            f"warning: 2-shard scaling {scaling_2x:.2f}x below the "
-            f"{SHARD_SCALING_GATE}x target{note}",
-            file=sys.stderr,
-        )
-    return 0

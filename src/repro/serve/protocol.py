@@ -17,9 +17,13 @@ overrides and a flow selector::
 :func:`parse_submission` validates the document (through the same
 machinery the CLI uses — bad assays, allocations, or parameter values
 fail with the library's own error messages), canonicalises it, and
-computes its content address.  The synthesis flow is deterministic for
-a fixed problem, so the address doubles as the result-cache key:
-submissions with equal digests are *the same job*.
+computes its content address.  Parameter values must carry the JSON
+type of their field (integer, number, or string; booleans and
+``null`` are never a number), so a malformed value is a 400 at the
+door rather than a 500 or a job that can only fail in a worker.  The
+synthesis flow is deterministic for a fixed problem, so the address
+doubles as the result-cache key: submissions with equal digests are
+*the same job*.
 
 ``jobs`` (process-pool width) is rejected in submissions: parallelism
 is the server's resource decision, never the client's, and the digest
@@ -34,7 +38,7 @@ so a cache hit replays the original run's result byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import Any, Mapping
+from typing import Any, Mapping, get_type_hints
 
 from repro.core.digest import (
     DIGEST_EXCLUDED_PARAMETERS,
@@ -76,19 +80,52 @@ class SubmissionError(ReproError):
 #: Lazily-computed (once) views of the ``SynthesisParameters`` schema —
 #: recomputing ``dataclasses.fields`` per submission is measurable on
 #: the service accept path.
-_PARAMETER_NAMES: frozenset[str] | None = None
+_PARAMETER_TYPES: dict[str, type] | None = None
 _DIGEST_FIELDS: tuple[str, ...] | None = None
 
+#: JSON value types each parameter field type accepts (``bool`` is an
+#: ``int`` subclass in Python, so it is excluded separately).
+_ACCEPTED_TYPES: dict[type, tuple[type, ...]] = {
+    int: (int,),
+    float: (int, float),
+    str: (str,),
+}
+_JSON_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
-def _parameter_names() -> frozenset[str]:
-    global _PARAMETER_NAMES
-    if _PARAMETER_NAMES is None:
+
+def _parameter_types() -> dict[str, type]:
+    """``SynthesisParameters`` field name -> declared type."""
+    global _PARAMETER_TYPES
+    if _PARAMETER_TYPES is None:
         from repro.core.problem import SynthesisParameters
 
-        _PARAMETER_NAMES = frozenset(
-            f.name for f in dataclass_fields(SynthesisParameters)
-        )
-    return _PARAMETER_NAMES
+        _PARAMETER_TYPES = get_type_hints(SynthesisParameters)
+    return _PARAMETER_TYPES
+
+
+def _json_type(value: Any) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    if isinstance(value, str):
+        return "string"
+    return "array" if isinstance(value, list) else "object"
+
+
+def _check_parameter_types(parameters: Mapping[str, Any]) -> None:
+    types = _parameter_types()
+    for name, value in parameters.items():
+        expected = types[name]
+        if isinstance(value, bool) or not isinstance(
+            value, _ACCEPTED_TYPES[expected]
+        ):
+            raise SubmissionError(
+                f"parameter {name!r} must be {_JSON_TYPE_NAMES[expected]}, "
+                f"got {_json_type(value)}"
+            )
 
 
 def _digest_fields() -> tuple[str, ...]:
@@ -154,14 +191,19 @@ def _build_problem(document: Mapping[str, Any]):
         case = get_benchmark(name)
         assay, allocation = case.assay, case.allocation
     else:
-        assay = assay_from_dict(document["assay"])
         alloc_doc = document.get("allocation") or {}
-        allocation = Allocation(
-            mixers=int(alloc_doc.get("mixers", 0)),
-            heaters=int(alloc_doc.get("heaters", 0)),
-            filters=int(alloc_doc.get("filters", 0)),
-            detectors=int(alloc_doc.get("detectors", 0)),
-        )
+        try:
+            assay = assay_from_dict(document["assay"])
+            allocation = Allocation(
+                mixers=int(alloc_doc.get("mixers", 0)),
+                heaters=int(alloc_doc.get("heaters", 0)),
+                filters=int(alloc_doc.get("filters", 0)),
+                detectors=int(alloc_doc.get("detectors", 0)),
+            )
+        except (TypeError, ValueError, KeyError, AttributeError) as error:
+            raise SubmissionError(
+                f"malformed assay or allocation: {error}"
+            ) from None
     parameters = SynthesisParameters(**document.get("parameters", {}))
     return SynthesisProblem(
         assay=assay, allocation=allocation, parameters=parameters
@@ -224,10 +266,11 @@ def _digest_submission(document: Mapping[str, Any]) -> str:
 def parse_submission(data: Any) -> Submission:
     """Validate and canonicalise one submission document.
 
-    Raises :class:`SubmissionError` for structural problems; parameter
-    and assay value errors surface as the library's own
-    :class:`~repro.errors.ReproError` subclasses (the server maps any
-    of them to HTTP 400).
+    Raises :class:`SubmissionError` for structural problems, including
+    parameter values of the wrong JSON type and undecodable assays or
+    allocations; parameter and assay value errors surface as the
+    library's own :class:`~repro.errors.ReproError` subclasses (the
+    server maps any of them to HTTP 400).
     """
     if not isinstance(data, Mapping):
         raise SubmissionError(
@@ -260,11 +303,12 @@ def parse_submission(data: Any) -> Submission:
             f"{', '.join(sorted(forbidden))} (pool width is a server "
             "resource decision)"
         )
-    unknown_params = set(parameters) - _parameter_names()
+    unknown_params = set(parameters) - _parameter_types().keys()
     if unknown_params:
         raise SubmissionError(
             f"unknown parameter(s): {', '.join(sorted(unknown_params))}"
         )
+    _check_parameter_types(parameters)
     job_id = data.get("job_id")
     if job_id is not None:
         job_id = str(job_id)
@@ -281,8 +325,15 @@ def parse_submission(data: Any) -> Submission:
     if "benchmark" in data:
         document["benchmark"] = str(data["benchmark"])
     else:
+        allocation = data.get("allocation") or {}
+        if not isinstance(data["assay"], Mapping) or not isinstance(
+            allocation, Mapping
+        ):
+            raise SubmissionError(
+                "'assay' and 'allocation' must be JSON objects"
+            )
         document["assay"] = dict(data["assay"])
-        document["allocation"] = dict(data.get("allocation") or {})
+        document["allocation"] = dict(allocation)
     if parameters:
         document["parameters"] = dict(parameters)
 

@@ -10,7 +10,8 @@ subsystem:
                          ``?wait=SECONDS`` to long-poll for the result);
                          full queue answers 429 + ``Retry-After``
 ``POST /jobs/batch``     submit many (``{"jobs": […]}``); per-item
-                         verdicts, accepted jobs are never lost
+                         verdicts, accepted jobs are never lost (one
+                         fsync per request, before the reply)
 ``GET /jobs/{id}``       job status, result when done (``?wait=`` to
                          long-poll)
 ``GET /jobs/{id}/events``  Server-Sent-Events progress stream (queued /
@@ -24,7 +25,9 @@ subsystem:
 Design points:
 
 * **Accepted means durable** — submissions are journaled before the
-  202 goes out; a crash replays them (:mod:`repro.serve.jobs`).
+  202 goes out; a crash replays them (:mod:`repro.serve.jobs`).  A
+  batch request group-commits: its ``job`` lines share one fsync,
+  issued before any byte of the response.
 * **Backpressure is explicit** — pending jobs are bounded
   (``--queue-limit``), concurrency is bounded (``--inflight`` jobs,
   each one wave on a ``--jobs``-wide process pool), and a full queue
@@ -128,13 +131,6 @@ class ServeConfig:
     #: Start with the dispatcher paused: jobs are accepted, journaled,
     #: and queued, but none executes until ``POST /admin/resume``.
     paused: bool = False
-    #: Shard topology for cache peering: every shard as
-    #: ``(shard_id, "host:port")``, plus this server's own id.  A local
-    #: cache miss asks the digest-owner peer before synthesizing.
-    peers: tuple[tuple[str, str], ...] = ()
-    self_id: str | None = None
-    #: Peer cache-probe timeout (a slow peer must not stall accepts).
-    peer_timeout: float = 5.0
 
 
 class JobEventLog:
@@ -205,8 +201,6 @@ class SynthesisServer:
         self._draining = False
         self._stopping = False
         self._paused = self.config.paused
-        self._peer_ring: Any = None
-        self._peer_clients: dict[str, Any] = {}
         self._wake: asyncio.Event | None = None
         self._stop_event: asyncio.Event | None = None
         self._dispatcher: asyncio.Task | None = None
@@ -236,15 +230,6 @@ class SynthesisServer:
             limit=cfg.cache_limit,
             on_evict=lambda n: self.instr.count("serve.cache_evictions", n),
         )
-        if cfg.peers and cfg.self_id is not None:
-            from repro.serve.ring import RendezvousRing
-
-            ids = [shard_id for shard_id, _ in cfg.peers]
-            if cfg.self_id not in ids:
-                raise ReproError(
-                    f"self_id {cfg.self_id!r} missing from peers {ids}"
-                )
-            self._peer_ring = RendezvousRing(ids)
         if self.executor is None:
             self.executor = JobExecutor(
                 pool_jobs=cfg.pool_jobs,
@@ -476,56 +461,6 @@ class SynthesisServer:
             self._gauges()
             self._kick()
 
-    # -- cache peering --------------------------------------------------
-    def _peer_client(self, shard_id: str) -> Any:
-        client = self._peer_clients.get(shard_id)
-        if client is None:
-            from repro.serve.aio import AsyncHttpClient
-
-            address = dict(self.config.peers)[shard_id]
-            host, _, port = address.rpartition(":")
-            client = AsyncHttpClient(host or "127.0.0.1", int(port))
-            self._peer_clients[shard_id] = client
-        return client
-
-    async def _peer_lookup(
-        self, route_key: str, cache_key: str
-    ) -> str | None:
-        """Ask the digest-owner peer for a cache entry we miss locally.
-
-        *route_key* is the submission's **routing digest** — the same
-        key the front tier hashes — so under normal front-routed
-        traffic the owner is *us* and no probe is paid; a probe fires
-        exactly when routing and ownership diverge (direct submission
-        to a non-owner shard, or rerouting around a dead peer).
-
-        Returns the owner's stored result text (then cached locally so
-        the next hit is local), or ``None`` on owner-side miss, owner
-        being *us*, or any transport trouble — peering is an
-        optimisation and must never make an accept fail.
-        """
-        if self._peer_ring is None:
-            return None
-        owner = self._peer_ring.owner(route_key)
-        if owner == self.config.self_id:
-            return None
-        from repro.serve.aio import AioHttpError
-
-        try:
-            response = await self._peer_client(owner).request(
-                "GET",
-                f"/cache/{cache_key}",
-                timeout=self.config.peer_timeout,
-            )
-        except AioHttpError:
-            self.instr.count("serve.cache_peer_errors")
-            return None
-        if response.status != 200:
-            self.instr.count("serve.cache_peer_misses")
-            return None
-        self.instr.count("serve.cache_peer_hits")
-        return response.body.decode("utf-8")
-
     def _append_ledger(self, job: Job, record: dict[str, Any]) -> None:
         if self.config.ledger is None:
             return
@@ -534,8 +469,6 @@ class SynthesisServer:
         tagged = dict(record)
         tagged["source"] = "serve"
         tagged["job_id"] = job.job_id
-        if self.config.self_id is not None:
-            tagged["shard"] = self.config.self_id
         try:
             append_record(tagged, self.config.ledger)
         except OSError as error:  # pragma: no cover - disk trouble
@@ -664,9 +597,6 @@ class SynthesisServer:
                 writer, 200, {"status": "running"}, close=not keep
             )
             return keep
-        if path.startswith("/cache/") and method == "GET":
-            await self._handle_cache(path[len("/cache/"):], writer, keep)
-            return keep
         if path.startswith("/jobs/") and method == "GET":
             rest = path[len("/jobs/"):]
             if rest.endswith("/events"):
@@ -680,22 +610,6 @@ class SynthesisServer:
         raise HttpError(
             404 if method in ("GET", "POST") else 405,
             f"no route for {method} {request.path}",
-        )
-
-    async def _handle_cache(
-        self, key: str, writer: asyncio.StreamWriter, keep: bool
-    ) -> None:
-        """``GET /cache/{key}``: raw stored result text, for cache
-        peering (a shard's local miss asks the digest owner here)."""
-        try:
-            text = self.cache.peek(key) if key else None
-        except ValueError as error:
-            raise HttpError(400, str(error))
-        if text is None:
-            raise HttpError(404, f"no cache entry {key!r}")
-        self.instr.count("serve.cache_peer_serves")
-        await write_response(
-            writer, 200, text.encode("utf-8"), close=not keep
         )
 
     def _wait_seconds(self, request: Request) -> float | None:
@@ -761,7 +675,7 @@ class SynthesisServer:
             )
             return
         try:
-            status, payload, raw = await self._accept(submission)
+            status, payload, raw = self._accept(submission)
         except QueueFullError as error:
             retry = self._retry_after(submission.job_id or submission.digest)
             self.instr.count("serve.jobs_rejected")
@@ -788,26 +702,17 @@ class SynthesisServer:
         )
         await write_json(writer, status, payload, raw=raw, close=not keep)
 
-    async def _accept(
-        self, submission: Submission
+    def _accept(
+        self, submission: Submission, sync: bool = True
     ) -> tuple[int, dict[str, Any], dict[str, str] | None]:
         """Cache-or-queue one parsed submission (429 raises through).
 
         Returns ``(status, payload, raw)``; *raw* carries pre-serialised
         result text for :func:`~repro.serve.http.write_json` to splice
-        in verbatim (the cache-hit fast path).  With peering configured,
-        a local miss asks the digest-owner shard's cache before paying
-        for a synthesis run.
+        in verbatim (the cache-hit fast path).  ``sync=False`` defers
+        the journal fsync to the caller's :meth:`JobQueue.sync`.
         """
         text = self.cache.get(submission.cache_key)
-        if text is None and self._peer_ring is not None:
-            from repro.serve.ring import routing_digest
-
-            text = await self._peer_lookup(
-                routing_digest(submission.document), submission.cache_key
-            )
-            if text is not None:
-                self.cache.put(submission.cache_key, text)
         if text is not None:
             self.instr.count("serve.cache_hits")
             payload = {
@@ -823,6 +728,7 @@ class SynthesisServer:
             digest=submission.digest,
             cache_key=submission.cache_key,
             job_id=submission.job_id,
+            sync=sync,
         )
         if created:
             self.instr.count("serve.jobs_accepted")
@@ -857,39 +763,47 @@ class SynthesisServer:
             raise HttpError(400, "body must be {'jobs': [submission, …]}")
         entries: list[dict[str, Any]] = []
         accepted = rejected = hits = 0
-        for item in items:
-            try:
-                submission = parse_submission(item)
-                status, payload, raw = await self._accept(submission)
-                if raw is not None:
-                    # Batch responses embed results as parsed objects;
-                    # write_json's canonical serialisation keeps them
-                    # byte-identical to the stored text.
-                    payload["result"] = json.loads(raw["result"])
-            except QueueFullError as error:
-                rejected += 1
-                self.instr.count("serve.jobs_rejected")
-                entries.append(
-                    {
-                        "status": "rejected",
-                        "error": str(error),
-                        "retry_after": self._retry_after(
-                            submission.job_id or submission.digest
-                        ),
-                    }
-                )
-                continue
-            except ReproError as error:
-                rejected += 1
-                entries.append(
-                    {"status": "invalid", "error": str(error)}
-                )
-                continue
-            if payload.get("cached"):
-                hits += 1
-            else:
-                accepted += 1
-            entries.append(payload)
+        try:
+            for item in items:
+                try:
+                    submission = parse_submission(item)
+                    status, payload, raw = self._accept(
+                        submission, sync=False
+                    )
+                    if raw is not None:
+                        # Batch responses embed results as parsed
+                        # objects; write_json's canonical serialisation
+                        # keeps them byte-identical to the stored text.
+                        payload["result"] = json.loads(raw["result"])
+                except QueueFullError as error:
+                    rejected += 1
+                    self.instr.count("serve.jobs_rejected")
+                    entries.append(
+                        {
+                            "status": "rejected",
+                            "error": str(error),
+                            "retry_after": self._retry_after(
+                                submission.job_id or submission.digest
+                            ),
+                        }
+                    )
+                    continue
+                except ReproError as error:
+                    rejected += 1
+                    entries.append(
+                        {"status": "invalid", "error": str(error)}
+                    )
+                    continue
+                if payload.get("cached"):
+                    hits += 1
+                else:
+                    accepted += 1
+                entries.append(payload)
+        finally:
+            # Group commit: one fsync makes every job line above
+            # durable before any response byte (200 or an error from
+            # the connection handler) acknowledges it.
+            self.queue.sync()
         await write_json(
             writer,
             200,
@@ -968,7 +882,6 @@ class SynthesisServer:
             "uptime_s": round(time.time() - self._started_at, 3),
             "draining": self._draining,
             "paused": self._paused,
-            "shard": self.config.self_id,
             "queue": {
                 "depth": self.queue.depth,
                 "limit": self.queue.limit,
@@ -1053,37 +966,9 @@ def run_serve(argv: list[str] | None = None) -> int:
                         metavar="ENTRIES",
                         help="result-cache entry bound; oldest entries are "
                              "evicted LRU-by-mtime (default: unbounded)")
-    parser.add_argument("--peers", default=None, metavar="ID=HOST:PORT,…",
-                        help="shard topology for cache peering: "
-                             "comma-separated id=host:port pairs including "
-                             "this server (see --self-id)")
-    parser.add_argument("--self-id", default=None, metavar="ID",
-                        help="this server's shard id within --peers")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="supervise N sharded backends behind a "
-                             "digest-routing front tier on --port "
-                             "(delegates to 'python -m repro shard')")
     args = parser.parse_args(argv)
 
-    if args.shards is not None:
-        from repro.serve.shard import run_shard_supervisor
-
-        return run_shard_supervisor(args)
-
     from repro.obs.ledger import DEFAULT_LEDGER_PATH
-
-    peers: tuple[tuple[str, str], ...] = ()
-    if args.peers:
-        try:
-            peers = tuple(
-                (pair.split("=", 1)[0], pair.split("=", 1)[1])
-                for pair in args.peers.split(",")
-                if pair
-            )
-        except IndexError:
-            parser.error("--peers must be id=host:port[,id=host:port…]")
-        if args.self_id is None:
-            parser.error("--peers requires --self-id")
 
     ledger = None if args.no_ledger else (args.ledger or DEFAULT_LEDGER_PATH)
     config = ServeConfig(
@@ -1099,8 +984,6 @@ def run_serve(argv: list[str] | None = None) -> int:
         heartbeats=not args.no_heartbeats,
         journal_limit=args.journal_limit,
         cache_limit=args.cache_limit,
-        peers=peers,
-        self_id=args.self_id,
     )
     server = SynthesisServer(config)
 

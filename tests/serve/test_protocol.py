@@ -94,6 +94,16 @@ class TestParseSubmission:
                 {"benchmark": "PCR", "parameters": {"check": "bogus"}}
             )
 
+    def test_int_fields_refuse_booleans_float_fields_take_ints(self):
+        with pytest.raises(SubmissionError, match="'seed' must be an integer"):
+            parse_submission(
+                {"benchmark": "PCR", "parameters": {"seed": True}}
+            )
+        submission = parse_submission(
+            {"benchmark": "PCR", "parameters": {"transport_time": 3}}
+        )
+        assert submission.document["parameters"] == {"transport_time": 3}
+
     def test_job_id_validation(self):
         assert parse_submission(_pcr(job_id="run-1")).job_id == "run-1"
         with pytest.raises(SubmissionError, match="whitespace"):

@@ -411,24 +411,6 @@ class TestKeepAlive:
         assert client.healthz()["status"] == "ok"
 
 
-class TestCacheEndpoint:
-    def test_raw_entry_matches_result_bytes(self, harness):
-        body = harness.client.submit(PCR, wait=120)[2]
-        digest = body["digest"]
-        status, _, raw = harness.raw("GET", f"/cache/{digest}")
-        assert status == 200
-        expected = json.dumps(
-            body["result"], sort_keys=True, separators=(",", ":")
-        ).encode()
-        assert raw == expected
-
-    def test_unknown_key_is_404(self, harness):
-        assert harness.raw("GET", "/cache/" + "0" * 64)[0] == 404
-
-    def test_hostile_key_is_400(self, harness):
-        assert harness.raw("GET", "/cache/..%2Fescape")[0] == 400
-
-
 class TestPauseResume:
     def test_paused_accepts_but_does_not_execute(self, tmp_path):
         import time as _time
@@ -555,5 +537,203 @@ class TestEvictionEndToEnd:
             for key, value in first_result["metrics"].items():
                 if key != "cpu_time_s":
                     assert again_result["metrics"][key] == value, key
+        finally:
+            harness.stop()
+
+
+# Each of these once answered 500 (TypeError/ValueError) or a doomed
+# 202 whose job could only fail in a worker.
+MALFORMED = [
+    pytest.param(
+        {"benchmark": "PCR", "parameters": {"restarts": "2"}},
+        id="restarts-string",
+    ),
+    pytest.param(
+        {"benchmark": "PCR", "parameters": {"transport_time": [1]}},
+        id="transport_time-array",
+    ),
+    pytest.param({"assay": "x"}, id="assay-string"),
+    pytest.param(
+        {"benchmark": "PCR", "parameters": {"seed": "x"}},
+        id="seed-string",
+    ),
+    pytest.param(
+        {"benchmark": "PCR",
+         "parameters": {"iterations_per_temperature": None}},
+        id="iterations-null",
+    ),
+]
+
+
+class TestMalformedParameters:
+    @pytest.mark.parametrize("endpoint", ["/jobs", "/jobs/batch"])
+    @pytest.mark.parametrize("bad", MALFORMED)
+    def test_rejected_at_the_door_and_not_journaled(
+        self, harness, bad, endpoint
+    ):
+        from repro.serve.jobs import read_journal
+
+        journal = harness.config.state_dir / "journal.jsonl"
+        before = read_journal(journal)
+        if endpoint == "/jobs":
+            status, _, body = harness.raw("POST", endpoint, bad)
+            assert status == 400, bad
+            assert "error" in json.loads(body)
+        else:
+            status, _, body = harness.raw("POST", endpoint, {"jobs": [bad]})
+            assert status == 200, bad
+            response = json.loads(body)
+            assert [e["status"] for e in response["jobs"]] == ["invalid"]
+            assert response["accepted"] == 0
+        assert read_journal(journal) == before
+
+    def test_batch_keeps_the_good_item_and_rejects_the_bad(self, tmp_path):
+        harness = _Harness(tmp_path, paused=True).start()
+        try:
+            bad = {"benchmark": "PCR", "parameters": {"restarts": "2"}}
+            response = harness.client.submit_batch([PCR, bad])
+            assert [e["status"] for e in response["jobs"]] == [
+                "queued", "invalid",
+            ]
+            assert "restarts" in response["jobs"][1]["error"]
+        finally:
+            harness.stop()
+
+
+class _FsyncLog:
+    """Counts journal fsyncs and response writes, in order."""
+
+    def __init__(self, monkeypatch):
+        import os
+
+        import repro.serve.jobs as jobs_module
+        import repro.serve.server as server_module
+
+        self.order: list[str] = []
+        real_fsync, real_write = os.fsync, server_module.write_json
+
+        def fsync(fd):
+            self.order.append("fsync")
+            return real_fsync(fd)
+
+        async def write_json(writer, status, *args, **kwargs):
+            self.order.append(f"write {status}")
+            return await real_write(writer, status, *args, **kwargs)
+
+        monkeypatch.setattr(jobs_module.os, "fsync", fsync)
+        monkeypatch.setattr(server_module, "write_json", write_json)
+
+    @property
+    def fsyncs(self) -> int:
+        return self.order.count("fsync")
+
+    def clear(self) -> None:
+        self.order.clear()
+
+
+def _seeds(start: int, n: int) -> list[dict]:
+    return [
+        {"benchmark": "PCR", "parameters": {"seed": seed}}
+        for seed in range(start, start + n)
+    ]
+
+
+class TestGroupCommit:
+    """``POST /jobs/batch`` fsyncs the journal once, before replying;
+    every other journal append keeps its own fsync."""
+
+    @pytest.fixture()
+    def paused(self, tmp_path):
+        instance = _Harness(tmp_path, paused=True).start()
+        yield instance
+        instance.stop()
+
+    def test_batch_costs_one_fsync_single_submit_one(
+        self, paused, monkeypatch
+    ):
+        log = _FsyncLog(monkeypatch)
+        response = paused.client.submit_batch(_seeds(100, 50))
+        assert response["accepted"] == 50
+        assert log.order == ["fsync", "write 200"]
+
+        log.clear()
+        status, _, _ = paused.raw("POST", "/jobs", _seeds(200, 1)[0])
+        assert status == 202
+        assert log.order == ["fsync", "write 202"]
+
+    def test_rejected_and_invalid_tail_still_syncs_accepted(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.serve.jobs import read_journal
+
+        harness = _Harness(tmp_path, paused=True, queue_limit=2).start()
+        try:
+            log = _FsyncLog(monkeypatch)
+            batch = _seeds(300, 4) + [{"benchmark": "NoSuch"}]
+            response = harness.client.submit_batch(batch)
+            assert [e["status"] for e in response["jobs"]] == [
+                "queued", "queued", "rejected", "rejected", "invalid",
+            ]
+            assert log.order == ["fsync", "write 200"]
+            journal = harness.config.state_dir / "journal.jsonl"
+            journaled = {r["id"] for r in read_journal(journal)}
+            assert {e["job_id"] for e in response["jobs"][:2]} <= journaled
+        finally:
+            harness.stop()
+
+    def test_exception_mid_batch_syncs_before_the_500(
+        self, paused, monkeypatch
+    ):
+        import repro.serve.server as server_module
+        from repro.serve.jobs import read_journal
+
+        real_parse = server_module.parse_submission
+        calls = []
+
+        def exploding(item):
+            calls.append(item)
+            if len(calls) == 2:
+                raise RuntimeError("injected")
+            return real_parse(item)
+
+        monkeypatch.setattr(server_module, "parse_submission", exploding)
+        log = _FsyncLog(monkeypatch)
+        status, _, _ = paused.raw(
+            "POST", "/jobs/batch", {"jobs": _seeds(400, 3)}
+        )
+        assert status == 500
+        assert log.order == ["fsync", "write 500"]
+        journal = paused.config.state_dir / "journal.jsonl"
+        assert [r["kind"] for r in read_journal(journal)] == ["job"]
+
+    def test_all_acknowledged_batch_items_replay_as_queued(self, tmp_path):
+        first = _Harness(tmp_path, paused=True).start()
+        try:
+            response = first.client.submit_batch(_seeds(500, 20))
+            job_ids = [e["job_id"] for e in response["jobs"]]
+            assert response["accepted"] == 20
+        finally:
+            first.stop()
+
+        second = _Harness(tmp_path, paused=True).start()
+        try:
+            for job_id in job_ids:
+                assert second.client.job(job_id)["status"] == "queued"
+        finally:
+            second.stop()
+
+    def test_start_and_done_records_keep_their_own_fsync(
+        self, tmp_path, monkeypatch
+    ):
+        harness = _Harness(tmp_path, paused=True, ledger=None).start()
+        try:
+            log = _FsyncLog(monkeypatch)
+            status, _, body = harness.raw("POST", "/jobs", PCR)
+            assert status == 202
+            harness.raw("POST", "/admin/resume")
+            harness.client.wait_for(json.loads(body)["job_id"], timeout=120)
+            # Journal job + start + done lines, one fsync each, plus
+            # the result-cache entry's own.
+            assert log.fsyncs == 4
         finally:
             harness.stop()
