@@ -8,7 +8,6 @@ Synthesise a benchmark or a custom assay JSON from the shell::
     repro-synthesize IVD --show-layout --show-schedule
     repro-synthesize PCR --profile --trace trace.jsonl
     repro-synthesize CPA --restarts 8 --jobs 4   # multi-start placement
-    repro-synthesize CPA --portfolio 8 --jobs 4  # raced arm portfolio
 
 The assay argument is resolved as a benchmark name first and as a JSON
 file path (written by :func:`repro.assay.dump_assay`) second.  For
@@ -47,7 +46,6 @@ from repro.core.synthesizer import synthesize
 from repro.errors import ReproError
 from repro.obs.instrument import Instrumentation
 from repro.obs.sinks import JsonlSink, NullSink
-from repro.place.annealing import PLACEMENT_ENGINES
 
 __all__ = ["build_parser", "run", "main", "EXIT_REPRO_ERROR"]
 
@@ -87,19 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="allocated detectors (custom assays)")
     parser.add_argument("--seed", type=int, default=1,
                         help="annealer seed (default: 1)")
-    parser.add_argument("--engine",
-                        choices=PLACEMENT_ENGINES,
-                        default="incremental",
-                        help="SA placement engine: the incremental "
-                             "delta-energy workspace or the numpy batch "
-                             "best-of-K kernel, which matches it at "
-                             "--batch-size 1 (default: incremental)")
-    parser.add_argument("--batch-size", type=int, default=16,
-                        help="candidates proposed per SA step by "
-                             "--engine batch; 1 degenerates to the "
-                             "incremental move loop bit for bit, larger "
-                             "values trade acceptance rate for "
-                             "vectorized throughput (default: 16)")
     parser.add_argument("--restarts", type=int, default=1,
                         help="independent SA restarts; the best placement "
                              "wins deterministically (default: 1)")
@@ -107,28 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes for the restarts; the "
                              "result is identical for every value "
                              "(default: 1, 0 = one per CPU)")
-    parser.add_argument("--portfolio", type=int, default=0, metavar="N",
-                        help="race N heterogeneous SA configurations "
-                             "(arms) under successive halving instead of "
-                             "identical restarts; deterministic for any "
-                             "--jobs value (default: 0 = off)")
-    parser.add_argument("--arms", type=str, default="", metavar="SPEC",
-                        help="explicit comma-separated arm specs for the "
-                             "portfolio race, e.g. "
-                             "'inc,batch:k=64,inc:init=greedy:w=2/1/1' "
-                             "(implies portfolio mode; default: the "
-                             "built-in palette)")
-    parser.add_argument("--rungs", type=int, default=3,
-                        help="successive-halving checkpoint rungs for "
-                             "--portfolio (default: 3)")
-    parser.add_argument("--seed-derivation",
-                        choices=("legacy", "splitmix"),
-                        default="legacy",
-                        help="restart/arm seed derivation: 'legacy' is "
-                             "the historical seed*1000+k formula "
-                             "(bit-compatible, collides across nearby "
-                             "seeds), 'splitmix' the collision-free "
-                             "SplitMix64 mix (default: legacy)")
     parser.add_argument("--tc", type=float, default=2.0,
                         help="transport time t_c in seconds (default: 2.0)")
     parser.add_argument("--check",
@@ -213,14 +176,8 @@ def run(argv: list[str]) -> int:
         parameters = SynthesisParameters(
             seed=args.seed,
             transport_time=args.tc,
-            placement_engine=args.engine,
-            sa_batch_size=args.batch_size,
             restarts=args.restarts,
             jobs=args.jobs,
-            portfolio=args.portfolio,
-            arms=args.arms,
-            rungs=args.rungs,
-            seed_derivation=args.seed_derivation,
             check=args.check,
         )
         if sampler is not None:

@@ -10,12 +10,18 @@ service (:mod:`repro.serve`) uses it as the key of its result cache so
 identical submissions are served from cache instead of re-synthesized.
 
 The digest is SHA-256 over the canonical JSON (sorted keys, compact
-separators) of the assay document, the allocation tuple, the grid, and
-every synthesis parameter except those in
-:data:`DIGEST_EXCLUDED_PARAMETERS` — currently only ``jobs``, because
+separators) of the assay document, the allocation tuple, the grid, the
+:data:`DIGEST_VERSION` stamp, and every synthesis parameter except
+those in :data:`DIGEST_EXCLUDED_PARAMETERS`: ``jobs``, because
 parallelism redistributes the same deterministic work without changing
-any answer and must therefore not split otherwise-identical runs into
-different digests.
+any answer, and the parameters that have a single legal value
+(``placement_engine``, ``route_engine``, ``seed_derivation``), which
+cannot change an answer either.  Neither may split otherwise-identical
+runs into different digests.
+
+The version stamp moves whenever the digest document changes shape, so
+ledger history from before a change is recognisably incomparable rather
+than silently different.
 
 This module is the single home of that definition.  It originally
 lived in :mod:`repro.obs.ledger`, which still re-exports
@@ -33,6 +39,7 @@ from typing import Any
 
 __all__ = [
     "DIGEST_EXCLUDED_PARAMETERS",
+    "DIGEST_VERSION",
     "canonical_json",
     "problem_document",
     "problem_digest",
@@ -40,8 +47,14 @@ __all__ = [
 ]
 
 #: Parameters excluded from the digest: ``jobs`` only redistributes the
-#: same deterministic work across processes.
-DIGEST_EXCLUDED_PARAMETERS = frozenset({"jobs"})
+#: same deterministic work across processes, and the rest each accept
+#: exactly one value.
+DIGEST_EXCLUDED_PARAMETERS = frozenset(
+    {"jobs", "placement_engine", "route_engine", "seed_derivation"}
+)
+
+#: Version of the digest document (the ``digest_version`` key).
+DIGEST_VERSION = 2
 
 
 def canonical_json(document: Any) -> str:
@@ -78,6 +91,7 @@ def problem_document(problem: Any) -> dict[str, Any]:
     return {
         "assay": assay_to_dict(problem.assay),
         "allocation": list(problem.allocation.as_tuple()),
+        "digest_version": DIGEST_VERSION,
         "parameters": parameters,
         "grid": None if grid is None else [grid.width, grid.height, grid.pitch_mm],
     }

@@ -9,6 +9,7 @@ allocation, and library — bundled with those parameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.assay.graph import SequencingGraph
@@ -16,7 +17,7 @@ from repro.assay.validation import check_assay
 from repro.check.report import CHECK_MODES
 from repro.components.allocation import Allocation
 from repro.components.library import DEFAULT_LIBRARY, ComponentLibrary
-from repro.errors import ValidationError
+from repro.errors import PlacementError, ValidationError
 from repro.place.annealing import PLACEMENT_ENGINES, AnnealingParameters
 from repro.place.grid import DEFAULT_PITCH_MM, ChipGrid, auto_grid
 from repro.route.router import DEFAULT_ROUTE_ENGINE, ROUTE_ENGINES
@@ -51,47 +52,26 @@ class SynthesisParameters:
     grid_fill_ratio: float = 0.25
     #: RNG seed for the annealer.
     seed: int = 0
-    #: SA engine: ``"incremental"`` (delta-energy workspace) or
-    #: ``"batch"`` (numpy best-of-K kernel, see
-    #: :mod:`repro.place.batch`).  Batch matches incremental bit for bit
-    #: at ``sa_batch_size=1`` and explores K candidates per step above it.
+    #: SA engine: only ``"incremental"`` (see
+    #: :mod:`repro.place.annealing`).  The field stays because result
+    #: documents and ledger records report it.
     placement_engine: str = "incremental"
-    #: Candidates proposed per SA step by the batch placement engine
-    #: (ignored by the other engines).  ``1`` degenerates to the
-    #: incremental engine's exact move loop.
-    sa_batch_size: int = 16
     #: Routing engine: only ``"flat"`` (see :mod:`repro.route.flat`).
-    #: The field stays because its value is part of every problem
-    #: digest and result document.
+    #: The field stays because result documents and ledger records
+    #: report it.
     route_engine: str = DEFAULT_ROUTE_ENGINE
     #: Independent SA restarts; the best placement wins under the
     #: ``(energy, derived seed)`` total order.  Restart 0 keeps the base
-    #: seed, restart ``k`` uses ``seed*1000+k``, so ``restarts=1`` is
-    #: exactly the single-anneal pipeline and best-of-N energy is never
-    #: worse than the single run.
+    #: seed, so ``restarts=1`` is exactly the single-anneal pipeline and
+    #: best-of-N energy is never worse than the single run.
     restarts: int = 1
-    #: Restart-seed derivation: ``"legacy"`` is the original
-    #: ``seed*1000+k`` formula (kept as the default for bit-parity;
-    #: collides across nearby base seeds), ``"splitmix"`` the
-    #: collision-free SplitMix64 mix (see
-    #: :func:`repro.parallel.multistart.derive_seed`).  Portfolio arms
-    #: derive their seeds through the same scheme.
-    seed_derivation: str = "legacy"
+    #: Restart-seed derivation: only ``"splitmix"``, the SplitMix64 mix
+    #: of :func:`repro.parallel.multistart.derive_seed`.
+    seed_derivation: str = "splitmix"
     #: Worker processes for fanning restarts out
     #: (:mod:`repro.parallel`); the result is bit-identical for every
     #: value.  ``1`` runs inline, ``0`` means one worker per CPU.
     jobs: int = 1
-    #: Portfolio racing (:mod:`repro.parallel.portfolio`): ``0`` keeps
-    #: plain multi-start; ``N >= 1`` races ``N`` heterogeneous arms
-    #: under successive halving instead of running ``restarts``
-    #: identical anneals (``restarts`` is then ignored).
-    portfolio: int = 0
-    #: Explicit arm-spec string (``engine[:key=value]*``, comma
-    #: separated — see :func:`repro.parallel.portfolio.parse_arms`);
-    #: empty cycles the default palette.  Implies portfolio mode.
-    arms: str = ""
-    #: Successive-halving checkpoint rungs for portfolio racing.
-    rungs: int = 3
     #: Independent design-rule audit of the finished result
     #: (:mod:`repro.check`): ``"off"`` skips it entirely, ``"report"``
     #: attaches the :class:`~repro.check.report.CheckReport` to the
@@ -100,20 +80,37 @@ class SynthesisParameters:
     check: str = "off"
 
     def __post_init__(self) -> None:
+        for name in (
+            "transport_time", "beta", "gamma", "initial_cell_weight",
+            "cell_pitch_mm",
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(
+                    f"{name} must be finite, got {getattr(self, name)!r}"
+                )
         if self.transport_time < 0:
             raise ValidationError("transport time must be non-negative")
         if self.beta < 0 or self.gamma < 0:
             raise ValidationError("Eq. 4 weights must be non-negative")
         if self.initial_cell_weight < 0:
             raise ValidationError("initial cell weight must be non-negative")
+        if self.cell_pitch_mm <= 0:
+            raise ValidationError(
+                f"cell pitch must be positive, got {self.cell_pitch_mm}"
+            )
+        if not 0 < self.grid_fill_ratio <= 1:
+            raise ValidationError(
+                f"grid fill ratio must be in (0, 1], "
+                f"got {self.grid_fill_ratio}"
+            )
+        try:
+            self.annealing()
+        except PlacementError as error:
+            raise ValidationError(str(error)) from None
         if self.placement_engine not in PLACEMENT_ENGINES:
             raise ValidationError(
                 f"unknown placement engine {self.placement_engine!r}; "
                 f"expected one of {PLACEMENT_ENGINES}"
-            )
-        if self.sa_batch_size < 1:
-            raise ValidationError(
-                f"sa_batch_size must be >= 1, got {self.sa_batch_size}"
             )
         if self.route_engine not in ROUTE_ENGINES:
             raise ValidationError(
@@ -142,21 +139,6 @@ class SynthesisParameters:
                 f"unknown seed derivation {self.seed_derivation!r}; "
                 f"expected one of {SEED_DERIVATIONS}"
             )
-        if self.portfolio < 0:
-            raise ValidationError(
-                f"portfolio must be >= 0 (0 disables racing), "
-                f"got {self.portfolio}"
-            )
-        if self.rungs < 1:
-            raise ValidationError(f"rungs must be >= 1, got {self.rungs}")
-        if self.arms or self.portfolio:
-            # Parse eagerly so a bad arm grammar fails at configuration
-            # time, not inside a pool worker mid-race.
-            from repro.parallel.portfolio import resolve_arms
-
-            resolve_arms(
-                self.portfolio, self.arms, self.seed, self.seed_derivation
-            )
 
     def annealing(self) -> AnnealingParameters:
         """The SA-stage subset of these parameters."""
@@ -165,7 +147,6 @@ class SynthesisParameters:
             min_temperature=self.min_temperature,
             cooling_rate=self.cooling_rate,
             iterations_per_temperature=self.iterations_per_temperature,
-            batch_size=self.sa_batch_size,
         )
 
 

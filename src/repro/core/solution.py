@@ -37,10 +37,6 @@ class SynthesisResult:
     #: Independent design-rule audit of this result, attached when the
     #: run's ``check`` mode is not ``"off"``.
     check_report: CheckReport | None = None
-    #: Portfolio-race audit trail (winning arm, per-arm kills, CPU and
-    #: efficiency — see :class:`repro.parallel.portfolio.PortfolioResult`),
-    #: attached when the run raced a portfolio; ``None`` otherwise.
-    portfolio: dict | None = None
 
     def summary(self) -> str:
         """Multi-line human-readable report of the run."""
@@ -63,12 +59,6 @@ class SynthesisResult:
         ]
         if m.total_postponement > 0:
             lines.append(f"postponements  : {m.total_postponement:.1f} s")
-        if self.portfolio is not None:
-            lines.append(
-                f"portfolio      : {self.portfolio['winner_spec']} won "
-                f"({len(self.portfolio['arms'])} arms, "
-                f"{self.portfolio['rungs']} rungs)"
-            )
         if self.check_report is not None:
             verdict = (
                 "clean"

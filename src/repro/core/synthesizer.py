@@ -7,9 +7,7 @@
 2. **Placement** — simulated annealing under the Eq. 3 / Eq. 4 energy,
    optionally as deterministic multi-start across a process pool
    (``SynthesisParameters.restarts`` / ``jobs``, see
-   :mod:`repro.parallel`) or as a successive-halving portfolio race of
-   heterogeneous anneal configurations (``portfolio`` / ``arms`` /
-   ``rungs``, see :mod:`repro.parallel.portfolio`);
+   :mod:`repro.parallel`);
 3. **Routing** — transportation-conflict-aware A* with cell weights and
    occupation time slots.
 
@@ -22,8 +20,6 @@ A* expansion counters, and the rest of the pipeline telemetry.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace as dataclass_replace
 
 from repro.assay.graph import SequencingGraph
 from repro.components.allocation import Allocation
@@ -46,10 +42,6 @@ def synthesize_problem(
 ) -> SynthesisResult:
     """Run the full proposed flow on a prepared problem."""
     params = problem.parameters
-    # Filled by place_stage when portfolio racing is on; attached to
-    # the result after the pipeline driver returns (the driver builds
-    # the frozen SynthesisResult itself).
-    race_summary: dict[str, dict] = {}
 
     def schedule_stage(problem: SynthesisProblem, instr: Instrumentation):
         schedule = schedule_assay(
@@ -65,26 +57,6 @@ def synthesize_problem(
         priorities = build_connection_priorities(
             schedule, beta=params.beta, gamma=params.gamma
         )
-        if params.portfolio or params.arms:
-            from repro.parallel.portfolio import race_portfolio, resolve_arms
-
-            raced = race_portfolio(
-                problem.resolved_grid(),
-                problem.footprints(),
-                priorities,
-                resolve_arms(
-                    params.portfolio,
-                    params.arms,
-                    params.seed,
-                    params.seed_derivation,
-                ),
-                parameters=params.annealing(),
-                rungs=params.rungs,
-                jobs=params.jobs,
-                instrumentation=instr,
-            )
-            race_summary["portfolio"] = raced.summary
-            return raced.result.placement
         annealed = anneal_multistart(
             problem.resolved_grid(),
             problem.footprints(),
@@ -108,7 +80,7 @@ def synthesize_problem(
             engine=params.route_engine,
         )
 
-    result = execute_flow(
+    return execute_flow(
         problem,
         "ours",
         schedule_stage,
@@ -116,9 +88,6 @@ def synthesize_problem(
         route_stage,
         instrumentation=instrumentation,
     )
-    if "portfolio" in race_summary:
-        result = dataclass_replace(result, portfolio=race_summary["portfolio"])
-    return result
 
 
 def synthesize(

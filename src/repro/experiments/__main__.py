@@ -4,8 +4,8 @@ Without a subcommand (or with the explicit ``run_all`` alias) this runs
 the full paper evaluation (Table I, Fig. 8, Fig. 9); add ``--jobs N``
 to fan the benchmarks out over a process pool and ``--check
 report|strict`` to audit every result with the independent design-rule
-checker (:mod:`repro.check`).  ``python -m repro.experiments bench``
-runs the portfolio-racing or service-tier benchmark instead (see
+checker (:mod:`repro.check`).  ``python -m repro.experiments bench --serve``
+runs the service-tier benchmark instead (see
 :mod:`repro.experiments.bench`).
 """
 

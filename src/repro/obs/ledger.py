@@ -3,9 +3,10 @@
 Every synthesis run can append a compact, append-only record to a
 ledger file (default ``.repro/ledger.jsonl``).  A record identifies
 *what* ran by a content digest — SHA-256 over the canonical JSON of the
-assay, the allocation, and every synthesis parameter except ``jobs``
-(parallelism is bit-identical by construction, so it must not split
-otherwise-identical runs into different digests) — plus *how it went*:
+assay, the allocation, and the synthesis parameters that can change an
+answer (see :mod:`repro.core.digest`; ``jobs``, for one, is excluded
+because parallelism is bit-identical by construction) — plus *how it
+went*:
 phase wall-clock times, final energies/metrics, checker status, and the
 histogram summaries (A* search latency percentiles etc.).
 
@@ -34,10 +35,6 @@ Record schema (version 1)::
       "histograms": {"astar.search_seconds": {"count": …, "p50": …, …}},
       "checkpoints": [{"worker": 0, "restart": 1, "t": …, "temperature": …,
                        "energy": …}, …],   # optional (live mode)
-      "portfolio": {"winner": "a001:batch", "winner_spec": "batch:k=16",
-                    "rungs_survived": 3, "total_cpu_seconds": …,
-                    "energy_per_cpu_second": …, "arms": […]},
-                                           # optional (portfolio runs)
       "source": "serve",                   # optional (server-side runs;
                                            # filter with 'stats --serve')
     }
@@ -131,9 +128,6 @@ def build_record(
         record["source"] = source
     if checkpoints:
         record["checkpoints"] = [dict(point) for point in checkpoints]
-    portfolio = getattr(result, "portfolio", None)
-    if portfolio is not None:
-        record["portfolio"] = dict(portfolio)
     return record
 
 
@@ -225,35 +219,22 @@ def _filter_records(
 
 
 def _aggregate(records: Sequence[dict[str, Any]]) -> list[str]:
-    """Per-digest summary table lines.
-
-    The ``arm`` and ``e/cpu-s`` columns surface portfolio runs: the
-    newest record's winning arm id and its placement-energy improvement
-    per CPU-second (``-`` for plain multi-start records).
-    """
+    """Per-digest summary table lines."""
     groups: dict[str, list[dict[str, Any]]] = {}
     for record in records:
         groups.setdefault(str(record.get("digest", "?")), []).append(record)
     lines = [
         f"{'digest':<12} {'benchmark':<12} {'runs':>4} "
-        f"{'cpu med':>9} {'cpu last':>9} {'energy/exec':>12} "
-        f"{'arm':<10} {'e/cpu-s':>9}"
+        f"{'cpu med':>9} {'cpu last':>9} {'energy/exec':>12}"
     ]
     for digest, group in sorted(groups.items(), key=lambda kv: kv[1][-1].get("ts", 0)):
         cpu_times = [float(r.get("cpu_time", 0.0)) for r in group]
         newest = group[-1]
         exec_time = newest.get("metrics", {}).get("execution_time_s")
-        portfolio = newest.get("portfolio") or {}
-        arm = str(portfolio.get("winner", "-"))
-        efficiency = portfolio.get("energy_per_cpu_second")
-        eff_text = f"{efficiency:.3g}" if isinstance(
-            efficiency, (int, float)
-        ) else "-"
         lines.append(
             f"{digest[:12]:<12} {str(newest.get('benchmark', '?'))[:12]:<12} "
             f"{len(group):>4} {_median(cpu_times):>9.3f} {cpu_times[-1]:>9.3f} "
-            f"{exec_time if exec_time is not None else '-':>12} "
-            f"{arm[:10]:<10} {eff_text:>9}"
+            f"{exec_time if exec_time is not None else '-':>12}"
         )
     return lines
 

@@ -73,8 +73,9 @@ class Heartbeat:
     kind: str
     t: float
     fields: Mapping[str, Any] = field(default_factory=dict)
-    #: Optional display name for the row (e.g. a portfolio arm id such
-    #: as ``a01:batch``); empty renders the plain ``w<worker>`` form.
+    #: Optional name of the work item (the service stamps its job id and
+    #: routes beats to that job's event log by it); empty renders the
+    #: plain ``w<worker>`` form.
     label: str = ""
 
 
@@ -218,17 +219,13 @@ class LiveProgressMonitor:
         self._lock = threading.Lock()
 
     # -- channel wiring -------------------------------------------------
-    def spec_for(self, worker: int, seed: int, label: str = "") -> HeartbeatSpec:
-        """The picklable relay recipe for pool worker *worker*.
-
-        *label* names the progress row (portfolio arms pass their arm
-        id); empty keeps the classic ``w<worker>`` prefix.
-        """
+    def spec_for(self, worker: int, seed: int) -> HeartbeatSpec:
+        """The picklable relay recipe for pool worker *worker*."""
         if self.queue is None:
             raise RuntimeError("monitor not started: no heartbeat queue yet")
         return HeartbeatSpec(
             queue=self.queue, worker=worker, seed=seed,
-            interval=self.interval, label=label,
+            interval=self.interval,
         )
 
     # -- lifecycle ------------------------------------------------------

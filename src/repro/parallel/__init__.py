@@ -17,17 +17,13 @@ without ever changing an answer:
   derived seeds and reduce to the best result under a total order
   (energy, then derived seed), so the winner is bit-identical for any
   ``jobs`` value.
-* :func:`~repro.parallel.portfolio.race_portfolio` — race a
-  heterogeneous set of anneal configurations (*arms*) under
-  successive halving: all arms advance to deterministic checkpoint
-  rungs over a :class:`~repro.parallel.pool.PoolSession`, the bottom
-  half is killed at each rung under the total
-  ``(energy, seed, arm_id)`` order, and the survivors run on — same
-  winner for any ``jobs`` value, at a fraction of the CPU a full
-  multi-start spends.
 
-All entry points merge the workers' instrumentation aggregates back
-into the caller's :class:`~repro.obs.Instrumentation` (see
+:class:`~repro.parallel.pool.PoolSession` keeps one worker pool alive
+across many submission waves; the synthesis service runs its jobs on
+one.
+
+Multi-start merges the workers' instrumentation aggregates back into
+the caller's :class:`~repro.obs.Instrumentation` (see
 :meth:`~repro.obs.Instrumentation.absorb`), so ``--profile`` reports
 stay complete under parallel runs.
 """
@@ -42,29 +38,15 @@ from repro.parallel.multistart import (
     splitmix64,
 )
 from repro.parallel.pool import PoolSession, resolve_jobs, run_tasks
-from repro.parallel.portfolio import (
-    PortfolioArm,
-    PortfolioResult,
-    default_arms,
-    parse_arms,
-    race_portfolio,
-    rung_budgets,
-)
 
 __all__ = [
     "SEED_DERIVATIONS",
     "PoolSession",
-    "PortfolioArm",
-    "PortfolioResult",
     "RestartOutcome",
     "anneal_multistart",
-    "default_arms",
     "derive_seed",
     "multistart_seeds",
-    "parse_arms",
-    "race_portfolio",
     "resolve_jobs",
-    "rung_budgets",
     "run_tasks",
     "select_best",
     "splitmix64",

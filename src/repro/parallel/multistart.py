@@ -9,14 +9,10 @@ makes that *deterministic*:
   ``restarts`` distinct seeds.  Restart 0 keeps the base seed itself
   (so the single-run trajectory is always among the candidates and
   best-of-N energy can never be worse than the single run); restart
-  ``k >= 1`` uses ``base_seed * 1000 + k`` under the default
-  ``derivation="legacy"``.  The legacy formula collides across nearby
-  base seeds (base 2, k=1 and base 2001, k=0 both map to 2001);
-  ``derivation="splitmix"`` mixes ``base + k * GOLDEN_GAMMA`` through
-  the SplitMix64 finaliser — a bijection of the 64-bit space per base,
-  with full avalanche across bases, so distinct ``(base, k)`` pairs
-  collide no more often than random 64-bit draws.  Legacy stays the
-  default purely for bit-parity with earlier releases.
+  ``k >= 1`` mixes ``base + k * GOLDEN_GAMMA`` through the SplitMix64
+  finaliser — a bijection of the 64-bit space per base, with full
+  avalanche across bases, so distinct ``(base, k)`` pairs collide no
+  more often than random 64-bit draws.
 * **Total-order reduction** — :func:`select_best` picks the winner by
   ``(energy, derived seed)``.  The order is total, so the reduction is
   independent of completion order and worker count: ``jobs=8`` returns
@@ -75,11 +71,9 @@ __all__ = [
     "splitmix64",
 ]
 
-#: Supported restart-seed derivation schemes.  ``legacy`` is the
-#: original ``base * 1000 + k`` formula (collision-prone across nearby
-#: bases, kept as the default for bit-parity); ``splitmix`` is the
-#: collision-free SplitMix64 mix.
-SEED_DERIVATIONS = ("legacy", "splitmix")
+#: Supported restart-seed derivation schemes: SplitMix64 only.  The
+#: name stays a validated parameter because callers pass it.
+SEED_DERIVATIONS = ("splitmix",)
 
 _MASK64 = (1 << 64) - 1
 #: 2**64 / golden ratio — SplitMix64's stream increment.
@@ -100,7 +94,7 @@ def splitmix64(value: int) -> int:
     return z ^ (z >> 31)
 
 
-def derive_seed(base_seed: int, k: int, derivation: str = "legacy") -> int:
+def derive_seed(base_seed: int, k: int, derivation: str = "splitmix") -> int:
     """The seed of restart *k* (restart 0 always keeps the base seed)."""
     if derivation not in SEED_DERIVATIONS:
         raise PlacementError(
@@ -108,16 +102,13 @@ def derive_seed(base_seed: int, k: int, derivation: str = "legacy") -> int:
             f"got {derivation!r}"
         )
     if k == 0:
-        # Both schemes keep the base seed for restart 0 — the single-run
-        # trajectory must stay among the candidates.
+        # The single-run trajectory must stay among the candidates.
         return base_seed
-    if derivation == "legacy":
-        return base_seed * 1000 + k
     return splitmix64((base_seed + k * _GOLDEN_GAMMA) & _MASK64)
 
 
 def multistart_seeds(
-    base_seed: int, restarts: int, derivation: str = "legacy"
+    base_seed: int, restarts: int, derivation: str = "splitmix"
 ) -> tuple[int, ...]:
     """The derived seed of every restart (restart 0 keeps the base seed)."""
     if restarts < 1:
@@ -222,12 +213,12 @@ def anneal_multistart(
     jobs: int = 1,
     engine: str = "incremental",
     instrumentation: Instrumentation | None = None,
-    seed_derivation: str = "legacy",
+    seed_derivation: str = "splitmix",
 ) -> AnnealingResult:
     """Best of *restarts* independent anneals, fanned out over *jobs*.
 
     Determinism contract: the returned result depends only on
-    ``(base_seed, restarts, seed_derivation)`` — never on ``jobs`` —
+    ``(base_seed, restarts)`` — never on ``jobs`` —
     and ``restarts=1, jobs=1`` is the unmodified single-anneal path.
     """
     if restarts == 1 and jobs == 1:

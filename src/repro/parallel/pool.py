@@ -25,14 +25,11 @@ builds on.  Its contract:
   guards and the CLI exit code keep working.
 
 :class:`PoolSession` is the wave-oriented sibling of :func:`run_tasks`:
-one long-lived worker pool that serves *multiple* submission waves.
-The portfolio racer (:mod:`repro.parallel.portfolio`) pauses arms at
-checkpoint rungs, and each rung is one wave — reusing the session means
-workers are forked once per race, not once per rung, and the picklable
-checkpoints are the only state that crosses the boundary (the
-*checkpoint transport protocol*: payloads carry resume checkpoints in,
-results carry advanced checkpoints out, both under the same
-:class:`ReproError`-as-data transport as :func:`run_tasks`).  A broken
+one long-lived worker pool that serves *multiple* submission waves, so
+workers are forked once, not once per wave.  The synthesis service's
+executor (:mod:`repro.serve.executor`) dispatches its jobs through one.
+Each wave uses the same :class:`ReproError`-as-data transport as
+:func:`run_tasks`.  A broken
 or timed-out session is poisoned: later waves fail fast with
 :class:`ParallelExecutionError` instead of dispatching onto a dead
 pool, so no wave can silently orphan its tasks.
@@ -159,10 +156,8 @@ class PoolSession:
     Each :meth:`run` call is one *wave*: all payloads are dispatched,
     all results gathered in submission order, and only then does the
     wave return — exactly the :func:`run_tasks` contract, but the
-    worker processes persist between waves.  That is the substrate the
-    successive-halving racer needs: a rung suspends every arm at its
-    checkpoint, the parent ranks and kills, and the next rung's resume
-    payloads go to the *same* workers without re-forking the pool.
+    worker processes persist between waves, so a long-running caller
+    such as the service executor forks its pool once.
 
     ``jobs=1`` runs every wave inline (no processes, native
     exceptions), mirroring :func:`run_tasks`'s reference semantics.

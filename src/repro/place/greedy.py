@@ -134,15 +134,6 @@ def greedy_placement(
     grid: ChipGrid,
     footprints: dict[str, tuple[int, int]],
     nets: list[tuple[str, str]],
-    max_passes: int = 10,
 ) -> Placement:
-    """Full BA placement: construction followed by correction.
-
-    *max_passes* bounds the correction sweeps (default matches the
-    baseline's full budget); callers that only need a warm start —
-    e.g. portfolio arms seeding SA, which corrects far better than
-    pairwise swaps — pass a small budget to keep construction cheap.
-    """
-    return correct_placement(
-        construct_placement(grid, footprints), nets, max_passes=max_passes
-    )
+    """Full BA placement: construction followed by correction."""
+    return correct_placement(construct_placement(grid, footprints), nets)

@@ -530,24 +530,17 @@ class PlacementWorkspace:
         )
 
     def move_sampler(
-        self,
-        rng: random.Random,
-        weights: tuple[float, float, float] | None = None,
-        attempts: int = 20,
+        self, rng: random.Random, attempts: int = 20
     ) -> Callable[[], PendingMove | None]:
         """A zero-argument sampler of random legal proposals.
 
         Incremental twin of :func:`~repro.place.moves.random_move`:
         each call samples up to *attempts* moves and returns the first
-        legal one (``None`` when all were illegal).  With *weights*
-        ``None`` it consumes *rng* draw for draw like that sampler —
-        ``rng.choice``, ``rng.randint`` and ``rng.sample(components,
-        2)`` are inlined as the bound ``rng._randbelow`` calls CPython
-        makes for them, including both of ``sample``'s branches (a
-        guard test pins the equivalence).  Non-``None`` weights draw
-        the move kind with ``rng.choices`` instead and deliberately
-        leave the bit-parity contract: a weighted arm is a *different*
-        deterministic walk.
+        legal one (``None`` when all were illegal).  It consumes *rng*
+        draw for draw like that sampler — ``rng.choice``, ``rng.randint``
+        and ``rng.sample(components, 2)`` are inlined as the bound
+        ``rng._randbelow`` calls CPython makes for them, including both
+        of ``sample``'s branches (a guard test pins the equivalence).
         """
         components = self._components
         n = len(components)
@@ -559,16 +552,11 @@ class PlacementWorkspace:
         swap = self._swap
         rotate = self._rotate
         randbelow = rng._randbelow
-        choices = rng.choices
         n_kinds = len(MOVE_KINDS)
-        kinds = range(n_kinds)
 
         def sample() -> PendingMove | None:
             for _ in range(attempts):
-                if weights is None:
-                    kind = randbelow(n_kinds)
-                else:
-                    kind = choices(kinds, weights=weights, k=1)[0]
+                kind = randbelow(n_kinds)
                 if kind == 0:  # translate
                     if not n:
                         continue

@@ -265,8 +265,6 @@ def _read_sse(response: Any) -> Iterator[dict[str, Any]]:
 # ----------------------------------------------------------------------
 def _build_submission(args: Any) -> dict[str, Any]:
     parameters: dict[str, Any] = {"seed": args.seed}
-    if args.engine is not None:
-        parameters["placement_engine"] = args.engine
     if args.restarts is not None:
         parameters["restarts"] = args.restarts
     if args.check is not None:
@@ -349,8 +347,6 @@ def _submit_parser():
     parser.add_argument("-f", "--filters", type=int, default=0)
     parser.add_argument("-d", "--detectors", type=int, default=0)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--engine", default=None,
-                        choices=["incremental", "batch"])
     parser.add_argument("--restarts", type=int, default=None)
     parser.add_argument("--check", default=None, choices=CHECK_MODES)
     parser.add_argument("--tc", type=float, default=None,

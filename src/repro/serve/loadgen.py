@@ -34,6 +34,7 @@ production deployment exercises, minus the network between machines.
 
 from __future__ import annotations
 
+import json
 import tempfile
 import threading
 import time
@@ -46,6 +47,7 @@ from repro.obs.histogram import Histogram
 __all__ = [
     "SPEEDUP_GATE",
     "run_serve_bench",
+    "write_bench_json",
 ]
 
 #: Required cold-median / hot-median ratio (cache hits must be at
@@ -66,6 +68,13 @@ INGEST_WORKERS = 2
 #: fast; full covers three assay shapes.
 QUICK_PLAN = (("PCR", 1), ("PCR", 2))
 FULL_PLAN = (("PCR", 1), ("PCR", 2), ("IVD", 1), ("CPA", 1))
+
+
+def write_bench_json(path: Path, payload: dict) -> None:
+    """Write the payload as stable, diff-friendly JSON."""
+    path.write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
 
 
 def _boot_server(state_dir: Path):
@@ -110,7 +119,6 @@ def run_serve_bench(
     """Run the serve tier; writes the artifact and returns an exit code."""
     import sys
 
-    from repro.perf.report import write_bench_json
     from repro.serve.client import ServeClient  # noqa: F401 (re-export)
 
     plan = QUICK_PLAN if quick else FULL_PLAN

@@ -42,6 +42,7 @@ from typing import Any, Mapping, get_type_hints
 
 from repro.core.digest import (
     DIGEST_EXCLUDED_PARAMETERS,
+    DIGEST_VERSION,
     canonical_json,
     problem_digest,
     problem_document,
@@ -239,7 +240,8 @@ def _digest_submission(document: Mapping[str, Any]) -> str:
 
     Equivalent to ``problem_digest(_build_problem(document))`` — the
     top-level keys of the digest document sort as ``allocation``,
-    ``assay``, ``grid``, ``parameters``, so splicing independently
+    ``assay``, ``digest_version``, ``grid``, ``parameters``, so
+    splicing independently
     canonicalised fragments reproduces
     :func:`~repro.core.digest.canonical_json` of the whole byte for
     byte (pinned by tests) — but for benchmark submissions the
@@ -258,8 +260,10 @@ def _digest_submission(document: Mapping[str, Any]) -> str:
         {name: getattr(parameters, name) for name in _digest_fields()}
     )
     return text_digest(
-        '{"allocation":%s,"assay":%s,"grid":%s,"parameters":%s}'
-        % (allocation_txt, assay_txt, grid_txt, parameters_txt)
+        '{"allocation":%s,"assay":%s,"digest_version":%d,"grid":%s,'
+        '"parameters":%s}'
+        % (allocation_txt, assay_txt, DIGEST_VERSION, grid_txt,
+           parameters_txt)
     )
 
 
@@ -372,7 +376,7 @@ def result_document(result: Any, digest: str) -> dict[str, Any]:
             "ok": result.check_report.ok,
             "errors": result.check_report.error_count,
         }
-    document: dict[str, Any] = {
+    return {
         "schema": RESULT_SCHEMA_VERSION,
         "digest": digest,
         "benchmark": problem.assay.name,
@@ -395,9 +399,3 @@ def result_document(result: Any, digest: str) -> dict[str, Any]:
         "check": check,
         "summary": result.summary(),
     }
-    if result.portfolio is not None:
-        document["portfolio"] = {
-            "winner": result.portfolio.get("winner"),
-            "winner_spec": result.portfolio.get("winner_spec"),
-        }
-    return document

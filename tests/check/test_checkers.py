@@ -1,5 +1,5 @@
 """Regression: every benchmark solution is checker-clean, for both flows,
-both placement engines, and every job count."""
+every placement engine, and every job count."""
 
 import pytest
 
@@ -8,6 +8,7 @@ from repro.check import check_result
 from repro.core.baseline import synthesize_problem_baseline
 from repro.core.problem import SynthesisParameters, SynthesisProblem
 from repro.core.synthesizer import synthesize_problem
+from repro.place.annealing import PLACEMENT_ENGINES
 
 FAST = dict(
     initial_temperature=50.0,
@@ -45,16 +46,14 @@ def test_benchmarks_are_checker_clean(name, flow):
 
 @pytest.mark.parametrize("name", ["PCR", "IVD"])
 def test_engines_and_jobs_agree_and_stay_clean(name):
-    """The incremental engine, the batch engine at K=1 (bit-identical by
-    contract), and every ``jobs`` fan-out yield the same solution, and
-    the checker confirms each one clean."""
+    """Every placement engine and every ``jobs`` fan-out yield the same
+    solution, and the checker confirms each one clean."""
     reports = []
     metrics = []
-    for engine in ("incremental", "batch"):
+    for engine in PLACEMENT_ENGINES:
         for jobs in (1, 2):
             result = _solve(
-                name, "ours", placement_engine=engine, sa_batch_size=1,
-                restarts=2, jobs=jobs,
+                name, "ours", placement_engine=engine, restarts=2, jobs=jobs,
             )
             report = check_result(result)
             assert report.ok, (engine, jobs, report.render())

@@ -76,8 +76,11 @@ class TestProblemDigest:
 
     def test_document_shape_is_pinned(self):
         document = problem_document(_problem())
-        assert set(document) == {"assay", "allocation", "parameters", "grid"}
-        assert "jobs" not in document["parameters"]
+        assert set(document) == {
+            "assay", "allocation", "digest_version", "parameters", "grid"
+        }
+        assert document["digest_version"] == 2
+        assert not DIGEST_EXCLUDED_PARAMETERS & set(document["parameters"])
         # The document must stay JSON-serialisable (the digest hashes
         # its canonical text).
         json.dumps(document)
@@ -114,8 +117,8 @@ class TestIdentityPins:
     @pytest.mark.parametrize(
         "name, expected",
         [
-            ("PCR", "a4d609fede25d202dc0b4401f448086c383fc7bf0ec1293d4a3c09c2ed4d4c23"),
-            ("CPA", "2f83ccbd61fff57342bb713e9909ac2cee77ebec426dc144e987b72dc6c83557"),
+            ("PCR", "beaee2218d90238e77bc52e0569a5124e056d3ddbbf9f70053e84073e80bcc60"),
+            ("CPA", "d93d070092e0e7afd4687ea1c2c0f5724f451afd343faf07c2debd0c60ffcaa2"),
         ],
     )
     def test_default_problem_digest(self, name, expected):

@@ -35,6 +35,30 @@ class TestSynthesisParameters:
         with pytest.raises(ValidationError):
             SynthesisParameters(initial_cell_weight=-5.0)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"cooling_rate": 1.0},
+            {"iterations_per_temperature": 0},
+            {"initial_temperature": float("inf")},
+            {"min_temperature": float("nan")},
+            {"grid_fill_ratio": 0},
+            {"grid_fill_ratio": -1},
+            {"grid_fill_ratio": 1.5},
+            {"cell_pitch_mm": 0},
+            {"cell_pitch_mm": float("inf")},
+            {"transport_time": float("nan")},
+            {"beta": float("inf")},
+            {"gamma": float("nan")},
+            {"initial_cell_weight": float("inf")},
+        ],
+    )
+    def test_out_of_range_values_rejected(self, overrides):
+        # Rejected at construction, so the service answers 400 instead
+        # of queueing a job that can only fail (or degenerate) later.
+        with pytest.raises(ValidationError):
+            SynthesisParameters(**overrides)
+
     def test_route_engine_default_and_validation(self):
         assert SynthesisParameters().route_engine == "flat"
         for removed in ("flat2", "reference", "quantum"):
@@ -55,29 +79,6 @@ class TestSynthesisParameters:
             SynthesisParameters(jobs=-1)
         # jobs=0 means "one worker per CPU" and is accepted.
         assert SynthesisParameters(jobs=0).jobs == 0
-
-    def test_portfolio_defaults_off_and_validated(self):
-        params = SynthesisParameters()
-        assert params.portfolio == 0
-        assert params.arms == ""
-        assert params.rungs == 3
-        assert params.seed_derivation == "legacy"
-        with pytest.raises(ValidationError, match="portfolio"):
-            SynthesisParameters(portfolio=-1)
-        with pytest.raises(ValidationError, match="rungs"):
-            SynthesisParameters(rungs=0)
-        with pytest.raises(ValidationError, match="derivation"):
-            SynthesisParameters(seed_derivation="golden")
-
-    def test_arm_grammar_validated_at_construction(self):
-        from repro.errors import PlacementError
-
-        # A bad spec must fail here, not inside a pool worker mid-race.
-        with pytest.raises(PlacementError, match="unknown engine"):
-            SynthesisParameters(arms="warp:k=4")
-        # A well-formed spec constructs fine and implies racing.
-        params = SynthesisParameters(arms="inc,inc:cool=0.8")
-        assert params.arms
 
 
 class TestSynthesisProblem:

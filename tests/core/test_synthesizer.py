@@ -43,27 +43,6 @@ class TestProposedFlow:
         assert result.problem is problem
 
 
-class TestPortfolioFlow:
-    def test_portfolio_result_carries_the_race_summary(
-        self, fast_params, pcr_case
-    ):
-        import dataclasses
-
-        params = dataclasses.replace(fast_params, portfolio=4, rungs=2)
-        result = synthesize(pcr_case.assay, pcr_case.allocation, params)
-        assert result.placement.is_legal()
-        portfolio = result.portfolio
-        assert portfolio is not None
-        assert portfolio["winner"].startswith("a")
-        assert len(portfolio["arms"]) == 4
-        assert "won (4 arms, 2 rungs)" in result.summary()
-
-    def test_plain_runs_carry_no_portfolio(self, fast_params, pcr_case):
-        result = synthesize(pcr_case.assay, pcr_case.allocation, fast_params)
-        assert result.portfolio is None
-        assert "portfolio" not in result.summary()
-
-
 class TestBaselineFlow:
     def test_ivd_end_to_end(self, fast_params):
         case = get_benchmark("IVD")

@@ -46,7 +46,7 @@ class TestProblemDigest:
     def test_any_parameter_change_splits_the_digest(self):
         base = problem_digest(_problem())
         assert problem_digest(_problem(seed=2)) != base
-        assert problem_digest(_problem(placement_engine="batch")) != base
+        assert problem_digest(_problem(beta=0.7)) != base
         assert problem_digest(_problem(restarts=4)) != base
 
     def test_jobs_is_excluded_from_the_digest(self):
@@ -208,46 +208,6 @@ class TestStatsCli:
             _ledger_record("b" * 64, 2.0, place=9.9),
         ])
         assert run_stats(["--ledger", str(path), "--baseline"]) == 0
-
-
-class TestPortfolioOutcome:
-    """Portfolio runs land their racing outcome in the ledger."""
-
-    @pytest.fixture(scope="class")
-    def portfolio_result(self):
-        return synthesize_problem(_problem(portfolio=4, rungs=2))
-
-    def test_record_carries_the_race_summary(self, portfolio_result):
-        record = build_record(portfolio_result, timestamp=1.0)
-        portfolio = record["portfolio"]
-        assert portfolio["winner"] == portfolio_result.portfolio["winner"]
-        assert portfolio["rungs_survived"] >= 1
-        assert portfolio["energy_per_cpu_second"] > 0
-        assert len(portfolio["arms"]) == 4
-        json.dumps(record)  # the ledger is JSONL — must serialise
-
-    def test_plain_runs_have_no_portfolio_key(self, pcr_result):
-        assert "portfolio" not in build_record(pcr_result, timestamp=1.0)
-
-    def test_stats_surfaces_arm_and_efficiency(
-        self, portfolio_result, tmp_path, capsys
-    ):
-        path = tmp_path / "ledger.jsonl"
-        record_run(portfolio_result, path=path)
-        assert run_stats(["--ledger", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "arm" in out and "e/cpu-s" in out
-        winner = portfolio_result.portfolio["winner"]
-        assert winner[:10] in out
-
-    def test_stats_dashes_for_multistart_records(
-        self, pcr_result, tmp_path, capsys
-    ):
-        path = tmp_path / "ledger.jsonl"
-        record_run(pcr_result, path=path)
-        assert run_stats(["--ledger", str(path)]) == 0
-        table_line = capsys.readouterr().out.splitlines()[-1]
-        assert table_line.rstrip().endswith("-")
 
 
 class TestEndToEnd:

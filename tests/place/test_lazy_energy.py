@@ -16,7 +16,6 @@ commit is caught.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -172,13 +171,3 @@ def test_pcr_anneal_runs_far_fewer_passes_than_commits(monkeypatch):
     result = anneal_placement(grid, footprints, priorities, seed=1)
     assert result.accepted_moves > 10_000
     assert 2 * len(passes) < result.accepted_moves
-
-
-def test_weighted_walk_keeps_the_contract(audited_reads):
-    grid, footprints, priorities = _instance("Synthetic2")
-    params = dataclasses.replace(FAST, move_weights=(1.0, 2.0, 3.0))
-    result = anneal_placement(
-        grid, footprints, priorities, params, seed=9, verify=True
-    )
-    assert result.energy == placement_energy(result.placement, priorities)
-    assert audited_reads["synced"] > 0

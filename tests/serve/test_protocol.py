@@ -167,7 +167,7 @@ class TestSubmitClientChoices:
                 return list(action.choices)
         raise AssertionError(f"no {option} option")
 
-    @pytest.mark.parametrize("option", ["--check", "--engine", "--algorithm"])
+    @pytest.mark.parametrize("option", ["--check", "--algorithm"])
     def test_every_choice_is_accepted(self, option):
         from repro.serve.client import _build_submission, _submit_parser
 

@@ -562,6 +562,37 @@ MALFORMED = [
          "parameters": {"iterations_per_temperature": None}},
         id="iterations-null",
     ),
+    # Well-typed but out of range: each was accepted, then failed in a
+    # worker (or, for beta, returned a degenerate layout).
+    pytest.param(
+        {"benchmark": "PCR", "parameters": {"cooling_rate": 1.0}},
+        id="cooling_rate-one",
+    ),
+    pytest.param(
+        {"benchmark": "PCR", "parameters": {"grid_fill_ratio": 0}},
+        id="grid_fill_ratio-zero",
+    ),
+    pytest.param(
+        {"benchmark": "PCR", "parameters": {"grid_fill_ratio": -1}},
+        id="grid_fill_ratio-negative",
+    ),
+    pytest.param(
+        {"benchmark": "PCR", "parameters": {"cell_pitch_mm": 0}},
+        id="cell_pitch_mm-zero",
+    ),
+    pytest.param(
+        {"benchmark": "PCR",
+         "parameters": {"iterations_per_temperature": 0}},
+        id="iterations-zero",
+    ),
+    pytest.param(
+        {"benchmark": "PCR", "parameters": {"transport_time": float("nan")}},
+        id="transport_time-nan",
+    ),
+    pytest.param(
+        {"benchmark": "PCR", "parameters": {"beta": float("inf")}},
+        id="beta-infinity",
+    ),
 ]
 
 

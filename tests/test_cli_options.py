@@ -56,64 +56,7 @@ class TestParallelFlags:
         assert "restarts" in capsys.readouterr().err
 
 
-class TestPortfolioFlags:
-    def test_portfolio_output_identical_across_jobs(self, capsys):
-        args = ["PCR", "--portfolio", "4", "--rungs", "2", "--no-ledger"]
-        assert run(args) == 0
-        serial = capsys.readouterr().out
-        assert run(args + ["--jobs", "2"]) == 0
-        pooled = capsys.readouterr().out
-        strip = lambda text: [
-            line for line in text.splitlines() if "cpu time" not in line
-        ]
-        assert strip(serial) == strip(pooled)
-        assert any("portfolio" in line for line in strip(serial))
-
-    def test_arms_spec_implies_portfolio(self, capsys):
-        assert run(
-            ["PCR", "--arms", "inc,inc:cool=0.8", "--rungs", "2",
-             "--no-ledger"]
-        ) == 0
-        assert "portfolio" in capsys.readouterr().out
-
-    def test_arm_count_mismatch_is_a_domain_error(self, capsys):
-        assert run(
-            ["PCR", "--portfolio", "3", "--arms", "inc,inc", "--no-ledger"]
-        ) == 3
-        assert "disagrees" in capsys.readouterr().err
-
-    def test_bad_arm_spec_is_a_domain_error(self, capsys):
-        assert run(["PCR", "--arms", "warp:k=4", "--no-ledger"]) == 3
-        assert "unknown engine" in capsys.readouterr().err
-
-    def test_seed_derivation_flag_reproduces(self, capsys):
-        args = ["PCR", "--restarts", "3", "--seed-derivation", "splitmix",
-                "--no-ledger"]
-        assert run(args) == 0
-        first = capsys.readouterr().out
-        assert run(args) == 0
-        second = capsys.readouterr().out
-        strip = lambda text: [
-            line for line in text.splitlines() if "cpu time" not in line
-        ]
-        assert strip(first) == strip(second)
-
-
 class TestEngineFlag:
-    def test_engines_reproduce_identical_results(self, capsys):
-        """The incremental engine and the batch engine at --batch-size 1
-        must print the same synthesis summary for a shared seed (the
-        K=1 bit-parity guarantee, end to end)."""
-        assert run(["PCR", "--seed", "3", "--engine", "batch",
-                    "--batch-size", "1"]) == 0
-        batch = capsys.readouterr().out
-        assert run(["PCR", "--seed", "3", "--engine", "incremental"]) == 0
-        incremental = capsys.readouterr().out
-        strip = lambda text: [
-            line for line in text.splitlines() if "cpu time" not in line
-        ]
-        assert strip(batch) == strip(incremental)
-
     def test_unknown_engine_rejected(self, capsys):
         import pytest
 
