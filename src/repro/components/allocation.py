@@ -23,6 +23,13 @@ _ORDER = (
     OperationType.DETECT,
 )
 
+_FIELDS = {
+    OperationType.MIX: "mixers",
+    OperationType.HEAT: "heaters",
+    OperationType.FILTER: "filters",
+    OperationType.DETECT: "detectors",
+}
+
 
 @dataclass(frozen=True)
 class Allocation:
@@ -49,12 +56,7 @@ class Allocation:
     # ------------------------------------------------------------------
     def count(self, op_type: OperationType) -> int:
         """Number of allocated components serving *op_type*."""
-        return {
-            OperationType.MIX: self.mixers,
-            OperationType.HEAT: self.heaters,
-            OperationType.FILTER: self.filters,
-            OperationType.DETECT: self.detectors,
-        }[op_type]
+        return getattr(self, _FIELDS[op_type])
 
     @property
     def total(self) -> int:

@@ -23,7 +23,18 @@ from repro.place.grid import DEFAULT_PITCH_MM, ChipGrid, auto_grid
 from repro.route.router import DEFAULT_ROUTE_ENGINE, ROUTE_ENGINES
 from repro.units import Millimetres, Seconds
 
-__all__ = ["SynthesisParameters", "SynthesisProblem"]
+__all__ = [
+    "MAX_GRID_CELLS",
+    "SynthesisParameters",
+    "SynthesisProblem",
+    "resolve_grid",
+]
+
+#: Largest grid the flow accepts, in cells (256 x 256).  Registered
+#: benchmarks auto-size to at most 22 x 22; routing time and memory
+#: grow with the cell count, so a near-zero ``grid_fill_ratio`` or a
+#: huge allocation fails fast instead of exhausting a worker.
+MAX_GRID_CELLS = 256 * 256
 
 
 @dataclass(frozen=True)
@@ -162,16 +173,12 @@ class SynthesisProblem:
 
     def __post_init__(self) -> None:
         check_assay(self.assay, self.allocation)
+        self.resolved_grid()
 
     def resolved_grid(self) -> ChipGrid:
         """The explicit grid, or one auto-sized for the allocation."""
-        if self.grid is not None:
-            return self.grid
-        return auto_grid(
-            self.allocation,
-            self.library,
-            pitch_mm=self.parameters.cell_pitch_mm,
-            fill_ratio=self.parameters.grid_fill_ratio,
+        return resolve_grid(
+            self.allocation, self.parameters, self.library, self.grid
         )
 
     def footprints(self) -> dict[str, tuple[int, int]]:
@@ -180,3 +187,30 @@ class SynthesisProblem:
             cid: self.library.footprint(op_type)
             for cid, op_type in self.allocation.iter_components()
         }
+
+
+def resolve_grid(
+    allocation: Allocation,
+    parameters: SynthesisParameters,
+    library: ComponentLibrary = DEFAULT_LIBRARY,
+    grid: ChipGrid | None = None,
+) -> ChipGrid:
+    """*grid*, or one auto-sized for *allocation* under *parameters*.
+
+    Raises :class:`ValidationError` when the grid has more than
+    :data:`MAX_GRID_CELLS` cells.
+    """
+    if grid is None:
+        grid = auto_grid(
+            allocation,
+            library,
+            pitch_mm=parameters.cell_pitch_mm,
+            fill_ratio=parameters.grid_fill_ratio,
+        )
+    if grid.cell_count > MAX_GRID_CELLS:
+        raise ValidationError(
+            f"grid {grid.width}x{grid.height} has {grid.cell_count} cells, "
+            f"over the {MAX_GRID_CELLS}-cell limit (raise grid_fill_ratio "
+            "or shrink the allocation)"
+        )
+    return grid

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
+from repro.assay.graph import OperationType
 from repro.components.allocation import Allocation
 from repro.components.library import ComponentLibrary
 from repro.errors import PlacementError
@@ -103,7 +104,8 @@ def auto_grid(
         raise PlacementError(f"fill ratio must be in (0, 1], got {fill_ratio}")
     total_area = sum(
         library.spec(op_type).area * allocation.count(op_type)
-        for op_type in set(t for _, t in allocation.iter_components())
+        for op_type in OperationType
+        if allocation.count(op_type)
     )
     side = math.ceil(math.sqrt(total_area / fill_ratio))
     side = max(side, library.max_dimension() + 2)

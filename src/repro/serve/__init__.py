@@ -22,9 +22,6 @@ service (ROADMAP item 1).  Layers, bottom up:
   ``Retry-After``), SSE progress streams, graceful shutdown.
 * :mod:`repro.serve.client` — a blocking client and the
   ``python -m repro submit`` command.
-* :mod:`repro.serve.loadgen` — the load generator behind
-  ``bench --serve`` (latency / throughput / cache-speedup / durable
-  batch-ingest artifact).
 
 One process is the whole deployment: with batch submissions
 group-committed (one journal fsync per ``POST /jobs/batch``), a single

@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import Any, Mapping, get_type_hints
 
+from repro.components.allocation import Allocation
 from repro.core.digest import (
     DIGEST_EXCLUDED_PARAMETERS,
     DIGEST_VERSION,
@@ -183,7 +184,6 @@ def _check_benchmark_name(name: str) -> None:
 def _build_problem(document: Mapping[str, Any]):
     from repro.assay.io import assay_from_dict
     from repro.benchmarks.registry import get_benchmark
-    from repro.components.allocation import Allocation
     from repro.core.problem import SynthesisParameters, SynthesisProblem
 
     if "benchmark" in document:
@@ -211,22 +211,24 @@ def _build_problem(document: Mapping[str, Any]):
     )
 
 
-#: Benchmark name -> ``(allocation, assay, grid)`` canonical-JSON
-#: fragments.  A registered benchmark's assay/allocation half of the
-#: digest document never varies between submissions, so it is rendered
-#: once and spliced into the canonical text thereafter; only immutable
-#: strings are cached, so no shared mutable state leaks between
-#: requests.  Populating an entry builds the full problem once, which
-#: also runs the assay-vs-allocation feasibility check that is likewise
-#: parameter-independent.
-_BENCHMARK_FRAGMENTS: dict[str, tuple[str, str, str]] = {}
+#: Benchmark name -> the frozen allocation plus the ``(allocation,
+#: assay, grid)`` canonical-JSON fragments.  A registered benchmark's
+#: assay/allocation half of the digest document never varies between
+#: submissions, so it is rendered once and spliced into the canonical
+#: text thereafter; only immutable values are cached, so no shared
+#: mutable state leaks between requests.  Populating an entry builds
+#: the full problem once, which also runs the assay-vs-allocation
+#: feasibility check that is likewise parameter-independent.
+_BENCHMARK_FRAGMENTS: dict[str, tuple[Allocation, str, str, str]] = {}
 
 
-def _benchmark_fragments(name: str) -> tuple[str, str, str]:
+def _benchmark_fragments(name: str) -> tuple[Allocation, str, str, str]:
     fragments = _BENCHMARK_FRAGMENTS.get(name)
     if fragments is None:
-        document = problem_document(_build_problem({"benchmark": name}))
+        problem = _build_problem({"benchmark": name})
+        document = problem_document(problem)
         fragments = (
+            problem.allocation,
             canonical_json(document["allocation"]),
             canonical_json(document["assay"]),
             canonical_json(document["grid"]),
@@ -246,16 +248,20 @@ def _digest_submission(document: Mapping[str, Any]) -> str:
     :func:`~repro.core.digest.canonical_json` of the whole byte for
     byte (pinned by tests) — but for benchmark submissions the
     assay-side fragments come from :data:`_BENCHMARK_FRAGMENTS` and
-    only the parameters are validated and rendered per call.
+    only the parameters (and the grid size they imply) are validated
+    and rendered per call.
     """
     if "benchmark" not in document:
         return problem_digest(_build_problem(document))
-    from repro.core.problem import SynthesisParameters
+    from repro.core.problem import SynthesisParameters, resolve_grid
 
     name = document["benchmark"]
     _check_benchmark_name(name)
-    allocation_txt, assay_txt, grid_txt = _benchmark_fragments(name)
+    allocation, allocation_txt, assay_txt, grid_txt = (
+        _benchmark_fragments(name)
+    )
     parameters = SynthesisParameters(**document.get("parameters", {}))
+    resolve_grid(allocation, parameters)
     parameters_txt = canonical_json(
         {name: getattr(parameters, name) for name in _digest_fields()}
     )

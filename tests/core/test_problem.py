@@ -112,3 +112,41 @@ class TestSynthesisProblem:
         assert set(footprints) == set(case.allocation.component_ids())
         assert footprints["Mixer1"] == (3, 2)
         assert footprints["Detector1"] == (1, 1)
+
+    def test_grid_over_the_cell_cap_rejected(self):
+        from repro.benchmarks.registry import benchmark_names
+        from repro.core.problem import MAX_GRID_CELLS
+
+        case = get_benchmark("PCR")
+        # A near-zero fill ratio once auto-sized PCR to 134165 x 134165.
+        with pytest.raises(ValidationError, match="cell limit"):
+            SynthesisProblem(
+                assay=case.assay,
+                allocation=case.allocation,
+                parameters=SynthesisParameters(grid_fill_ratio=1e-9),
+            )
+        with pytest.raises(ValidationError, match="cell limit"):
+            SynthesisProblem(
+                assay=case.assay, allocation=Allocation(mixers=10**6)
+            )
+        with pytest.raises(ValidationError, match="cell limit"):
+            SynthesisProblem(
+                assay=case.assay,
+                allocation=case.allocation,
+                grid=ChipGrid(257, 256),
+            )
+        at_cap = SynthesisProblem(
+            assay=case.assay,
+            allocation=case.allocation,
+            grid=ChipGrid(256, 256),
+        )
+        assert at_cap.resolved_grid().cell_count == MAX_GRID_CELLS
+        # Every registered benchmark, and a large hand-made allocation,
+        # stays well inside the cap.
+        for name in benchmark_names():
+            other = get_benchmark(name)
+            SynthesisProblem(assay=other.assay, allocation=other.allocation)
+        large = SynthesisProblem(
+            assay=case.assay, allocation=Allocation(100, 50, 50, 30)
+        )
+        assert large.resolved_grid().width == 58

@@ -11,11 +11,16 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
+import statistics
 import threading
+import time
 from http.client import HTTPConnection
 
 import pytest
 
+from repro.assay.io import assay_to_dict
+from repro.benchmarks.registry import get_benchmark
 from repro.serve.client import ServeClient
 from repro.serve.server import ServeConfig, SynthesisServer
 
@@ -151,6 +156,68 @@ class TestSubmitAndCache:
         assert records[0]["source"] == "serve"
         assert records[0]["benchmark"] == "PCR"
         assert "job_id" in records[0]
+
+
+    def test_cache_hit_is_100x_faster_than_cold(self, harness):
+        # Memoisation must keep paying for itself: the median cache hit
+        # through the full HTTP path is at least 100x faster than the
+        # median cold synthesis.
+        submissions = [
+            {"benchmark": "PCR", "parameters": {"seed": seed}}
+            for seed in (1, 2)
+        ]
+        cold = []
+        for submission in submissions:
+            started = time.perf_counter()
+            status, _, body = harness.raw(
+                "POST", "/jobs?wait=120", submission
+            )
+            cold.append(time.perf_counter() - started)
+            assert status == 200
+            reply = json.loads(body)
+            assert reply["status"] == "done" and reply["cached"] is False
+
+        hits = []
+        for i in range(25):
+            started = time.perf_counter()
+            status, _, reply = harness.client.submit(submissions[i % 2])
+            hits.append(time.perf_counter() - started)
+            assert status == 200 and reply["cached"] is True
+
+        assert statistics.median(cold) >= 100 * statistics.median(hits), (
+            cold, statistics.median(hits)
+        )
+
+    def test_concurrent_keep_alive_hits_are_all_cached(self, harness):
+        submissions = [
+            {"benchmark": "PCR", "parameters": {"seed": seed}}
+            for seed in (1, 2)
+        ]
+        for submission in submissions:
+            assert harness.client.submit(submission, wait=120)[0] == 200
+
+        url = f"http://127.0.0.1:{harness.server.bound_port}"
+        replies: list[tuple[int, object]] = []
+        lock = threading.Lock()
+
+        def hammer(worker: int) -> None:
+            with ServeClient(url) as client:
+                for i in range(25):
+                    status, _, body = client.submit(
+                        submissions[(worker + i) % 2]
+                    )
+                    with lock:
+                        replies.append((status, body.get("cached")))
+
+        threads = [
+            threading.Thread(target=hammer, args=(w,)) for w in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive(), "hit replay hung"
+        assert replies == [(200, True)] * 100
 
 
 class TestJobLifecycle:
@@ -593,6 +660,23 @@ MALFORMED = [
         {"benchmark": "PCR", "parameters": {"beta": float("inf")}},
         id="beta-infinity",
     ),
+
+]
+
+# In range but oversized: each was accepted, then synthesised a grid of
+# billions of cells until the worker ran out of memory.
+OVERSIZED = [
+    pytest.param(
+        {"benchmark": "PCR", "parameters": {"grid_fill_ratio": 1e-9}},
+        id="grid_fill_ratio-tiny",
+    ),
+    pytest.param(
+        {
+            "assay": assay_to_dict(get_benchmark("PCR").assay),
+            "allocation": {"mixers": 10**6},
+        },
+        id="allocation-huge",
+    ),
 ]
 
 
@@ -617,6 +701,34 @@ class TestMalformedParameters:
             assert [e["status"] for e in response["jobs"]] == ["invalid"]
             assert response["accepted"] == 0
         assert read_journal(journal) == before
+
+    @pytest.mark.parametrize("endpoint", ["/jobs", "/jobs/batch"])
+    @pytest.mark.parametrize("bad", OVERSIZED)
+    def test_oversized_grid_rejected_at_the_door(
+        self, tmp_path, bad, endpoint
+    ):
+        # Paused, so a submission that slipped through would sit queued
+        # (and fail the assertions) instead of being synthesised.
+        from repro.serve.jobs import read_journal
+
+        harness = _Harness(tmp_path, paused=True).start()
+        try:
+            journal = harness.config.state_dir / "journal.jsonl"
+            before = read_journal(journal)
+            if endpoint == "/jobs":
+                status, _, body = harness.raw("POST", endpoint, bad)
+                assert status == 400
+                assert "cell limit" in json.loads(body)["error"]
+            else:
+                response = harness.client.submit_batch([bad])
+                assert [e["status"] for e in response["jobs"]] == [
+                    "invalid"
+                ]
+                assert "cell limit" in response["jobs"][0]["error"]
+                assert response["accepted"] == 0
+            assert read_journal(journal) == before
+        finally:
+            harness.stop()
 
     def test_batch_keeps_the_good_item_and_rejects_the_bad(self, tmp_path):
         harness = _Harness(tmp_path, paused=True).start()
@@ -768,3 +880,90 @@ class TestGroupCommit:
             assert log.fsyncs == 4
         finally:
             harness.stop()
+
+    def test_pipelined_batches_all_accepted(self, tmp_path):
+        # 400 fresh submissions as 50-item batches, pipelined 3 deep
+        # over 2 keep-alive sockets: every batch is answered 200, in
+        # request order, and every item is accepted.
+        harness = _Harness(tmp_path, paused=True, queue_limit=1000).start()
+        try:
+            items = _seeds(10_000, 400)
+            batches = [items[i: i + 50] for i in range(0, 400, 50)]
+            per_socket = [batches[0::2], batches[1::2]]
+            answers: list[list[tuple[int, dict]]] = [[], []]
+            errors: list[Exception] = []
+
+            def drive(index: int) -> None:
+                try:
+                    answers[index] = _pipeline(
+                        harness.server.bound_port, per_socket[index], depth=3
+                    )
+                except Exception as error:  # surfaced below
+                    errors.append(error)
+
+            threads = [
+                threading.Thread(target=drive, args=(i,)) for i in (0, 1)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive(), "pipelined ingest hung"
+            assert not errors, errors
+
+            from repro.serve.protocol import parse_submission
+
+            accepted = rejected = 0
+            for sent, received in zip(per_socket, answers):
+                assert len(received) == len(sent)
+                for batch, (status, response) in zip(sent, received):
+                    assert status == 200
+                    # In request order: each response lists exactly the
+                    # digests of the batch sent in its position.
+                    assert [e["digest"] for e in response["jobs"]] == [
+                        parse_submission(item).digest for item in batch
+                    ]
+                    accepted += response["accepted"]
+                    rejected += response["rejected"]
+            assert accepted == 400
+            assert rejected == 0
+        finally:
+            harness.stop()
+
+
+def _pipeline(
+    port: int, batches: list[list[dict]], depth: int
+) -> list[tuple[int, dict]]:
+    """Send ``POST /jobs/batch`` requests on one raw keep-alive socket,
+    up to *depth* ahead of the responses; returns ``(status, body)``
+    per request, in arrival order."""
+
+    def request(batch: list[dict]) -> bytes:
+        body = json.dumps({"jobs": batch}).encode()
+        head = (
+            "POST /jobs/batch HTTP/1.1\r\nHost: test\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        )
+        return head.encode() + body
+
+    def response(stream) -> tuple[int, dict]:
+        status = int(stream.readline().split()[1])
+        length = 0
+        while (line := stream.readline()) not in (b"\r\n", b""):
+            name, _, value = line.partition(b":")
+            if name.strip().lower() == b"content-length":
+                length = int(value)
+        return status, json.loads(stream.read(length))
+
+    received: list[tuple[int, dict]] = []
+    with socket.create_connection(
+        ("127.0.0.1", port), timeout=120
+    ) as sock, sock.makefile("rb") as stream:
+        sent = 0
+        while len(received) < len(batches):
+            while sent < len(batches) and sent - len(received) < depth:
+                sock.sendall(request(batches[sent]))
+                sent += 1
+            received.append(response(stream))
+    return received
