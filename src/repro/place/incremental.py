@@ -240,10 +240,6 @@ class PlacementWorkspace:
         """An immutable :class:`Placement` of the current state."""
         return Placement(self.grid, self._blocks)
 
-    def full_energy(self) -> float:
-        """From-scratch Eq. 3 evaluation (the verification oracle)."""
-        return placement_energy(self.snapshot(), self.priorities)
-
     # ------------------------------------------------------------------
     # Occupancy index
     # ------------------------------------------------------------------

@@ -43,8 +43,6 @@ from bisect import bisect_left
 from time import perf_counter
 from typing import Iterable
 
-import numpy as _np
-
 from repro.assay.fluids import Fluid
 from repro.errors import RoutingError, ValidationError
 from repro.obs.instrument import Instrumentation
@@ -225,12 +223,8 @@ class FlatRoutingState:
         #: list.  The heuristic ignores occupation slots (it is a lower
         #: bound over geometry only), so entries stay valid across path
         #: commits; the obstacle mask is fixed at construction, so the
-        #: cache lives as long as the state.  If a subclass ever mutates
-        #: ``blocked`` it must call :meth:`invalidate_heuristics`.
+        #: cache lives as long as the state.
         self._dist_cache: dict[tuple[int, ...], list[int]] = {}
-        indices = _np.arange(n, dtype=_np.int64)
-        self._np_xs = indices % width
-        self._np_ys = indices // width
         self._log: list[
             tuple[tuple[Cell, ...], str, Fluid, tuple[TimeSlot, ...], Seconds]
         ] = []
@@ -238,10 +232,6 @@ class FlatRoutingState:
     # ------------------------------------------------------------------
     # Heuristic cache
     # ------------------------------------------------------------------
-    def invalidate_heuristics(self) -> None:
-        """Drop the memoized distance maps (after an obstacle change)."""
-        self._dist_cache.clear()
-
     def distance_map(
         self,
         target_indices: list[int],
@@ -347,21 +337,31 @@ def _distance_map(state: FlatRoutingState, target_indices: list[int]) -> list[in
     """Min Manhattan distance from every cell to the target set.
 
     The heuristic ignores obstacles (it is a lower bound), so this is a
-    pure geometric distance map: a vectorised min-reduction over the
-    targets.
+    pure geometric distance map: a multi-source breadth-first search
+    from the targets over the full neighbour table, ``blocked`` cells
+    included.  On an obstacle-free 4-connected grid a cell's BFS depth
+    is exactly its minimum Manhattan distance to the target set.
+    *target_indices* must be non-empty (:func:`find_path_flat` returns
+    before building a map for an empty target set).
     """
-    width = state.width
-    xs = state._np_xs
-    ys = state._np_ys
-    best = None
+    neighbours = state.neighbours
+    dist = [-1] * len(neighbours)
+    frontier: list[int] = []
     for index in target_indices:
-        d = abs(xs - (index % width)) + abs(ys - (index // width))
-        if best is None:
-            best = d
-        else:
-            _np.minimum(best, d, out=best)
-    assert best is not None
-    return best.tolist()
+        if dist[index] < 0:
+            dist[index] = 0
+            frontier.append(index)
+    depth = 0
+    while frontier:
+        depth += 1
+        reached: list[int] = []
+        for index in frontier:
+            for nb in neighbours[index]:
+                if dist[nb] < 0:
+                    dist[nb] = depth
+                    reached.append(nb)
+        frontier = reached
+    return dist
 
 
 def _flush_search_stats(

@@ -125,26 +125,3 @@ class TimeSlotSet:
         index = bisect.bisect_left(self._starts, slot.start)
         self._starts.insert(index, slot.start)
         self._slots.insert(index, slot)
-
-    def next_free_time(self, candidate: TimeSlot) -> Seconds:
-        """Earliest start ≥ ``candidate.start`` at which a slot of the
-        candidate's duration fits.
-
-        Used by the construction-by-correction router to compute
-        postponements: slide the candidate right past every conflicting
-        slot until it fits.
-        """
-        duration = candidate.duration
-        start = candidate.start
-        probe = TimeSlot(start, start + duration)
-        # One left-to-right sweep suffices: slots are sorted by start
-        # and pairwise disjoint, so once the probe has slid past a
-        # conflicting slot no earlier slot can reach it, and every
-        # later conflict is met in order.  (The equivalence with the
-        # restart-from-the-top formulation is pinned by a unit test on
-        # a crowded cell.)
-        for slot in self._slots:
-            if slot.overlaps(probe):
-                start = slot.end
-                probe = TimeSlot(start, start + duration)
-        return start

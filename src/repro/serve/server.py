@@ -117,9 +117,6 @@ class ServeConfig:
     state_dir: Path = field(default_factory=lambda: DEFAULT_STATE_DIR)
     #: Run-ledger path for executed jobs (``None`` disables).
     ledger: Path | None = None
-    #: Worker progress heartbeats (SSE); off saves the relay plumbing.
-    heartbeats: bool = True
-    heartbeat_interval: float = 0.25
     #: ``Retry-After`` fallback before any job has finished.
     retry_after: float = 2.0
     #: Journal line count that triggers snapshot + truncate
@@ -140,17 +137,17 @@ class JobEventLog:
         self.events: list[dict[str, Any]] = []
         self.terminal = False
         self._changed = asyncio.Event()
-        self._dropped = 0
 
-    def append(self, event: dict[str, Any]) -> None:
+    def append(self, event: dict[str, Any]) -> bool:
+        """Record *event*; ``False`` when the log is full and it was
+        dropped (``done``/``failed`` are always kept)."""
         if event.get("event") in ("done", "failed"):
             self.terminal = True
         elif len(self.events) >= MAX_JOB_EVENTS:
-            # Only progress events are droppable; count the loss.
-            self._dropped += 1
-            return
+            return False
         self.events.append(event)
         self._changed.set()
+        return True
 
     async def wait_terminal(self) -> None:
         while not self.terminal:
@@ -240,18 +237,17 @@ class SynthesisServer:
             max_workers=max(1, cfg.inflight),
             thread_name_prefix="repro-serve-job",
         )
-        if cfg.heartbeats:
-            if self.executor.pool_jobs == 1:
-                self._beats = queue_module.Queue()
-            else:
-                import multiprocessing
+        if self.executor.pool_jobs == 1:
+            self._beats = queue_module.Queue()
+        else:
+            import multiprocessing
 
-                self._beat_manager = multiprocessing.Manager()
-                self._beats = self._beat_manager.Queue()
-            self._pump = threading.Thread(
-                target=self._pump_beats, name="repro-serve-beats", daemon=True
-            )
-            self._pump.start()
+            self._beat_manager = multiprocessing.Manager()
+            self._beats = self._beat_manager.Queue()
+        self._pump = threading.Thread(
+            target=self._pump_beats, name="repro-serve-beats", daemon=True
+        )
+        self._pump.start()
         # Journal-replayed jobs re-enter the event machinery as queued.
         for job in self.queue.jobs():
             if job.status == "queued":
@@ -406,18 +402,12 @@ class SynthesisServer:
             {"event": "started", "attempt": job.attempts, "ts": time.time()}
         )
         self.instr.count("serve.jobs_started")
-        spec = None
-        if self._beats is not None:
-            seed = int(
-                (job.document.get("parameters") or {}).get("seed", 0)
-            )
-            spec = HeartbeatSpec(
-                queue=self._beats,
-                worker=0,
-                seed=seed,
-                interval=self.config.heartbeat_interval,
-                label=job.job_id,
-            )
+        spec = HeartbeatSpec(
+            queue=self._beats,
+            worker=0,
+            seed=int((job.document.get("parameters") or {}).get("seed", 0)),
+            label=job.job_id,
+        )
         started = time.perf_counter()
         try:
             outcome = await self._loop.run_in_executor(
@@ -505,7 +495,8 @@ class SynthesisServer:
         for key, value in beat.fields.items():
             if isinstance(value, (int, float, str, bool)):
                 event[key] = value
-        log.append(event)
+        if not log.append(event):
+            self.instr.count("serve.heartbeats_dropped")
 
     # ------------------------------------------------------------------
     # HTTP front
@@ -955,9 +946,6 @@ def run_serve(argv: list[str] | None = None) -> int:
                              ".repro/ledger.jsonl; see --no-ledger)")
     parser.add_argument("--no-ledger", action="store_true",
                         help="skip run-ledger records entirely")
-    parser.add_argument("--no-heartbeats", action="store_true",
-                        help="disable worker progress heartbeats (SSE "
-                             "streams then carry lifecycle events only)")
     parser.add_argument("--journal-limit", type=int, default=None,
                         metavar="LINES",
                         help="journal line count that triggers snapshot + "
@@ -981,7 +969,6 @@ def run_serve(argv: list[str] | None = None) -> int:
         retries=args.retries,
         state_dir=args.state_dir,
         ledger=ledger,
-        heartbeats=not args.no_heartbeats,
         journal_limit=args.journal_limit,
         cache_limit=args.cache_limit,
     )
@@ -1011,7 +998,3 @@ def run_serve(argv: list[str] | None = None) -> int:
         return 3
     print("repro-serve: drained and stopped", file=sys.stderr)
     return 0
-
-
-def serve_main(argv: list[str] | None = None) -> None:  # pragma: no cover
-    raise SystemExit(run_serve(argv))

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ValidationError
 from repro.route.timeslots import TimeSlot, TimeSlotSet
-from repro.units import EPSILON
 
 slots_strategy = st.builds(
     lambda start, duration: TimeSlot(start, start + duration),
@@ -44,21 +43,6 @@ def test_conflicts_with_matches_bruteforce(slots, probe):
             pass
     expected = any(slot.overlaps(probe) for slot in accepted)
     assert slot_set.conflicts_with(probe) == expected
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(slots_strategy, max_size=12), slots_strategy)
-def test_next_free_time_result_actually_fits(slots, probe):
-    slot_set = TimeSlotSet()
-    for slot in slots:
-        try:
-            slot_set.add(slot)
-        except ValidationError:
-            pass
-    start = slot_set.next_free_time(probe)
-    assert start >= probe.start - EPSILON
-    moved = TimeSlot(start, start + probe.duration)
-    assert not slot_set.conflicts_with(moved)
 
 
 @settings(max_examples=100, deadline=None)

@@ -237,3 +237,37 @@ class TestFlatRoutingState:
                 reference.slots(cell).slots()
             )
         assert replayed.usage_history() == reference.usage_history()
+
+
+# ----------------------------------------------------------------------
+# Distance-map heuristic vs brute-force Manhattan minimum
+# ----------------------------------------------------------------------
+
+
+class TestDistanceMap:
+    @staticmethod
+    def brute_force(width, height, targets):
+        return [
+            min(abs(i % width - tx) + abs(i // width - ty) for tx, ty in targets)
+            for i in range(width * height)
+        ]
+
+    @pytest.mark.parametrize(
+        "width,height", [(1, 1), (1, 7), (7, 1), (9, 9), (22, 22)]
+    )
+    @pytest.mark.parametrize("target_set", ["corner", "edge", "duplicates", "all"])
+    def test_matches_min_manhattan(self, width, height, target_set):
+        from repro.route.flat import _distance_map
+
+        if target_set == "corner":
+            targets = [(width - 1, height - 1)]
+        elif target_set == "edge":
+            targets = [(width // 2, 0)]
+        elif target_set == "duplicates":
+            targets = [(0, height // 2), (width - 1, 0), (0, height // 2)]
+        else:
+            targets = [(x, y) for y in range(height) for x in range(width)]
+        state = FlatRoutingState(Placement(ChipGrid(width, height), {}))
+        dist = _distance_map(state, [y * width + x for x, y in targets])
+        assert dist == self.brute_force(width, height, targets)
+        assert all(type(d) is int for d in dist)

@@ -68,68 +68,3 @@ class TestTimeSlotSet:
 
     def test_empty_set_never_conflicts(self):
         assert not TimeSlotSet().conflicts_with(TimeSlot(0, 100))
-
-    def test_next_free_time_empty(self):
-        assert TimeSlotSet().next_free_time(TimeSlot(3, 5)) == 3.0
-
-    def test_next_free_time_slides_past_conflicts(self):
-        slots = TimeSlotSet()
-        slots.add(TimeSlot(0, 4))
-        slots.add(TimeSlot(5, 9))
-        # A 2-second candidate starting at 1 cannot fit before 9 (the
-        # 4..5 gap is too small for [4, 6)... it overlaps [5, 9)).
-        assert slots.next_free_time(TimeSlot(1, 3)) == 9.0
-
-    def test_next_free_time_uses_gap(self):
-        slots = TimeSlotSet()
-        slots.add(TimeSlot(0, 4))
-        slots.add(TimeSlot(6, 9))
-        # A 2-second candidate fits exactly in the [4, 6) gap.
-        assert slots.next_free_time(TimeSlot(1, 3)) == 4.0
-
-    def test_next_free_time_after_everything(self):
-        slots = TimeSlotSet()
-        slots.add(TimeSlot(0, 4))
-        assert slots.next_free_time(TimeSlot(10, 12)) == 10.0
-
-    def test_next_free_time_single_sweep_matches_rescan_oracle(self):
-        """The single left-to-right sweep must equal the quadratic
-        restart-from-the-top formulation on a crowded cell.
-
-        The crowd mixes touching slots, small gaps (too small and
-        exactly fitting), and a zero-length probe, so every branch of
-        the sweep is hit.
-        """
-
-        def rescan_oracle(slot_set, candidate):
-            # The old formulation: restart the scan from the first slot
-            # after every slide until a full pass finds no conflict.
-            duration = candidate.duration
-            start = candidate.start
-            while True:
-                probe = TimeSlot(start, start + duration)
-                for slot in slot_set.slots():
-                    if slot.overlaps(probe):
-                        start = slot.end
-                        break
-                else:
-                    return start
-
-        crowded = TimeSlotSet()
-        for interval in [
-            (0, 3), (3, 5), (5.5, 6), (6.5, 9), (9, 12), (14, 15), (18, 20),
-        ]:
-            crowded.add(TimeSlot(*interval))
-        probes = [
-            TimeSlot(0, 2),        # slides through the packed prefix
-            TimeSlot(1, 1.5),      # fits the 5.5-gap? (too small: 0.5)
-            TimeSlot(4, 4.5),      # exactly fits [5.5, 6) leftovers
-            TimeSlot(0, 4),        # must reach the [12, 14) gap? too small
-            TimeSlot(0, 2.0 - 1e-12),  # epsilon-short duration
-            TimeSlot(7, 7),        # zero-length probe never conflicts
-            TimeSlot(25, 27),      # after everything
-        ]
-        for probe in probes:
-            assert crowded.next_free_time(probe) == rescan_oracle(
-                crowded, probe
-            ), probe

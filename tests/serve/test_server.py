@@ -967,3 +967,31 @@ def _pipeline(
                 sent += 1
             received.append(response(stream))
     return received
+
+
+class TestHeartbeats:
+    def test_full_event_log_counts_dropped_beats(self, tmp_path, monkeypatch):
+        import repro.serve.server as server_module
+
+        # One retained event: every progress beat of the job — at least
+        # the relay's final "done" beat — overflows the log.
+        monkeypatch.setattr(server_module, "MAX_JOB_EVENTS", 1)
+        harness = _Harness(tmp_path).start()
+        try:
+            assert harness.raw("POST", "/jobs?wait=120", PCR)[0] == 200
+            deadline = time.monotonic() + 30.0
+            dropped = 0
+            while dropped < 1 and time.monotonic() < deadline:
+                counters = harness.client.stats()["counters"]
+                dropped = counters.get("serve.heartbeats_dropped", 0)
+                time.sleep(0.05)
+            assert dropped >= 1
+        finally:
+            harness.stop()
+
+    def test_no_heartbeats_option_is_gone(self):
+        from repro.serve.server import run_serve
+
+        with pytest.raises(SystemExit) as excinfo:
+            run_serve(["--no-heartbeats"])
+        assert excinfo.value.code == 2
