@@ -42,10 +42,10 @@ def test_fig9_no_transportation_conflicts_for_ours(comparisons):
     transportation conflict' — the conflict-aware router's slot sets
     stay pairwise disjoint on every benchmark."""
     for name, comparison in comparisons.items():
-        grid = comparison.ours.routing.grid
-        assert grid is not None
-        for cell in grid.used_cells():
-            slots = grid.slots(cell).slots()
+        history = comparison.ours.routing.usage_history()
+        assert history
+        for cell, usages in history.items():
+            slots = [usage.slot for usage in usages]
             for i, first in enumerate(slots):
                 for second in slots[i + 1:]:
                     assert not first.overlaps(second), (

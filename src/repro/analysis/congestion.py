@@ -60,9 +60,8 @@ class CongestionReport:
 
 def analyse_congestion(routing: RoutingResult) -> CongestionReport:
     """Build the congestion report of a routed layout."""
-    assert routing.grid is not None
     entries = []
-    for cell, usages in routing.grid.usage_history().items():
+    for cell, usages in routing.usage_history().items():
         entries.append(
             CellCongestion(
                 cell=cell,

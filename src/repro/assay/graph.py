@@ -205,10 +205,6 @@ class SequencingGraph:
         """Operations with no children (the assay's results)."""
         return [o for o in self._topo_order if not self._children[o]]
 
-    def operation_types(self) -> set[OperationType]:
-        """The set of operation types appearing in the assay."""
-        return {op.op_type for op in self._ops.values()}
-
     def count_by_type(self) -> dict[OperationType, int]:
         """Number of operations of each type (types absent map to 0)."""
         counts = {op_type: 0 for op_type in OperationType}

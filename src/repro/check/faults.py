@@ -18,13 +18,14 @@ discarded, and if no surgical candidate exists a
 test, so checker *sensitivity* is never silently lost.
 
 Corruptions are applied to deep copies.  Frozen models are bypassed
-deliberately (``object.__setattr__``, constructing
-:class:`~repro.route.paths.RoutedPath` without its connectivity
-validation, rebuilding time-slot sets around their overlap guard):
-faults must be able to represent exactly the illegal states the
-constructors refuse, otherwise the checker could never be exercised on
-them.  After corrupting schedule or routing artefacts the reported
-metrics are *re-derived the way the pipeline derives them* ("laundered"),
+deliberately (``object.__setattr__``, copying a
+:class:`~repro.route.paths.RoutedPath` around its connectivity and
+occupation-count validation): faults must be able to represent exactly
+the illegal states the constructors refuse, otherwise the checker could
+never be exercised on them.  A routed path is the whole routing record
+(its cells and their occupations), so routing faults edit only paths.
+After corrupting schedule or routing artefacts the reported metrics are
+*re-derived the way the pipeline derives them* ("laundered"),
 so the metrics checker — which recomputes from the same artefacts —
 stays silent and the seeded rule alone identifies the defect.
 
@@ -49,9 +50,8 @@ from repro.core.solution import SynthesisResult
 from repro.errors import ReproError
 from repro.place.grid import Cell, ChipGrid
 from repro.place.placement import PlacedComponent
-from repro.route.grid_graph import CellUsage, RoutingGrid
 from repro.route.paths import RoutedPath
-from repro.route.timeslots import TimeSlot, TimeSlotSet
+from repro.route.timeslots import TimeSlot
 from repro.schedule.schedule import Schedule, ScheduledOperation
 
 __all__ = [
@@ -103,55 +103,12 @@ def _launder(result: SynthesisResult) -> SynthesisResult:
     return result
 
 
-def _raw_path(
-    task, cells, slot: TimeSlot, postponement: float
-) -> RoutedPath:
-    """A RoutedPath that skips the constructor's connectivity checks."""
-    path = object.__new__(RoutedPath)
-    object.__setattr__(path, "task", task)
-    object.__setattr__(path, "cells", tuple(cells))
-    object.__setattr__(path, "slot", slot)
-    object.__setattr__(path, "postponement", postponement)
-    return path
-
-
-def _set_cell_slots(
-    grid: RoutingGrid, cell: Cell, slots: list[TimeSlot]
-) -> None:
-    """Install a slot list verbatim, bypassing the overlap guard."""
-    if not slots:
-        grid._slots.pop(cell, None)
-        return
-    ordered = sorted(slots, key=lambda slot: (slot.start, slot.end))
-    slot_set = TimeSlotSet()
-    slot_set._starts = [slot.start for slot in ordered]
-    slot_set._slots = list(ordered)
-    grid._slots[cell] = slot_set
-
-
-def _scrub_cell(grid: RoutingGrid, cell: Cell, task_id: str) -> None:
-    """Remove one task's occupation bookkeeping from one cell."""
-    events = grid._usage.get(cell, [])
-    kept = [event for event in events if event.task_id != task_id]
-    removed = [event for event in events if event.task_id == task_id]
-    if kept:
-        grid._usage[cell] = kept
-    else:
-        grid._usage.pop(cell, None)
-    slot_set = grid._slots.get(cell)
-    if slot_set is not None:
-        slots = list(slot_set._slots)
-        for event in removed:
-            if event.slot in slots:
-                slots.remove(event.slot)
-        _set_cell_slots(grid, cell, slots)
-
-
-def _add_usage(grid: RoutingGrid, cell: Cell, event: CellUsage) -> None:
-    grid._usage.setdefault(cell, []).append(event)
-    existing = grid._slots.get(cell)
-    slots = list(existing._slots) if existing is not None else []
-    _set_cell_slots(grid, cell, slots + [event.slot])
+def _raw_path(path: RoutedPath, **fields) -> RoutedPath:
+    """A copy of *path* with *fields* replaced, skipping the
+    constructor's connectivity and occupation-count checks."""
+    raw = copy.copy(path)
+    _set(raw, **fields)
+    return raw
 
 
 def _records_by_component(schedule: Schedule) -> dict[str, list]:
@@ -554,11 +511,7 @@ def _press_blocks_together(
 def _lose_a_path(result: SynthesisResult) -> Iterator[SynthesisResult]:
     for index in range(len(result.routing.paths)):
         candidate = _fresh(result)
-        path = candidate.routing.paths.pop(index)
-        grid = candidate.routing.grid
-        if grid is not None:
-            for cell in set(path.cells):
-                _scrub_cell(grid, cell, path.task.task_id)
+        candidate.routing.paths.pop(index)
         yield _launder(candidate)
 
 
@@ -570,13 +523,13 @@ def _tear_a_path(result: SynthesisResult) -> Iterator[SynthesisResult]:
         for middle in range(1, len(path.cells) - 1):
             candidate = _fresh(result)
             cpath = candidate.routing.paths[index]
-            removed = cpath.cells[middle]
-            cells = cpath.cells[:middle] + cpath.cells[middle + 1:]
-            grid = candidate.routing.grid
-            if grid is not None:
-                _scrub_cell(grid, removed, cpath.task.task_id)
             candidate.routing.paths[index] = _raw_path(
-                cpath.task, cells, cpath.slot, cpath.postponement
+                cpath,
+                cells=cpath.cells[:middle] + cpath.cells[middle + 1:],
+                occupations=(
+                    cpath.occupations[:middle]
+                    + cpath.occupations[middle + 1:]
+                ),
             )
             yield _launder(candidate)
 
@@ -595,32 +548,11 @@ def _cut_through_a_block(
             detour = Cell(a.x + c.x - b.x, a.y + c.y - b.y)
             if detour not in occupied or detour in cells:
                 continue
+            # The detour cell takes over the corner's occupation.
             candidate = _fresh(result)
             cpath = candidate.routing.paths[index]
-            grid = candidate.routing.grid
-            if grid is None:
-                continue
-            events = [
-                event
-                for event in grid._usage.get(b, [])
-                if event.task_id == cpath.task.task_id
-            ]
-            if not events:
-                continue
-            slot = events[0].slot
-            _scrub_cell(grid, b, cpath.task.task_id)
-            _add_usage(
-                grid,
-                detour,
-                CellUsage(
-                    task_id=cpath.task.task_id,
-                    fluid=cpath.task.fluid,
-                    slot=slot,
-                ),
-            )
-            new_cells = cells[: i + 1] + (detour,) + cells[i + 2:]
             candidate.routing.paths[index] = _raw_path(
-                cpath.task, new_cells, cpath.slot, cpath.postponement
+                cpath, cells=cells[: i + 1] + (detour,) + cells[i + 2:]
             )
             yield _launder(candidate)
 
@@ -629,6 +561,7 @@ def _cut_through_a_block(
 def _detach_endpoints(result: SynthesisResult) -> Iterator[SynthesisResult]:
     placement = result.placement
     occupied = placement.occupied_cells()
+    used = _path_cells(result)
     for index, path in enumerate(result.routing.paths):
         task = path.task
         if task.src_component == task.dst_component:
@@ -637,14 +570,13 @@ def _detach_endpoints(result: SynthesisResult) -> Iterator[SynthesisResult]:
                 home = set(placement.block(task.src_component).cells())
             except Exception:
                 continue
-            grid = result.routing.grid
-            if grid is None or len(path.cells) != 1:
+            if len(path.cells) != 1:
                 continue
             relocations = 0
             for y in range(placement.grid.height):
                 for x in range(placement.grid.width):
                     cell = Cell(x, y)
-                    if cell in occupied or cell in grid._usage:
+                    if cell in occupied or cell in used:
                         continue
                     distance = min(
                         abs(cell.x - h.x) + abs(cell.y - h.y) for h in home
@@ -652,28 +584,9 @@ def _detach_endpoints(result: SynthesisResult) -> Iterator[SynthesisResult]:
                     if distance <= 2:
                         continue
                     candidate = _fresh(result)
-                    cgrid = candidate.routing.grid
                     cpath = candidate.routing.paths[index]
-                    old = cpath.cells[0]
-                    events = [
-                        event
-                        for event in cgrid._usage.get(old, [])
-                        if event.task_id == task.task_id
-                    ]
-                    if not events:
-                        break
-                    _scrub_cell(cgrid, old, task.task_id)
-                    _add_usage(
-                        cgrid,
-                        cell,
-                        CellUsage(
-                            task_id=task.task_id,
-                            fluid=task.fluid,
-                            slot=events[0].slot,
-                        ),
-                    )
                     candidate.routing.paths[index] = _raw_path(
-                        task, (cell,), cpath.slot, cpath.postponement
+                        cpath, cells=(cell,)
                     )
                     yield _launder(candidate)
                     relocations += 1
@@ -687,13 +600,11 @@ def _detach_endpoints(result: SynthesisResult) -> Iterator[SynthesisResult]:
             for chop_first in (True, False):
                 candidate = _fresh(result)
                 cpath = candidate.routing.paths[index]
-                removed = cpath.cells[0] if chop_first else cpath.cells[-1]
-                cells = cpath.cells[1:] if chop_first else cpath.cells[:-1]
-                grid = candidate.routing.grid
-                if grid is not None:
-                    _scrub_cell(grid, removed, task.task_id)
+                kept = slice(1, None) if chop_first else slice(None, -1)
                 candidate.routing.paths[index] = _raw_path(
-                    task, cells, cpath.slot, cpath.postponement
+                    cpath,
+                    cells=cpath.cells[kept],
+                    occupations=cpath.occupations[kept],
                 )
                 yield _launder(candidate)
 
@@ -702,21 +613,21 @@ def _detach_endpoints(result: SynthesisResult) -> Iterator[SynthesisResult]:
 def _overlap_occupations(
     result: SynthesisResult,
 ) -> Iterator[SynthesisResult]:
-    grid = result.routing.grid
-    if grid is None:
-        return
-    paths_by_task = {p.task.task_id: p for p in result.routing.paths}
-    for cell in sorted(grid._usage):
-        events = grid._usage[cell]
+    usage = result.routing.usage_history()
+    path_index = {
+        path.task.task_id: index
+        for index, path in enumerate(result.routing.paths)
+    }
+    for cell in sorted(usage):
+        events = usage[cell]
         if len(events) < 2:
             continue
         for i, anchor in enumerate(events):
             for j, victim in enumerate(events):
                 if i == j:
                     continue
-                path = paths_by_task.get(victim.task_id)
-                if path is None:
-                    continue
+                index = path_index[victim.task_id]
+                path = result.routing.paths[index]
                 window_start = path.task.depart + path.postponement
                 window_end = path.task.consume + path.postponement
                 lo = max(anchor.slot.start, window_start)
@@ -724,62 +635,26 @@ def _overlap_occupations(
                 if hi - lo <= 10 * _MARGIN:
                     continue  # no solid overlap fits the victim's window
                 candidate = _fresh(result)
-                cgrid = candidate.routing.grid
-                cevents = cgrid._usage[cell]
-                new_events = []
-                replaced = False
-                for event in cevents:
-                    if (
-                        not replaced
-                        and event.task_id == victim.task_id
-                        and event.slot == victim.slot
-                    ):
-                        new_events.append(
-                            CellUsage(
-                                task_id=event.task_id,
-                                fluid=event.fluid,
-                                slot=TimeSlot(lo, hi),
-                            )
-                        )
-                        replaced = True
-                    else:
-                        new_events.append(event)
-                cgrid._usage[cell] = new_events
-                _set_cell_slots(
-                    cgrid, cell, [event.slot for event in new_events]
+                cpath = candidate.routing.paths[index]
+                occupations = list(cpath.occupations)
+                occupations[cpath.cells.index(cell)] = TimeSlot(lo, hi)
+                candidate.routing.paths[index] = _raw_path(
+                    cpath, occupations=tuple(occupations)
                 )
                 yield _launder(candidate)
 
 
 @_solution_fault("RTE-COMMIT")
 def _forget_a_commit(result: SynthesisResult) -> Iterator[SynthesisResult]:
-    grid = result.routing.grid
-    if grid is None:
-        return
-    routed = {path.task.task_id for path in result.routing.paths}
-    for cell in sorted(grid._usage):
-        events = grid._usage[cell]
-        if len(events) < 2:
-            continue  # a sole event's removal would also change the
-            # channel footprint and fire MET-LENGTH
-        for victim in events:
-            if victim.task_id not in routed:
-                continue
-            candidate = _fresh(result)
-            cgrid = candidate.routing.grid
-            cevents = cgrid._usage[cell]
-            for position, event in enumerate(cevents):
-                if (
-                    event.task_id == victim.task_id
-                    and event.slot == victim.slot
-                ):
-                    kept = cevents[:position] + cevents[position + 1:]
-                    break
-            else:
-                continue
-            cgrid._usage[cell] = kept
-            _set_cell_slots(cgrid, cell, [event.slot for event in kept])
-            yield _launder(candidate)
+    # Dropping the *last* occupation keeps every other cell paired with
+    # its own slot, so no occupation moves onto another cell.
+    for index in range(len(result.routing.paths)):
+        candidate = _fresh(result)
+        cpath = candidate.routing.paths[index]
+        candidate.routing.paths[index] = _raw_path(
+            cpath, occupations=cpath.occupations[:-1]
+        )
+        yield _launder(candidate)
 
 
 # ----------------------------------------------------------------------

@@ -25,9 +25,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+from repro.assay.fluids import Fluid
 from repro.assay.graph import SequencingGraph
 from repro.check.report import Violation
 from repro.core.metrics import SynthesisMetrics
+from repro.place.grid import Cell
 from repro.route.router import RoutingResult
 from repro.schedule.schedule import Schedule
 from repro.units import EPSILON, Seconds
@@ -261,20 +263,23 @@ def _check_cache_time(
 # ----------------------------------------------------------------------
 # MET-WASH (Fig. 9 + Eq. 2 component bookkeeping)
 # ----------------------------------------------------------------------
-def _channel_wash_replay(routing: RoutingResult) -> Seconds | None:
-    if routing.grid is None:
-        return None  # RTE-COMMIT owns the missing grid state
+def _channel_wash_replay(routing: RoutingResult) -> Seconds:
+    """Fig. 9 charges, replayed from the paths' own occupations."""
+    usage: dict[Cell, list[tuple[Seconds, str, Fluid]]] = {}
+    for path in routing.paths:
+        for cell, slot in zip(path.cells, path.occupations):
+            usage.setdefault(cell, []).append(
+                (slot.start, path.task.task_id, path.task.fluid)
+            )
     total = 0.0
-    for _cell, events in routing.grid.usage_history().items():
-        if not events:
-            continue
-        ordered = sorted(events, key=lambda e: (e.slot.start, e.task_id))
+    for events in usage.values():
+        events.sort(key=lambda event: (event[0], event[1]))
         previous = None
-        for event in ordered:
-            if previous is not None and previous.fluid.name != event.fluid.name:
-                total += previous.fluid.wash_time
-            previous = event
-        total += ordered[-1].fluid.wash_time
+        for _start, _task_id, fluid in events:
+            if previous is not None and previous.name != fluid.name:
+                total += previous.wash_time
+            previous = fluid
+        total += events[-1][2].wash_time
     return total
 
 
@@ -315,9 +320,7 @@ def _check_wash_times(
     violations: list[Violation],
 ) -> None:
     channel = _channel_wash_replay(routing)
-    if channel is not None and (
-        abs(metrics.total_channel_wash_time - channel) > _TOLERANCE
-    ):
+    if abs(metrics.total_channel_wash_time - channel) > _TOLERANCE:
         violations.append(
             Violation.of(
                 "MET-WASH",

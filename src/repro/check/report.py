@@ -377,8 +377,8 @@ register_rule(
 )
 register_rule(
     "RTE-COMMIT", "routing",
-    "the routing grid's usage bookkeeping matches the routed paths and "
-    "every occupation lies within its task's transport+storage window",
+    "every routed path records one occupation per cell and every "
+    "occupation lies within its task's transport+storage window",
     "Sec. IV-B.2 / Alg. 2 lines 15-17",
 )
 

@@ -1,13 +1,15 @@
 """Independent design-rule checks of a finished routing.
 
 Audits a :class:`~repro.route.router.RoutingResult` against the schedule
-it realises and the placement it routes over.  Path geometry, occupation
-intervals, and the grid bookkeeping are all re-verified with local
-arithmetic: connectivity is not assumed from ``RoutedPath.__post_init__``
-(fault injection can bypass it), obstacle tests recompute block cells
-from the placement instead of trusting the grid's cached obstacle set,
-and the Eq. 5 interval test is reimplemented rather than imported from
-:mod:`repro.route.timeslots`.
+it realises and the placement it routes over.  Path geometry and the
+per-cell occupations the paths record are re-verified with local
+arithmetic: connectivity and the one-occupation-per-cell shape are not
+assumed from ``RoutedPath.__post_init__`` (fault injection can bypass
+it), obstacle tests recompute block cells from the placement instead of
+trusting the router's obstacle mask, the per-cell view is rebuilt here
+from ``path.cells``/``path.occupations`` rather than read from
+:meth:`RoutingResult.usage_history`, and the Eq. 5 interval test is
+reimplemented rather than imported from :mod:`repro.route.timeslots`.
 
 Emitted rules: ``RTE-COVERAGE``, ``RTE-CONNECTIVITY``, ``RTE-OBSTACLE``,
 ``RTE-ENDPOINTS``, ``RTE-CONFLICT``, ``RTE-COMMIT``.
@@ -25,7 +27,6 @@ from collections import Counter
 from repro.check.report import Violation
 from repro.place.grid import Cell
 from repro.place.placement import Placement
-from repro.route.paths import RoutedPath
 from repro.route.router import RoutingResult
 from repro.schedule.schedule import Schedule
 from repro.units import EPSILON
@@ -53,7 +54,7 @@ def check_routing(
     }
     _check_obstacles(placement, block_cells, routing, violations)
     _check_endpoints(block_cells, routing, violations)
-    _check_grid_state(routing, violations)
+    _check_occupations(routing, violations)
     return violations
 
 
@@ -248,7 +249,7 @@ def _check_endpoints(
 
 
 # ----------------------------------------------------------------------
-# RTE-CONFLICT / RTE-COMMIT (grid bookkeeping)
+# RTE-CONFLICT / RTE-COMMIT (per-cell occupations)
 # ----------------------------------------------------------------------
 def _slots_overlap(
     a: tuple[float, float], b: tuple[float, float]
@@ -260,113 +261,63 @@ def _slots_overlap(
     return a[0] < b[1] - EPSILON and b[0] < a[1] - EPSILON
 
 
-def _check_grid_state(
+def _check_occupations(
     routing: RoutingResult, violations: list[Violation]
 ) -> None:
-    grid = routing.grid
-    if grid is None:
-        violations.append(
-            Violation.of(
-                "RTE-COMMIT",
-                "routing result carries no grid state; occupations cannot "
-                "be audited",
-            )
-        )
-        return
-    paths_by_task: dict[str, RoutedPath] = {}
+    usage: dict[Cell, list[tuple[str, tuple[float, float]]]] = {}
     for path in routing.paths:
-        paths_by_task.setdefault(path.task.task_id, path)
-    usage = grid.usage_history()
+        for cell, slot in zip(path.cells, path.occupations):
+            usage.setdefault(cell, []).append(
+                (path.task.task_id, (slot.start, slot.end))
+            )
 
     # RTE-CONFLICT: pairwise-disjoint occupations per cell.
     for cell in sorted(usage):
         events = usage[cell]
-        for i, first in enumerate(events):
-            for second in events[i + 1:]:
-                a = (first.slot.start, first.slot.end)
-                b = (second.slot.start, second.slot.end)
+        for i, (first_id, a) in enumerate(events):
+            for second_id, b in events[i + 1:]:
                 if _slots_overlap(a, b):
                     violations.append(
                         Violation.of(
                             "RTE-CONFLICT",
                             f"cell ({cell.x},{cell.y}): tasks "
-                            f"{first.task_id} [{a[0]:g}, {a[1]:g}) and "
-                            f"{second.task_id} [{b[0]:g}, {b[1]:g}) occupy "
+                            f"{first_id} [{a[0]:g}, {a[1]:g}) and "
+                            f"{second_id} [{b[0]:g}, {b[1]:g}) occupy "
                             "it at the same time (Eq. 5)",
                             f"({cell.x},{cell.y})",
-                            first.task_id,
-                            second.task_id,
+                            first_id,
+                            second_id,
                         )
                     )
 
-    # RTE-COMMIT: usage events <-> paths, slot sets <-> events, and each
-    # occupation within its task's transport+storage window.
-    for cell in sorted(usage):
-        events = usage[cell]
-        recorded = sorted((slot.start, slot.end) for slot in grid.slots(cell))
-        from_events = sorted((e.slot.start, e.slot.end) for e in events)
-        if recorded != from_events:
+    # RTE-COMMIT: one occupation per path cell, each within its task's
+    # transport+storage window.
+    for path in routing.paths:
+        task_id = path.task.task_id
+        if len(path.occupations) != len(path.cells):
             violations.append(
                 Violation.of(
                     "RTE-COMMIT",
-                    f"cell ({cell.x},{cell.y}): the slot set and the usage "
-                    "history disagree",
-                    f"({cell.x},{cell.y})",
+                    f"task {task_id} records {len(path.occupations)} "
+                    f"occupations for its {len(path.cells)} path cells",
+                    task_id,
                 )
             )
-        for event in events:
-            path = paths_by_task.get(event.task_id)
-            if path is None:
-                violations.append(
-                    Violation.of(
-                        "RTE-COMMIT",
-                        f"cell ({cell.x},{cell.y}) records an occupation by "
-                        f"{event.task_id}, which has no routed path",
-                        f"({cell.x},{cell.y})",
-                        event.task_id,
-                    )
-                )
-                continue
-            if cell not in path.cells:
-                violations.append(
-                    Violation.of(
-                        "RTE-COMMIT",
-                        f"cell ({cell.x},{cell.y}) records an occupation by "
-                        f"{event.task_id}, whose path does not visit it",
-                        f"({cell.x},{cell.y})",
-                        event.task_id,
-                    )
-                )
-                continue
-            window_start = path.task.depart + path.postponement
-            window_end = path.task.consume + path.postponement
+        window_start = path.task.depart + path.postponement
+        window_end = path.task.consume + path.postponement
+        for cell, slot in zip(path.cells, path.occupations):
             if (
-                event.slot.start < window_start - EPSILON
-                or event.slot.end > window_end + EPSILON
+                slot.start < window_start - EPSILON
+                or slot.end > window_end + EPSILON
             ):
                 violations.append(
                     Violation.of(
                         "RTE-COMMIT",
                         f"cell ({cell.x},{cell.y}): occupation "
-                        f"[{event.slot.start:g}, {event.slot.end:g}) of "
-                        f"{event.task_id} leaves the task's window "
+                        f"[{slot.start:g}, {slot.end:g}) of {task_id} "
+                        f"leaves the task's window "
                         f"[{window_start:g}, {window_end:g}]",
                         f"({cell.x},{cell.y})",
-                        event.task_id,
-                    )
-                )
-    # Every path cell must carry an occupation for its task.
-    for path in routing.paths:
-        task_id = path.task.task_id
-        for cell in path.cells:
-            events = usage.get(cell, [])
-            if not any(event.task_id == task_id for event in events):
-                violations.append(
-                    Violation.of(
-                        "RTE-COMMIT",
-                        f"task {task_id} claims cell ({cell.x},{cell.y}) "
-                        "but the grid records no occupation for it there",
                         task_id,
-                        f"({cell.x},{cell.y})",
                     )
                 )

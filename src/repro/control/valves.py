@@ -103,8 +103,7 @@ class ControlModel:
 
 
 def _routed_adjacency(routing: RoutingResult) -> dict[Cell, list[Cell]]:
-    assert routing.grid is not None
-    used = routing.grid.used_cells()
+    used = routing.used_cells()
     adjacency: dict[Cell, list[Cell]] = {}
     for cell in used:
         adjacency[cell] = [n for n in cell.neighbours() if n in used]

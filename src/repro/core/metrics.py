@@ -72,10 +72,9 @@ def channel_wash_time(
     *instrumentation* receives a ``wash.events`` counter (one per wash
     charged) and a ``wash.total_time`` gauge.
     """
-    assert routing.grid is not None
     total = 0.0
     washes = 0
-    for _cell, events in routing.grid.usage_history().items():
+    for _cell, events in routing.usage_history().items():
         ordered = sorted(events, key=lambda e: (e.slot.start, e.task_id))
         for earlier, later in zip(ordered, ordered[1:]):
             if earlier.fluid.name != later.fluid.name:

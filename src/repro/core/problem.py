@@ -25,6 +25,7 @@ from repro.units import Millimetres, Seconds
 
 __all__ = [
     "MAX_GRID_CELLS",
+    "MAX_OPERATIONS",
     "SynthesisParameters",
     "SynthesisProblem",
     "resolve_grid",
@@ -35,6 +36,15 @@ __all__ = [
 #: grow with the cell count, so a near-zero ``grid_fill_ratio`` or a
 #: huge allocation fails fast instead of exhausting a worker.
 MAX_GRID_CELLS = 256 * 256
+
+#: Largest assay the flow accepts, in operations.  The largest
+#: registered benchmark (Scale200) has 200 and the scale studies run
+#: 400-operation assays (about 4 s per call on a 2-core host).
+#: Scheduling grows about n^2.3 and routing about n^2.9 with the
+#: operation count, so the limit leaves 2.5x headroom over the largest
+#: studied size while a far larger assay fails fast instead of holding
+#: a worker for minutes.
+MAX_OPERATIONS = 1000
 
 
 @dataclass(frozen=True)
@@ -172,6 +182,11 @@ class SynthesisProblem:
     grid: ChipGrid | None = None
 
     def __post_init__(self) -> None:
+        if len(self.assay) > MAX_OPERATIONS:
+            raise ValidationError(
+                f"assay {self.assay.name!r} has {len(self.assay)} "
+                f"operations, over the {MAX_OPERATIONS}-operation limit"
+            )
         check_assay(self.assay, self.allocation)
         self.resolved_grid()
 

@@ -1,20 +1,25 @@
-"""Routing stage (Algorithm 2, lines 9–18) and the baseline router."""
+"""Routing stage (Algorithm 2, lines 9–18) and the baseline router.
+
+:class:`RoutingResult` is the whole routing record: its paths carry
+their per-cell occupations, from which the channel footprint and the
+per-cell usage history are derived.
+"""
 
 from repro.route.baseline_router import route_tasks_baseline
-from repro.route.grid_graph import (
+from repro.route.flat import (
     DEFAULT_INITIAL_WEIGHT,
-    CellUsage,
-    RoutingGrid,
+    FlatOccupancy,
+    FlatRoutingState,
+    find_path_flat,
 )
-from repro.route.flat import FlatOccupancy, FlatRoutingState, find_path_flat
-from repro.route.paths import RoutedPath
+from repro.route.paths import CellUsage, RoutedPath
 from repro.route.router import (
     DEFAULT_ROUTE_ENGINE,
     ROUTE_ENGINES,
     RoutingResult,
     route_tasks,
 )
-from repro.route.timeslots import TimeSlot, TimeSlotSet
+from repro.route.timeslots import TimeSlot
 
 __all__ = [
     "CellUsage",
@@ -24,10 +29,8 @@ __all__ = [
     "FlatRoutingState",
     "ROUTE_ENGINES",
     "RoutedPath",
-    "RoutingGrid",
     "RoutingResult",
     "TimeSlot",
-    "TimeSlotSet",
     "find_path_flat",
     "route_tasks",
     "route_tasks_baseline",

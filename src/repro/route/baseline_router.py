@@ -32,7 +32,6 @@ from repro.route.router import (
     DEFAULT_ROUTE_ENGINE,
     RoutingResult,
     _cache_slot,
-    _finalise_grid,
     _transit_slot,
     check_route_engine,
     plan_path_slots,
@@ -87,7 +86,7 @@ def _route_baseline(
     correction detours occupation-aware but uniform-cost
     (``use_weights=False, use_slots=True``).
     """
-    result = RoutingResult(placement=placement, grid=None)
+    result = RoutingResult(placement=placement)
     ordered = sorted(tasks, key=lambda t: (t.depart, t.task_id))
     # Ports are pure geometry; compute them once per component instead
     # of once per task endpoint.
@@ -144,12 +143,13 @@ def _route_baseline(
             slots = plan_path_slots(
                 grid, cells, task, delay, avoid_for_cache=all_ports
             )
-        grid.commit_path(cells, task.task_id, task.fluid, slots, task.wash_time)
+        grid.commit_path(cells, task.task_id, slots, task.wash_time)
         result.paths.append(
             RoutedPath(
                 task=task,
                 cells=cells,
                 slot=_cache_slot(task, delay),
+                occupations=tuple(slots),
                 postponement=delay,
             )
         )
@@ -166,5 +166,4 @@ def _route_baseline(
                 cells=len(cells),
                 postponement=delay,
             )
-    _finalise_grid(result, grid)
     return result

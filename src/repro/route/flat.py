@@ -22,18 +22,18 @@ All state is flat and integer-indexed:
   ``list[float]`` — one indexed load per Eq. 5 term;
 * per-cell occupation slots live in :class:`FlatOccupancy`, an
   interval index of parallel sorted ``(starts, ends)`` float lists per
-  cell with the exact :class:`~repro.route.timeslots.TimeSlotSet`
+  cell with the exact :meth:`~repro.route.timeslots.TimeSlot.overlaps`
   semantics (untouched cells are a single ``is None`` test);
 * neighbours come from a table precomputed once per grid signature;
 * the A* heuristic is read from a distance map (min Manhattan distance
   to the target set), memoized per target set.
 
-Committed paths are replayed through
-:meth:`FlatRoutingState.to_routing_grid` into a
-:class:`~repro.route.grid_graph.RoutingGrid` for the metrics, checker,
-wash, and visualisation stages.  The test suite keeps the original
-Cell/dict A* as an oracle and pins path identity against it across
-every benchmark and both flows.
+The routing loops of :mod:`repro.route.router` keep each committed
+slot plan on its :class:`~repro.route.paths.RoutedPath`, so this state
+is search state only: nothing reads it after routing returns.  The
+test suite keeps the original Cell/dict A* over a dict-of-slot-sets
+grid as an oracle and pins path and occupation identity against it
+across every benchmark and both flows.
 """
 
 from __future__ import annotations
@@ -43,22 +43,24 @@ from bisect import bisect_left
 from time import perf_counter
 from typing import Iterable
 
-from repro.assay.fluids import Fluid
 from repro.errors import RoutingError, ValidationError
 from repro.obs.instrument import Instrumentation
 from repro.place.grid import Cell
 from repro.place.placement import Placement
-from repro.route.grid_graph import DEFAULT_INITIAL_WEIGHT, RoutingGrid
 from repro.route.timeslots import TimeSlot
 from repro.units import EPSILON, Seconds
 
 __all__ = [
+    "DEFAULT_INITIAL_WEIGHT",
     "FlatOccupancy",
     "FlatRoutingState",
     "find_path_flat",
     "static_tables",
 ]
 
+#: Paper default for the initial cell weight ``w_e`` (Algorithm 2,
+#: line 10).
+DEFAULT_INITIAL_WEIGHT: float = 10.0
 
 #: Per-grid-signature memo of the immutable search tables.  The tie and
 #: neighbour tables depend only on ``(width, height)``, yet PR 5 rebuilt
@@ -111,10 +113,10 @@ def static_tables(
 class FlatOccupancy:
     """Per-cell occupation intervals over flat cell indices.
 
-    Semantically identical to one :class:`~repro.route.timeslots.
-    TimeSlotSet` per cell — same half-open ``[start, end)`` intervals,
+    A set of pairwise-disjoint :class:`~repro.route.timeslots.TimeSlot`
+    intervals per cell — same half-open ``[start, end)`` intervals,
     same ``EPSILON`` slack at the joints, zero-length slots conflict
-    with nothing — but stored as two parallel sorted float lists per
+    with nothing — stored as two parallel sorted float lists per
     *touched* cell.  Untouched cells cost one ``is None`` check, which
     is the common case on the A* hot path.
     """
@@ -128,10 +130,11 @@ class FlatOccupancy:
     def conflicts(self, index: int, cs: float, ce: float) -> bool:
         """Whether ``[cs, ce)`` overlaps any stored interval of *index*.
 
-        Mirrors :meth:`TimeSlotSet.conflicts_with` exactly: a
-        zero-length candidate (or stored interval) overlaps nothing,
-        and the only candidates for overlap are the predecessor by
-        start plus successors starting before the candidate ends.
+        Agrees with :meth:`TimeSlot.overlaps` against every stored
+        interval: a zero-length candidate (or stored interval) overlaps
+        nothing, and the only candidates for overlap are the
+        predecessor by start plus successors starting before the
+        candidate ends.
         """
         if ce - cs <= EPSILON:
             return False
@@ -183,14 +186,10 @@ class FlatOccupancy:
 class FlatRoutingState:
     """Routing-time state of the router.
 
-    Exposes the same Cell-based query/commit surface as
-    :class:`~repro.route.grid_graph.RoutingGrid` — ``is_routable`` /
+    Exposes a Cell-based query/commit surface — ``is_routable`` /
     ``is_free`` / ``weight`` / ``commit_path`` — which the slot-planning
     and self-loop code of :mod:`repro.route.router` uses, while
-    :func:`find_path_flat` reads the flat arrays directly.  Committed
-    paths are logged; :meth:`to_routing_grid` replays the log into a
-    :class:`~repro.route.grid_graph.RoutingGrid` for metrics, checker
-    and visualisation.
+    :func:`find_path_flat` reads the flat arrays directly.
     """
 
     def __init__(
@@ -202,11 +201,8 @@ class FlatRoutingState:
             raise RoutingError(
                 f"initial weight must be >= 0, got {initial_weight}"
             )
-        self.placement = placement
-        self.grid = placement.grid
-        self.initial_weight = initial_weight
-        width = self.grid.width
-        height = self.grid.height
+        width = placement.grid.width
+        height = placement.grid.height
         self.width = width
         self.height = height
         n = width * height
@@ -225,9 +221,6 @@ class FlatRoutingState:
         #: commits; the obstacle mask is fixed at construction, so the
         #: cache lives as long as the state.
         self._dist_cache: dict[tuple[int, ...], list[int]] = {}
-        self._log: list[
-            tuple[tuple[Cell, ...], str, Fluid, tuple[TimeSlot, ...], Seconds]
-        ] = []
 
     # ------------------------------------------------------------------
     # Heuristic cache
@@ -263,7 +256,7 @@ class FlatRoutingState:
         return Cell(index % self.width, index // self.width)
 
     # ------------------------------------------------------------------
-    # RoutingGrid-compatible queries (the cold, Cell-based surface)
+    # Cell-based queries (the cold surface)
     # ------------------------------------------------------------------
     def is_routable(self, cell: Cell) -> bool:
         x, y = cell
@@ -290,12 +283,16 @@ class FlatRoutingState:
         self,
         cells: tuple[Cell, ...],
         task_id: str,
-        fluid: Fluid,
         slots: list[TimeSlot],
         wash_time: Seconds,
     ) -> None:
-        """Claim *cells* for a routed task (mirror of
-        :meth:`RoutingGrid.commit_path`)."""
+        """Claim *cells* for a routed task, one occupation slot per cell
+        (Algorithm 2, lines 15–17).
+
+        Every cell's weight becomes the residue's wash time (line 16).
+        Raises when any cell is not actually free: admissibility was
+        checked during planning, so a failure here is a router bug.
+        """
         if len(slots) != len(cells):
             raise RoutingError(
                 f"task {task_id}: {len(slots)} slots for {len(cells)} cells",
@@ -315,22 +312,6 @@ class FlatRoutingState:
             index = cell.y * width + cell.x
             occupancy.add(index, slot.start, slot.end)
             weights[index] = wash_time
-        self._log.append((cells, task_id, fluid, tuple(slots), wash_time))
-
-    def to_routing_grid(self) -> RoutingGrid:
-        """Replay the commit log into a :class:`RoutingGrid`.
-
-        Uses :meth:`RoutingGrid._replay_log`, which reproduces the
-        state repeated :meth:`RoutingGrid.commit_path` calls would have
-        built — weights, slot sets, and usage history in identical dict
-        insertion order, so every downstream consumer (metrics replay,
-        checker, fault harness, SVG/ASCII rendering) is engine-blind —
-        without paying per-slot validation for commits the live engine
-        already validated.
-        """
-        grid = RoutingGrid(self.placement, self.initial_weight)
-        grid._replay_log(self._log)
-        return grid
 
 
 def _distance_map(state: FlatRoutingState, target_indices: list[int]) -> list[int]:

@@ -15,7 +15,11 @@ plan** assigning each cell the occupation matching its role:
 
 Committed paths update cell weights to their residue's wash time,
 steering later tasks onto channels that are cheap to reuse (increasing
-path sharing, exactly as the paper argues).
+path sharing, exactly as the paper argues).  Each :class:`RoutedPath`
+keeps the slot plan it was committed with, so the returned
+:class:`RoutingResult` is the whole routing record: the per-cell usage
+history that metrics, checker and renderers read is derived from the
+paths, and the routing state is dropped when the loop returns.
 
 A defensive postponement fallback exists for saturated layouts: when no
 admissible plan exists, the task slides forward in 1-second steps until
@@ -32,9 +36,12 @@ from repro.errors import RoutingError
 from repro.obs.instrument import Instrumentation
 from repro.place.grid import Cell
 from repro.place.placement import Placement
-from repro.route.flat import FlatRoutingState, find_path_flat
-from repro.route.grid_graph import DEFAULT_INITIAL_WEIGHT, RoutingGrid
-from repro.route.paths import RoutedPath
+from repro.route.flat import (
+    DEFAULT_INITIAL_WEIGHT,
+    FlatRoutingState,
+    find_path_flat,
+)
+from repro.route.paths import CellUsage, RoutedPath
 from repro.route.timeslots import TimeSlot
 from repro.schedule.tasks import TransportTask
 from repro.units import Millimetres, Seconds
@@ -66,25 +73,12 @@ def check_route_engine(engine: str) -> None:
         )
 
 
-def _finalise_grid(result: RoutingResult, grid) -> None:
-    """Install the final grid on *result*, converting flat state.
-
-    The flat state is replayed into a :class:`RoutingGrid` so metrics,
-    checker and visualisation read one grid type; a loop already
-    running on a :class:`RoutingGrid` installs it as is.
-    """
-    result.grid = (
-        grid.to_routing_grid() if hasattr(grid, "to_routing_grid") else grid
-    )
-
-
 @dataclass
 class RoutingResult:
-    """All routed paths plus the final routing-grid state."""
+    """All routed paths, in commit order."""
 
     placement: Placement
     paths: list[RoutedPath] = field(default_factory=list)
-    grid: RoutingGrid | None = None
 
     def path_for(self, task_id: str) -> RoutedPath:
         for path in self.paths:
@@ -92,17 +86,36 @@ class RoutingResult:
                 return path
         raise RoutingError(f"no routed path for task {task_id!r}", task_id=task_id)
 
+    def used_cells(self) -> set[Cell]:
+        """Cells that carry at least one routed task (channel footprint)."""
+        return {cell for path in self.paths for cell in path.cells}
+
+    def usage_history(self) -> dict[Cell, list[CellUsage]]:
+        """Per-cell usage events, in commit order.
+
+        Cells appear in the order a commit first touched them and each
+        list in commit order, so every consumer sums and sorts over the
+        same sequence the routing loop produced.
+        """
+        history: dict[Cell, list[CellUsage]] = {}
+        for path in self.paths:
+            task_id = path.task.task_id
+            fluid = path.task.fluid
+            for cell, slot in zip(path.cells, path.occupations):
+                history.setdefault(cell, []).append(
+                    CellUsage(task_id, fluid, slot)
+                )
+        return history
+
     @property
     def total_length_cells(self) -> int:
         """Distinct channel cells used by any task — the physical channel
         network's footprint.  Shared segments count once, which is what
         makes path sharing profitable (Table I's channel-length metric)."""
-        assert self.grid is not None
-        return len(self.grid.used_cells())
+        return len(self.used_cells())
 
     def total_length_mm(self) -> Millimetres:
-        assert self.grid is not None
-        return self.grid.grid.length_mm(self.total_length_cells)
+        return self.placement.grid.length_mm(self.total_length_cells)
 
     def postponements(self) -> dict[tuple[str, str], Seconds]:
         """Per-edge extra delays (empty for a conflict-free routing)."""
@@ -130,7 +143,7 @@ def _cache_slot(task: TransportTask, delay: Seconds) -> TimeSlot:
 
 
 def plan_path_slots(
-    grid: RoutingGrid,
+    grid: FlatRoutingState,
     cells: tuple[Cell, ...],
     task: TransportTask,
     delay: Seconds,
@@ -185,7 +198,7 @@ def plan_path_slots(
 
 
 def _route_self_loop(
-    grid: RoutingGrid, ports: list[Cell], slot: TimeSlot
+    grid: FlatRoutingState, ports: list[Cell], slot: TimeSlot
 ) -> tuple[Cell, ...] | None:
     """Path for a task whose source and destination coincide (an evicted
     fluid cached beside, and returning to, its own component): occupy one
@@ -250,10 +263,11 @@ def _route(
 ) -> RoutingResult:
     """The routing loop over a ``(grid, finder)`` pair.
 
-    *grid* offers the :class:`RoutingGrid` query/commit surface and
-    *finder* searches it with the signature of :func:`find_path_flat`.
+    *grid* offers the ``is_routable`` / ``is_free`` / ``weight`` /
+    ``commit_path`` surface of :class:`FlatRoutingState` and *finder*
+    searches it with the signature of :func:`find_path_flat`.
     """
-    result = RoutingResult(placement=placement, grid=None)
+    result = RoutingResult(placement=placement)
     ordered = sorted(tasks, key=lambda t: (t.depart, t.task_id))
     # Ports are pure geometry; compute them once per component instead
     # of once per task endpoint.
@@ -298,12 +312,13 @@ def _route(
                 f"postponement budget",
                 task_id=task.task_id,
             )
-        grid.commit_path(cells, task.task_id, task.fluid, slots, task.wash_time)
+        grid.commit_path(cells, task.task_id, slots, task.wash_time)
         result.paths.append(
             RoutedPath(
                 task=task,
                 cells=cells,
                 slot=_cache_slot(task, delay),
+                occupations=tuple(slots),
                 postponement=delay,
             )
         )
@@ -325,5 +340,4 @@ def _route(
                 cells=len(cells),
                 postponement=delay,
             )
-    _finalise_grid(result, grid)
     return result

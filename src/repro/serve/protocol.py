@@ -49,6 +49,7 @@ from repro.core.digest import (
     problem_document,
     text_digest,
 )
+from repro.core.io import result_to_dict
 from repro.errors import ReproError
 
 __all__ = [
@@ -58,13 +59,15 @@ __all__ = [
     "SubmissionError",
     "parse_submission",
     "result_document",
+    "solution_digest",
 ]
 
 #: Synthesis flows a submission may select.
 ALGORITHMS = ("ours", "baseline")
 
-#: Version stamp of the result document.
-RESULT_SCHEMA_VERSION = 1
+#: Version stamp of the result document.  Version 2: ``solution_digest``
+#: hashes the whole solution document, not the metrics alone.
+RESULT_SCHEMA_VERSION = 2
 
 #: Parameters a submission may not set: pool width belongs to the
 #: server (and is digest-excluded anyway).
@@ -362,6 +365,16 @@ def parse_submission(data: Any) -> Submission:
     )
 
 
+def solution_digest(result: Any) -> str:
+    """Identity proof of a solution: the digest of its canonical
+    ``repro-solution`` document (:func:`repro.core.io.result_to_dict`:
+    binding and timing, placement, every routed path, metrics) without
+    ``metrics.cpu_time_s`` — cpu time is measurement, not solution."""
+    document = result_to_dict(result)
+    del document["metrics"]["cpu_time_s"]
+    return text_digest(canonical_json(document))
+
+
 def result_document(result: Any, digest: str) -> dict[str, Any]:
     """The canonical JSON value of one finished synthesis run.
 
@@ -394,13 +407,7 @@ def result_document(result: Any, digest: str) -> dict[str, Any]:
         },
         "grid": [grid.width, grid.height],
         "metrics": metrics,
-        # Identity proof of the solution: digest of the deterministic
-        # metrics (cpu time is measurement, not solution).
-        "solution_digest": text_digest(
-            canonical_json(
-                {k: v for k, v in metrics.items() if k != "cpu_time_s"}
-            )
-        ),
+        "solution_digest": solution_digest(result),
         "phase_times": {k: round(v, 6) for k, v in result.phase_times.items()},
         "check": check,
         "summary": result.summary(),

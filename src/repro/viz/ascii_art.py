@@ -57,8 +57,7 @@ def render_routing(routing: RoutingResult, legend: bool = True) -> str:
     placement = routing.placement
     grid = placement.grid
     canvas = [[_EMPTY] * grid.width for _ in range(grid.height)]
-    assert routing.grid is not None
-    for cell in routing.grid.used_cells():
+    for cell in routing.used_cells():
         canvas[cell.y][cell.x] = _CHANNEL
     glyphs = _component_glyphs(placement)
     for cid in placement.components():

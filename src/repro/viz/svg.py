@@ -104,8 +104,7 @@ def congestion_to_svg(routing: RoutingResult) -> str:
     grid = placement.grid
     parts = _header(grid.width, grid.height)
     parts.extend(_grid_lines(grid.width, grid.height))
-    assert routing.grid is not None
-    history = routing.grid.usage_history()
+    history = routing.usage_history()
     peak = max((len(usages) for usages in history.values()), default=1)
     for cell, usages in sorted(history.items()):
         intensity = len(usages) / peak
@@ -176,9 +175,8 @@ def layout_to_svg(routing: RoutingResult) -> str:
     grid = placement.grid
     parts = _header(grid.width, grid.height)
     parts.extend(_grid_lines(grid.width, grid.height))
-    assert routing.grid is not None
     inset = 4
-    for cell in sorted(routing.grid.used_cells()):
+    for cell in sorted(routing.used_cells()):
         parts.append(
             f'<rect x="{cell.x * _CELL_PX + inset}" '
             f'y="{cell.y * _CELL_PX + inset}" '

@@ -66,9 +66,8 @@ def plan_channel_washes(
     earliest start is when the previous occupation ends), and one final
     cleanup wash flushes the last residue of every used cell.
     """
-    assert routing.grid is not None
     events: list[WashEvent] = []
-    for cell, usages in sorted(routing.grid.usage_history().items()):
+    for cell, usages in sorted(routing.usage_history().items()):
         ordered = sorted(usages, key=lambda u: (u.slot.start, u.task_id))
         for earlier, later in zip(ordered, ordered[1:]):
             if earlier.fluid.name != later.fluid.name:

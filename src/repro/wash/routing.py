@@ -55,15 +55,16 @@ class WashAccessReport:
 
     def extra_network_cells(self, routing: RoutingResult) -> int:
         """Cells the wash network uses beyond the transport network."""
-        used = routing.grid.used_cells() if routing.grid else set()
+        used = routing.used_cells()
         wash_cells = {
             cell for access in self.accesses for cell in access.path
         }
         return len(wash_cells - used)
 
     def extra_network_mm(self, routing: RoutingResult) -> Millimetres:
-        assert routing.grid is not None
-        return routing.grid.grid.length_mm(self.extra_network_cells(routing))
+        return routing.placement.grid.length_mm(
+            self.extra_network_cells(routing)
+        )
 
 
 def _bfs_tree(
@@ -103,8 +104,7 @@ def plan_wash_access(
     the bottom-right one.  Raises :class:`ValueError` when no free
     boundary cell exists (a fully walled chip cannot be washed at all).
     """
-    assert routing.grid is not None
-    grid = routing.grid.grid
+    grid = routing.placement.grid
     obstacles = routing.placement.occupied_cells()
 
     def passable(cell: Cell) -> bool:
@@ -129,7 +129,7 @@ def plan_wash_access(
     from_outlet = _bfs_tree(outlet, passable, grid)
 
     report = WashAccessReport(inlet=inlet, outlet=outlet)
-    for cell in sorted(routing.grid.used_cells()):
+    for cell in sorted(routing.used_cells()):
         if cell not in from_inlet or cell not in from_outlet:
             report.unreachable.append(cell)
             continue

@@ -22,7 +22,7 @@ def routing():
 class TestCongestion:
     def test_one_entry_per_used_cell(self, routing):
         report = analyse_congestion(routing)
-        assert {entry.cell for entry in report.cells} == routing.grid.used_cells()
+        assert {entry.cell for entry in report.cells} == routing.used_cells()
 
     def test_sorted_hottest_first(self, routing):
         report = analyse_congestion(routing)
@@ -34,7 +34,7 @@ class TestCongestion:
         report = analyse_congestion(routing)
         expected = sum(
             usage.slot.duration
-            for usages in routing.grid.usage_history().values()
+            for usages in routing.usage_history().values()
             for usage in usages
         )
         assert report.total_occupied_seconds == pytest.approx(expected)

@@ -91,6 +91,31 @@ def test_fault_fires_exactly_its_rule(rule_id, name, flow):
     assert fired_error_rules(check_result(result)) == set()
 
 
+def test_occupation_outside_its_window_fires_commit():
+    """RTE-COMMIT's second clause: an occupation that outlasts its
+    task's transport+storage window."""
+    import copy
+
+    from repro.route.timeslots import TimeSlot
+
+    corrupted = copy.deepcopy(_substrate("PCR", "ours"))
+    path = corrupted.routing.paths[0]
+    late = path.task.consume + path.postponement + 5.0
+    last = path.occupations[-1]
+    object.__setattr__(
+        path,
+        "occupations",
+        path.occupations[:-1] + (TimeSlot(last.start, late),),
+    )
+    report = check_result(corrupted)
+    assert "RTE-COMMIT" in fired_error_rules(report)
+    assert any(
+        "leaves the task's window" in v.detail
+        for v in report.violations
+        if v.rule_id == "RTE-COMMIT"
+    )
+
+
 @pytest.mark.parametrize("rule_id", sorted(input_fault_rules()))
 def test_input_fault_fires_exactly_its_rule(rule_id):
     assay, allocation = build_input_fault(rule_id)

@@ -79,14 +79,11 @@ class TestBuildControlModel:
         from repro.place.grid import ChipGrid
         from repro.place.placement import PlacedComponent, Placement
         from repro.route.router import RoutingResult
-        from repro.route.grid_graph import RoutingGrid
 
         placement = Placement(
             ChipGrid(5, 5), {"A": PlacedComponent("A", 0, 0, 1, 1)}
         )
-        result = RoutingResult(
-            placement=placement, grid=RoutingGrid(placement)
-        )
+        result = RoutingResult(placement=placement)
         model = build_control_model(result)
         assert model.valve_count == 0
         assert model.control_pins_multiplexed() == 0

@@ -47,9 +47,8 @@ class TestFullPipeline:
 
     def test_routing_slot_sets_disjoint(self, both):
         for result in both:
-            grid = result.routing.grid
-            for cell in grid.used_cells():
-                slots = grid.slots(cell).slots()
+            for usages in result.routing.usage_history().values():
+                slots = [usage.slot for usage in usages]
                 for i, first in enumerate(slots):
                     for second in slots[i + 1:]:
                         assert not first.overlaps(second)

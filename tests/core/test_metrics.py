@@ -23,6 +23,41 @@ def synthesis_artifacts(name="IVD"):
     return schedule, routing
 
 
+def one_cell_routing(uses):
+    """A routing whose paths all occupy cell (3, 3): one
+    ``(task_id, fluid, start, end)`` tuple per path, in commit order."""
+    from repro.place.grid import Cell, ChipGrid
+    from repro.place.placement import PlacedComponent, Placement
+    from repro.route.paths import RoutedPath
+    from repro.route.router import RoutingResult
+    from repro.route.timeslots import TimeSlot
+    from repro.schedule.tasks import TransportTask
+
+    placement = Placement(
+        ChipGrid(6, 6), {"A": PlacedComponent("A", 0, 0, 1, 1)}
+    )
+    paths = []
+    for task_id, fluid, start, end in uses:
+        task = TransportTask(
+            task_id=task_id,
+            producer="a",
+            consumer="b",
+            fluid=fluid,
+            src_component="A",
+            dst_component="A",
+            depart=start,
+            arrive=start,
+            consume=end,
+        )
+        slot = TimeSlot(start, end)
+        paths.append(
+            RoutedPath(
+                task=task, cells=(Cell(3, 3),), slot=slot, occupations=(slot,)
+            )
+        )
+    return RoutingResult(placement=placement, paths=paths)
+
+
 class TestImprovement:
     def test_positive_when_ours_smaller(self):
         assert improvement(90.0, 100.0) == pytest.approx(10.0)
@@ -46,52 +81,29 @@ class TestChannelWashTime:
         # per-fluid wash time observed.
         min_wash = min(
             usage.fluid.wash_time
-            for usages in routing.grid.usage_history().values()
+            for usages in routing.usage_history().values()
             for usage in usages
         )
-        assert total >= len(routing.grid.used_cells()) * min_wash
+        assert total >= len(routing.used_cells()) * min_wash
 
     def test_same_fluid_reuse_washes_once(self):
         """Consecutive passes of one fluid over one cell charge a single
         wash (the sharing benefit)."""
         from repro.assay.fluids import Fluid
-        from repro.place.grid import Cell, ChipGrid
-        from repro.place.placement import PlacedComponent, Placement
-        from repro.route.grid_graph import RoutingGrid
-        from repro.route.router import RoutingResult
-        from repro.route.timeslots import TimeSlot
 
-        placement = Placement(
-            ChipGrid(6, 6), {"A": PlacedComponent("A", 0, 0, 1, 1)}
-        )
-        grid = RoutingGrid(placement)
         fluid = Fluid.with_wash_time("same", 3.0)
-        cell = Cell(3, 3)
-        grid.commit_path((cell,), "tk0", fluid, [TimeSlot(0, 1)], 3.0)
-        grid.commit_path((cell,), "tk1", fluid, [TimeSlot(2, 3)], 3.0)
-        result = RoutingResult(placement=placement, grid=grid)
+        result = one_cell_routing([("tk0", fluid, 0, 1), ("tk1", fluid, 2, 3)])
         assert channel_wash_time(result) == pytest.approx(3.0)
 
     def test_different_fluids_wash_between(self):
         from repro.assay.fluids import Fluid
-        from repro.place.grid import Cell, ChipGrid
-        from repro.place.placement import PlacedComponent, Placement
-        from repro.route.grid_graph import RoutingGrid
-        from repro.route.router import RoutingResult
-        from repro.route.timeslots import TimeSlot
 
-        placement = Placement(
-            ChipGrid(6, 6), {"A": PlacedComponent("A", 0, 0, 1, 1)}
+        result = one_cell_routing(
+            [
+                ("tk0", Fluid.with_wash_time("x", 3.0), 0, 1),
+                ("tk1", Fluid.with_wash_time("y", 1.0), 2, 3),
+            ]
         )
-        grid = RoutingGrid(placement)
-        cell = Cell(3, 3)
-        grid.commit_path(
-            (cell,), "tk0", Fluid.with_wash_time("x", 3.0), [TimeSlot(0, 1)], 3.0
-        )
-        grid.commit_path(
-            (cell,), "tk1", Fluid.with_wash_time("y", 1.0), [TimeSlot(2, 3)], 1.0
-        )
-        result = RoutingResult(placement=placement, grid=grid)
         # Wash x between uses (3.0) + final wash of y (1.0).
         assert channel_wash_time(result) == pytest.approx(4.0)
 

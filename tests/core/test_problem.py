@@ -2,11 +2,25 @@
 
 import pytest
 
+from repro.assay.graph import Operation, OperationType, SequencingGraph
 from repro.benchmarks.registry import get_benchmark
-from repro.core.problem import SynthesisParameters, SynthesisProblem
+from repro.core.problem import (
+    MAX_OPERATIONS,
+    SynthesisParameters,
+    SynthesisProblem,
+)
 from repro.components.allocation import Allocation
 from repro.errors import AllocationError, ValidationError
 from repro.place.grid import ChipGrid
+
+
+def chain_assay(count: int) -> SequencingGraph:
+    """A valid one-mixer assay: *count* mixes in a chain."""
+    return SequencingGraph(
+        f"chain{count}",
+        [Operation(f"o{i}", OperationType.MIX, 1.0) for i in range(count)],
+        [(f"o{i}", f"o{i + 1}") for i in range(count - 1)],
+    )
 
 
 class TestSynthesisParameters:
@@ -150,3 +164,22 @@ class TestSynthesisProblem:
             assay=case.assay, allocation=Allocation(100, 50, 50, 30)
         )
         assert large.resolved_grid().width == 58
+
+    def test_operation_count_over_the_limit_rejected(self):
+        from repro.benchmarks.registry import benchmark_names
+
+        with pytest.raises(ValidationError, match="1000-operation limit"):
+            SynthesisProblem(
+                assay=chain_assay(MAX_OPERATIONS + 1),
+                allocation=Allocation(mixers=1),
+            )
+        at_limit = SynthesisProblem(
+            assay=chain_assay(MAX_OPERATIONS), allocation=Allocation(mixers=1)
+        )
+        assert len(at_limit.assay) == MAX_OPERATIONS
+        # Every registered benchmark, Scale200 included, stays inside it.
+        largest = max(
+            len(get_benchmark(name).assay) for name in benchmark_names()
+        )
+        assert largest == 200
+        assert 400 < MAX_OPERATIONS

@@ -2,7 +2,7 @@
 
 The production router searches flat integer-indexed state
 (:func:`repro.route.flat.find_path_flat`).  This module keeps the
-original formulation over :class:`~repro.route.grid_graph.RoutingGrid`
+original formulation over :class:`~tests.oracles.routing_grid.RoutingGrid`
 — dict/set state keyed by :class:`~repro.place.grid.Cell`, the
 Manhattan heuristic recomputed per cell — so the parity suites can
 check the production search against an independent implementation.
@@ -27,11 +27,11 @@ from repro.obs.instrument import Instrumentation
 from repro.place.grid import Cell
 from repro.place.placement import Placement
 from repro.route.baseline_router import _route_baseline
-from repro.route.flat import _flush_search_stats
-from repro.route.grid_graph import DEFAULT_INITIAL_WEIGHT, RoutingGrid
+from repro.route.flat import DEFAULT_INITIAL_WEIGHT, _flush_search_stats
 from repro.route.router import RoutingResult, _route
 from repro.route.timeslots import TimeSlot
 from repro.schedule.tasks import TransportTask
+from tests.oracles.routing_grid import RoutingGrid
 
 __all__ = [
     "find_path",

@@ -5,7 +5,6 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.assay.fluids import Fluid
 from repro.place.grid import Cell, ChipGrid
 from repro.place.moves import random_move, random_placement
 from repro.place.placement import Placement
@@ -115,7 +114,7 @@ def test_astar_never_uses_occupied_cells(query, busy_cells):
             continue
         blocked.add(cell)
         grid.commit_path(
-            (cell,), f"busy{x}-{y}", Fluid("x"), [TimeSlot(0.0, 100.0)], 1.0
+            (cell,), f"busy{x}-{y}", [TimeSlot(0.0, 100.0)], 1.0
         )
     path = find_path_flat(grid, [source], [target], slot)
     if path is not None:

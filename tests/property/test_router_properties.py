@@ -82,8 +82,8 @@ def test_router_invariants_on_random_workloads(tasks, seed):
         assert path.slot.start >= task.depart - 1e-9
 
     # Per-cell occupation slots pairwise disjoint.
-    for cell in result.grid.used_cells():
-        slots = result.grid.slots(cell).slots()
+    for usages in result.usage_history().values():
+        slots = [u.slot for u in usages]
         for i, first in enumerate(slots):
             for second in slots[i + 1:]:
                 assert not first.overlaps(second)

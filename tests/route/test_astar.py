@@ -4,11 +4,10 @@ The production router's search, ``find_path_flat``, is pinned to this
 oracle path for path in ``test_flat.py`` and ``test_flat_parity.py``.
 """
 
-from repro.assay.fluids import Fluid
 from repro.place.grid import Cell, ChipGrid
 from repro.place.placement import PlacedComponent, Placement
 from tests.oracles.astar import find_path
-from repro.route.grid_graph import RoutingGrid
+from tests.oracles.routing_grid import RoutingGrid
 from repro.route.timeslots import TimeSlot
 
 
@@ -68,7 +67,7 @@ class TestFindPath:
         grid = open_grid(5, 3)
         # Occupy the direct corridor at y=1 during the slot.
         grid.commit_path(
-            (Cell(2, 1),), "busy", Fluid("x"), [TimeSlot(0.0, 10.0)], 1.0
+            (Cell(2, 1),), "busy", [TimeSlot(0.0, 10.0)], 1.0
         )
         path = find_path(grid, [Cell(1, 1)], [Cell(3, 1)], SLOT)
         assert path is not None
@@ -77,7 +76,7 @@ class TestFindPath:
     def test_conflict_free_after_slot(self):
         grid = open_grid(5, 3)
         grid.commit_path(
-            (Cell(2, 1),), "busy", Fluid("x"), [TimeSlot(0.0, 10.0)], 1.0
+            (Cell(2, 1),), "busy", [TimeSlot(0.0, 10.0)], 1.0
         )
         late = TimeSlot(10.0, 12.0)
         path = find_path(grid, [Cell(1, 1)], [Cell(3, 1)], late)
@@ -89,7 +88,7 @@ class TestFindPath:
         # Make the y=1 corridor cheap (already-washed channel).
         for x in range(1, 6):
             grid.commit_path(
-                (Cell(x, 1),), f"old{x}", Fluid("x"),
+                (Cell(x, 1),), f"old{x}",
                 [TimeSlot(-5.0, -4.0)], 0.2,
             )
         # Heavier fresh-cell weight pushes the path onto the used row.
@@ -101,7 +100,7 @@ class TestFindPath:
         weighted = RoutingGrid(placement, initial_weight=10.0)
         for x in range(1, 6):
             weighted.commit_path(
-                (Cell(x, 1),), f"old{x}", Fluid("x"),
+                (Cell(x, 1),), f"old{x}",
                 [TimeSlot(-5.0, -4.0)], 0.2,
             )
         steered = find_path(weighted, [Cell(1, 3)], [Cell(5, 3)], SLOT)
@@ -113,7 +112,7 @@ class TestFindPath:
         target = Cell(4, 1)
         # The target cell is busy for a long time.
         grid.commit_path(
-            (target,), "busy", Fluid("x"), [TimeSlot(0.0, 100.0)], 1.0
+            (target,), "busy", [TimeSlot(0.0, 100.0)], 1.0
         )
         # With goal_slot == transit slot the search would end there; a
         # long goal slot must reject it.

@@ -47,8 +47,8 @@ class TestBaselineRouter:
         result = route_tasks_baseline(placement(), tasks)
         # All tasks realised, slot sets conflict-free.
         assert len(result.paths) == 3
-        for cell in result.grid.used_cells():
-            slots = result.grid.slots(cell).slots()
+        for usages in result.usage_history().values():
+            slots = [u.slot for u in usages]
             for i, first in enumerate(slots):
                 for second in slots[i + 1:]:
                     assert not first.overlaps(second)

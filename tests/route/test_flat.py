@@ -2,8 +2,8 @@
 
 Two layers:
 
-* :class:`FlatOccupancy` must agree with one
-  :class:`~repro.route.timeslots.TimeSlotSet` per cell on every
+* :class:`FlatOccupancy` must agree with one oracle
+  :class:`~tests.oracles.routing_grid.TimeSlotSet` per cell on every
   ``conflicts_with`` / ``add`` outcome — pinned by a hypothesis
   property over random interval sequences, including zero-duration and
   epsilon-adjacent slots (the joints where the half-open + EPSILON
@@ -22,11 +22,11 @@ from hypothesis import strategies as st
 from repro.errors import RoutingError, ValidationError
 from repro.place.grid import Cell, ChipGrid
 from repro.place.placement import PlacedComponent, Placement
-from tests.oracles.astar import find_path
 from repro.route.flat import FlatOccupancy, FlatRoutingState, find_path_flat
-from repro.route.grid_graph import RoutingGrid
-from repro.route.timeslots import TimeSlot, TimeSlotSet
+from repro.route.timeslots import TimeSlot
 from repro.units import EPSILON
+from tests.oracles.astar import find_path
+from tests.oracles.routing_grid import RoutingGrid, TimeSlotSet
 
 # ----------------------------------------------------------------------
 # FlatOccupancy vs TimeSlotSet
@@ -221,22 +221,17 @@ class TestFlatRoutingState:
                 assert flat.is_routable(cell) == reference.is_routable(cell)
                 assert flat.is_free(cell, SLOT) == reference.is_free(cell, SLOT)
 
-    def test_commit_replay_reproduces_reference_grid(self):
-        from repro.assay.fluids import Fluid
-
+    def test_commit_matches_reference_grid(self):
         reference, flat = make_pair()
         cells = (Cell(1, 1), Cell(2, 1), Cell(3, 1))
         slots = [TimeSlot(0.0, 3.0), TimeSlot(1.0, 4.0), TimeSlot(2.0, 5.0)]
-        fluid = Fluid("sample", 1e-6)
         for state in (reference, flat):
-            state.commit_path(cells, "t1", fluid, list(slots), 2.5)
-        replayed = flat.to_routing_grid()
+            state.commit_path(cells, "t1", list(slots), 2.5)
         for cell in cells:
-            assert replayed.weight(cell) == reference.weight(cell)
-            assert replayed.slots(cell).slots() == (
-                reference.slots(cell).slots()
-            )
-        assert replayed.usage_history() == reference.usage_history()
+            assert flat.weight(cell) == reference.weight(cell) == 2.5
+            assert flat.occupancy.intervals(flat.index(cell)) == [
+                (slot.start, slot.end) for slot in reference.slots(cell)
+            ]
 
 
 # ----------------------------------------------------------------------

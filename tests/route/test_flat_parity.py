@@ -3,15 +3,16 @@
 The flat router's contract is *path identity*, not merely equal path
 lengths: for every benchmark and both flows, the two engines must
 produce the identical sequence of routed paths — same task order, same
-cell sequences, same occupation slots, same postponements — and the
-replayed routing grid must satisfy the independent design-rule checker.
+cell sequences, same cache slots, same per-cell occupation plans, same
+postponements — and both results must satisfy the independent
+design-rule checker.
 These tests pin that contract over every registered benchmark plus the
 three scale-tier synthetic seeds.
 
 SA parameters are reduced (as in ``test_astar_regression``) so the full
 matrix stays fast; the routing inputs are still the real placements and
 schedules of each benchmark.  The reference side runs the same routing
-loops over a :class:`~repro.route.grid_graph.RoutingGrid` with the
+loops over a :class:`~tests.oracles.routing_grid.RoutingGrid` with the
 Cell/dict A* of :mod:`tests.oracles.astar`.
 """
 
@@ -46,7 +47,7 @@ def routed_paths(name: str, flow: str, seed: int = 1):
     )
     result = _FLOWS[flow](problem)
     return tuple(
-        (p.task.task_id, p.cells, p.slot, p.postponement)
+        (p.task.task_id, p.cells, p.slot, p.occupations, p.postponement)
         for p in result.routing.paths
     )
 

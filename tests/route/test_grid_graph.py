@@ -1,13 +1,18 @@
-"""Unit tests for the routing grid (weights, slots, usage history)."""
+"""Unit tests for the reference routing grid (weights and slots).
+
+:class:`~tests.oracles.routing_grid.RoutingGrid` is the oracle the
+parity suites drive both routing loops over, so its Algorithm 2
+bookkeeping is pinned here on its own.
+"""
 
 import pytest
 
-from repro.assay.fluids import Fluid
 from repro.errors import RoutingError
 from repro.place.grid import Cell, ChipGrid
 from repro.place.placement import PlacedComponent, Placement
-from repro.route.grid_graph import DEFAULT_INITIAL_WEIGHT, RoutingGrid
+from repro.route.flat import DEFAULT_INITIAL_WEIGHT
 from repro.route.timeslots import TimeSlot
+from tests.oracles.routing_grid import RoutingGrid
 
 
 def placement() -> Placement:
@@ -18,10 +23,6 @@ def placement() -> Placement:
             "Mixer2": PlacedComponent("Mixer2", 5, 5, 2, 2),
         },
     )
-
-
-def fluid(name="f", wash=2.0) -> Fluid:
-    return Fluid.with_wash_time(name, wash)
 
 
 class TestRoutingGrid:
@@ -46,83 +47,43 @@ class TestRoutingGrid:
         with pytest.raises(RoutingError):
             RoutingGrid(placement(), initial_weight=-1.0)
 
-    def test_commit_updates_weight_slots_and_usage(self):
+    def test_commit_updates_weight_and_slots(self):
         grid = RoutingGrid(placement())
         cells = (Cell(2, 0), Cell(3, 0), Cell(4, 0))
         transit = TimeSlot(0.0, 2.0)
         cache = TimeSlot(0.0, 5.0)
-        grid.commit_path(cells, "tk0", fluid(wash=1.5),
-                         [transit, transit, cache], wash_time=1.5)
+        grid.commit_path(cells, "tk0", [transit, transit, cache], wash_time=1.5)
         for cell in cells:
             assert grid.weight(cell) == 1.5
             assert len(grid.slots(cell)) == 1
-        assert grid.used_cells() == set(cells)
-        history = grid.usage_history()
-        assert history[Cell(4, 0)][0].slot == cache
-        assert history[Cell(2, 0)][0].slot == transit
+        assert grid.slots(Cell(4, 0)).slots() == [cache]
+        assert grid.slots(Cell(2, 0)).slots() == [transit]
 
     def test_is_free_respects_slots(self):
         grid = RoutingGrid(placement())
         cell = Cell(3, 3)
-        grid.commit_path((cell,), "tk0", fluid(), [TimeSlot(0, 5)], 1.0)
+        grid.commit_path((cell,), "tk0", [TimeSlot(0, 5)], 1.0)
         assert not grid.is_free(cell, TimeSlot(4, 6))
         assert grid.is_free(cell, TimeSlot(5, 6))
 
     def test_commit_conflicting_slot_raises(self):
         grid = RoutingGrid(placement())
         cell = Cell(3, 3)
-        grid.commit_path((cell,), "tk0", fluid(), [TimeSlot(0, 5)], 1.0)
+        grid.commit_path((cell,), "tk0", [TimeSlot(0, 5)], 1.0)
         with pytest.raises(RoutingError, match="not free"):
-            grid.commit_path((cell,), "tk1", fluid(), [TimeSlot(3, 6)], 1.0)
+            grid.commit_path((cell,), "tk1", [TimeSlot(3, 6)], 1.0)
 
     def test_commit_slot_count_mismatch_raises(self):
         grid = RoutingGrid(placement())
         with pytest.raises(RoutingError, match="slots for"):
             grid.commit_path(
-                (Cell(3, 3), Cell(3, 4)), "tk0", fluid(), [TimeSlot(0, 1)], 1.0
+                (Cell(3, 3), Cell(3, 4)), "tk0", [TimeSlot(0, 1)], 1.0
             )
 
     def test_sequential_same_cell_reuse_allowed(self):
         grid = RoutingGrid(placement())
         cell = Cell(3, 3)
-        grid.commit_path((cell,), "tk0", fluid("a"), [TimeSlot(0, 5)], 1.0)
-        grid.commit_path((cell,), "tk1", fluid("b"), [TimeSlot(5, 8)], 2.0)
-        assert len(grid.usage_history()[cell]) == 2
+        grid.commit_path((cell,), "tk0", [TimeSlot(0, 5)], 1.0)
+        grid.commit_path((cell,), "tk1", [TimeSlot(5, 8)], 2.0)
+        assert len(grid.slots(cell)) == 2
         assert grid.weight(cell) == 2.0  # last residue wins
-
-
-class TestReplayLog:
-    """``_replay_log`` must equal a naive ``commit_path`` replay.
-
-    The flat engines build their final :class:`RoutingGrid` through the
-    bulk replay; its docstring promises identical weights, usage lists,
-    slot sets, *and* container orders to repeated ``commit_path`` calls
-    — including the subtle one: among equal slot starts, repeated
-    ``bisect_left`` insertions leave later insertions first.
-    """
-
-    def _log(self):
-        # Disjoint but interleaved slots on shared cells, with repeated
-        # starts across tasks (zero-length slots share one start) so
-        # the equal-start insertion order is actually exercised.
-        a, b, c = Cell(3, 3), Cell(3, 4), Cell(4, 4)
-        return [
-            ((a, b), "t0", fluid("f0"), [TimeSlot(4, 6), TimeSlot(5, 7)], 1.0),
-            ((b, c), "t1", fluid("f1"), [TimeSlot(0, 2), TimeSlot(1, 3)], 2.0),
-            ((a,), "t2", fluid("f2"), [TimeSlot(2, 2)], 3.0),
-            ((a, c), "t3", fluid("f3"), [TimeSlot(2, 2), TimeSlot(8, 9)], 4.0),
-            ((b,), "t4", fluid("f4"), [TimeSlot(7, 9)], 5.0),
-        ]
-
-    def test_matches_naive_replay(self):
-        naive = RoutingGrid(placement())
-        for cells, task_id, task_fluid, slots, wash in self._log():
-            naive.commit_path(cells, task_id, task_fluid, list(slots), wash)
-        bulk = RoutingGrid(placement())
-        bulk._replay_log(self._log())
-        assert bulk._weights == naive._weights
-        assert bulk.usage_history() == naive.usage_history()
-        assert list(bulk._usage) == list(naive._usage)  # dict order too
-        assert list(bulk._slots) == list(naive._slots)
-        for cell in naive._slots:
-            assert bulk._slots[cell].slots() == naive._slots[cell].slots()

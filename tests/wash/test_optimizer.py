@@ -30,7 +30,7 @@ class TestWashPlan:
         routing = routed()
         plan = plan_channel_washes(routing)
         cells_with_events = {event.cell for event in plan.events}
-        assert cells_with_events == routing.grid.used_cells()
+        assert cells_with_events == routing.used_cells()
 
     def test_events_sorted_by_earliest_start(self):
         plan = plan_channel_washes(routed())
@@ -40,7 +40,7 @@ class TestWashPlan:
     def test_wash_starts_after_occupation(self):
         routing = routed()
         plan = plan_channel_washes(routing)
-        history = routing.grid.usage_history()
+        history = routing.usage_history()
         for event in plan.events:
             occupations = [u.slot.end for u in history[event.cell]]
             assert any(

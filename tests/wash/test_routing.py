@@ -24,7 +24,7 @@ class TestWashAccess:
     def test_full_coverage_on_legal_layouts(self, routing):
         report = plan_wash_access(routing)
         assert report.full_coverage
-        assert len(report.accesses) == len(routing.grid.used_cells())
+        assert len(report.accesses) == len(routing.used_cells())
 
     def test_paths_connect_inlet_to_outlet_through_cell(self, routing):
         report = plan_wash_access(routing)
@@ -43,14 +43,14 @@ class TestWashAccess:
 
     def test_boundary_ports(self, routing):
         report = plan_wash_access(routing)
-        grid = routing.grid.grid
+        grid = routing.placement.grid
         for port in (report.inlet, report.outlet):
             assert (
                 port.x in (0, grid.width - 1) or port.y in (0, grid.height - 1)
             )
 
     def test_explicit_ports_respected(self, routing):
-        grid = routing.grid.grid
+        grid = routing.placement.grid
         inlet = Cell(0, 0)
         outlet = Cell(grid.width - 1, grid.height - 1)
         # Only use them if they are free on this layout.
@@ -65,4 +65,4 @@ class TestWashAccess:
         report = plan_wash_access(routing)
         extra = report.extra_network_cells(routing)
         assert extra >= 0
-        assert report.extra_network_mm(routing) == extra * routing.grid.grid.pitch_mm
+        assert report.extra_network_mm(routing) == extra * routing.placement.grid.pitch_mm
