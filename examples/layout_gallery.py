@@ -1,14 +1,11 @@
 #!/usr/bin/env python3
-"""Layout gallery: placement/routing studies plus the control layer.
+"""Layout gallery: placement/routing studies.
 
 For each Table I benchmark this example
 
 1. synthesises the chip with the proposed flow,
-2. prints the ASCII layout with its channel network,
-3. derives the control layer (valves) and compares the naive
-   valve-switching policy against the Hamming-distance-based hold
-   policy (the paper's future-work reference [13]), and
-4. writes one SVG per benchmark next to this script.
+2. prints the ASCII layout with its channel network, and
+3. writes one SVG per benchmark next to this script.
 
 Usage::
 
@@ -21,7 +18,6 @@ import sys
 from pathlib import Path
 
 from repro import get_benchmark, synthesize
-from repro.control import build_control_model, optimise_switching
 from repro.viz import layout_to_svg, render_routing
 
 #: Small benchmarks by default; pass names to study the larger ones.
@@ -36,21 +32,6 @@ def main() -> None:
         result = synthesize(case.assay, case.allocation, seed=1)
         print(f"=== {name} ===")
         print(render_routing(result.routing))
-
-        model = build_control_model(result.routing)
-        report = optimise_switching(model)
-        print(
-            f"control layer: {report.valve_count} valves, "
-            f"{report.task_count} transport patterns; "
-            f"naive switching {report.naive_switches}, "
-            f"hold policy {report.hold_switches} "
-            f"({report.saving_percent:.0f} % fewer switches)"
-        )
-        print(
-            f"control pins: {model.control_pins_direct()} direct vs "
-            f"{model.control_pins_multiplexed()} multiplexed"
-        )
-
         svg_path = out_dir / f"{name.lower()}.layout.svg"
         svg_path.write_text(layout_to_svg(result.routing), encoding="utf-8")
         print(f"wrote {svg_path.name}\n")

@@ -1,12 +1,6 @@
 """End-to-end synthesis flows, problem definition, and metrics."""
 
 from repro.core.baseline import synthesize_baseline, synthesize_problem_baseline
-from repro.core.explore import (
-    AllocationPoint,
-    ExplorationResult,
-    explore_allocations,
-    pareto_front,
-)
 from repro.core.io import (
     SolutionRecord,
     dump_solution,
@@ -24,8 +18,6 @@ from repro.core.solution import SynthesisResult
 from repro.core.synthesizer import synthesize, synthesize_problem
 
 __all__ = [
-    "AllocationPoint",
-    "ExplorationResult",
     "SolutionRecord",
     "SynthesisMetrics",
     "SynthesisParameters",
@@ -34,10 +26,8 @@ __all__ = [
     "channel_wash_time",
     "compute_metrics",
     "dump_solution",
-    "explore_allocations",
     "improvement",
     "load_solution",
-    "pareto_front",
     "result_to_dict",
     "synthesize",
     "synthesize_baseline",

@@ -5,13 +5,16 @@ improved A* of :mod:`repro.route.flat` searches a path whose *transit*
 occupation fits every traversed cell; the path is then given a **slot
 plan** assigning each cell the occupation matching its role:
 
-* cells up to the cache cell — ``[depart, arrive + wash)``: the fluid
-  passes on its way in, and the wash flow follows;
+* cells up to the cache cell — ``[depart, arrive)``: the fluid passes
+  on its way in;
 * the **cache cell** — the path cell closest to the destination that can
-  host the plug — ``[depart, consume + wash)``: transport, distributed-
-  channel cache, and wash;
-* cells past the cache cell — ``[consume − t_c, consume + wash)``: they
-  are only traversed when the plug finally moves into the destination.
+  host the plug — ``[depart, consume)``: transport and distributed-
+  channel cache;
+* cells past the cache cell — ``[consume − t_c, consume)``: they are
+  only traversed when the plug finally moves into the destination.
+
+Following the paper, the wash of the residue is not part of any slot:
+Eq. 5 blocks cells for transport and cache only.
 
 Committed paths update cell weights to their residue's wash time,
 steering later tasks onto channels that are cheap to reuse (increasing
@@ -21,11 +24,13 @@ keeps the slot plan it was committed with, so the returned
 history that metrics, checker and renderers read is derived from the
 paths, and the routing state is dropped when the loop returns.
 
-A defensive postponement fallback exists for saturated layouts: when no
-admissible plan exists, the task slides forward in 1-second steps until
-one does.  With adequately sized grids the fallback rarely fires for the
-conflict-aware router; it is the *primary* correction mechanism of the
-baseline router in :mod:`repro.route.baseline_router`.
+A postponement fallback handles the rest: when no admissible plan
+exists, the task slides forward in 1-second steps until one does.  It
+fires more often as assays grow.  At seed 1 it postpones 0 of 3 tasks on
+PCR, 10 of 47 on CPA, 11 of 44 on Synthetic4, 44 of 80 on Scale100 and
+146 of 181 on Scale200 (docs/ALGORITHMS.md §5 has every row).  It is also
+the *primary* correction mechanism of the baseline router in
+:mod:`repro.route.baseline_router`.
 """
 
 from __future__ import annotations

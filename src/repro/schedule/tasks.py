@@ -117,10 +117,11 @@ class FluidMovement:
 class TransportTask:
     """A physical channel transport to be realised by the router.
 
-    The routed path's cells are occupied from ``depart`` until
-    ``consume + wash_time`` — movement, distributed-channel cache, and the
-    wash of the residue left behind (this encodes all three conflict types
-    of Section II-C.2).
+    The routed path's cells are occupied for ``[depart, arrive)`` up to
+    the cache cell, ``[depart, consume)`` on the cache cell — movement
+    plus distributed-channel cache — and ``[consume − t_c, consume)``
+    past it, where ``t_c = arrive − depart``.  The wash of the residue
+    left behind is not part of any occupation (see :attr:`occupation`).
     """
 
     task_id: str

@@ -5,13 +5,10 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from repro.benchmarks.registry import get_benchmark
-from repro.control import build_control_model, optimise_switching
 from repro.core.baseline import synthesize_baseline
-from repro.core.metrics import channel_wash_time
 from repro.core.synthesizer import synthesize
 from repro.schedule.validate import validate_schedule
 from repro.viz import layout_to_svg, render_routing, render_schedule
-from repro.wash import plan_channel_washes
 
 
 @pytest.fixture(scope="module")
@@ -59,19 +56,6 @@ class TestFullPipeline:
             ours.metrics.execution_time
             <= baseline.metrics.execution_time + 1e-9
         )
-
-    def test_wash_plan_consistent(self, both):
-        for result in both:
-            plan = plan_channel_washes(result.routing)
-            assert plan.total_duration == pytest.approx(
-                channel_wash_time(result.routing)
-            )
-
-    def test_control_layer_derivable(self, both):
-        for result in both:
-            model = build_control_model(result.routing)
-            report = optimise_switching(model)
-            assert report.hold_switches <= report.naive_switches
 
     def test_visualisations_render(self, both):
         for result in both:

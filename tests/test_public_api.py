@@ -1,6 +1,15 @@
 """The documented public API is importable and complete."""
 
+import importlib
+import pkgutil
+
 import repro
+
+
+def _subpackages():
+    for info in pkgutil.iter_modules(repro.__path__):
+        if info.ispkg:
+            yield importlib.import_module(f"repro.{info.name}")
 
 
 class TestPublicApi:
@@ -10,6 +19,9 @@ class TestPublicApi:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
+        for package in _subpackages():
+            for name in package.__all__:
+                assert hasattr(package, name), f"{package.__name__}.{name}"
 
     def test_key_entry_points(self):
         assert callable(repro.synthesize)
@@ -22,14 +34,12 @@ class TestPublicApi:
         import repro.assay
         import repro.benchmarks
         import repro.components
-        import repro.control
         import repro.core
         import repro.experiments
         import repro.place
         import repro.route
         import repro.schedule
         import repro.viz
-        import repro.wash
 
     def test_errors_hierarchy(self):
         from repro import errors
