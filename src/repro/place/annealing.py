@@ -11,8 +11,8 @@ standard practice that only improves on the paper's description.
 
 The move loop runs on the
 :class:`~repro.place.incremental.PlacementWorkspace`: in-place
-apply/undo moves, occupancy-index legality, and delta energy over only
-the nets incident to the moved components.
+apply/undo moves, bitset legality, and delta energy over only the nets
+incident to the moved components.
 
 The workspace loop consumes the seeded RNG through the *identical*
 draw sequence as the straightforward immutable formulation (one new
@@ -159,7 +159,7 @@ def anneal_placement(
         After every accepted move, check the workspace against a
         from-scratch Eq. 3 evaluation — a bit-exact full pass, the
         running estimate inside its guard band, the move's delta within
-        ``1e-9`` of the realised change — and the occupancy structures
+        ``1e-9`` of the realised change — and the occupancy bitset
         against the blocks.  Does not change the walk.  Slow; meant for
         tests and debugging.
     """
@@ -281,9 +281,9 @@ def _verify_commit(
 ) -> float:
     """Re-check one accepted move against the from-scratch oracle.
 
-    Asserts the workspace invariants (occupancy, rectangles, centres,
-    legality, a bit-exact full pass, the estimate inside its guard
-    band) and that the proposal's incident-nets delta agrees with the
+    Asserts the workspace invariants (occupancy bitset and masks,
+    centres, legality, a bit-exact full pass, the estimate inside its
+    guard band) and that the proposal's incident-nets delta agrees with the
     realised change within ``1e-9``.  Returns the new oracle energy.
     """
     energy_after = workspace.check_consistency()

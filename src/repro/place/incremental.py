@@ -6,27 +6,38 @@ in ``with_block``, an all-pairs ``is_legal()`` scan, and an Eq. 3
 re-evaluation over *every* net — even though one move touches at most
 two components.  :class:`PlacementWorkspace` replaces all three:
 
-* **In-place apply/undo** — block positions live in one mutable dict;
-  an accepted move mutates it, a rejected proposal mutates nothing, and
+* **In-place apply/undo** — block positions live in index-aligned
+  integer lists (one slot per sorted component id); an accepted move
+  overwrites a few slots, a rejected proposal mutates nothing, and
   :meth:`undo` restores the exact pre-move state (including the exact
-  energy float, not a drifting ``energy - delta``).
-* **O(1)-amortised legality** — a cell-level *occupancy index* maps
-  every covered cell (as linear index ``y * width + x``) to its
-  component.  A candidate block is checked by scanning only its
-  one-cell-inflated rectangle (clearance ``spacing=1`` exactly as
-  :meth:`PlacedComponent.overlaps`), so legality cost depends on the
-  footprint, not on the number of components.  Below
-  :data:`INDEX_SCAN_THRESHOLD` components the index is not even
-  maintained — a loop of integer tests over an index-aligned list of
-  the other blocks' inflated rectangles is cheaper than hashing the
-  candidate's cells.
+  energy float, not a drifting ``energy - delta``).  Frozen
+  :class:`~repro.place.placement.PlacedComponent` blocks are built only
+  when asked for: by :meth:`block`, :meth:`snapshot_blocks` (the
+  annealer's best-so-far snapshots and final placement) and
+  :meth:`apply`'s undo token — never per committed move.
+* **Bitset legality** — the grid's occupancy is one Python ``int``
+  with a padded row stride ``S = width + 2``: cell ``(x, y)`` is bit
+  ``(y + 1)·S + x + 1``, so the one-cell border around the grid is a
+  ring of always-clear bits.  Each component keeps its footprint mask.
+  A candidate origin ``(x, y)`` with footprint ``(w, h)`` is legal when
+  it is in bounds (no full span) and ``(occ ^ moved masks) &
+  (keepout << x + y·S)`` is zero, where ``keepout`` is the footprint's
+  one-cell-inflated rectangle at the origin — clearance ``spacing=1``
+  exactly as :meth:`PlacedComponent.overlaps`.  The padding keeps an
+  inflated rectangle at the grid edge from wrapping into the next row.
+  One footprint/keep-out pair per distinct footprint is all the table
+  there is, so a check costs two big-int operations whatever the
+  component count, and memory is a few masks the size of the grid.
 * **Delta energy** — a per-component *net adjacency* is built once from
   the :class:`~repro.place.energy.ConnectionPriorities`; a proposal
   recomputes only the nets incident to the moved component(s).
 
 Rejected proposals — the annealer's overwhelmingly common case at low
-temperature — therefore cost only an inflated-rectangle scan plus the
-incident nets, and allocate nothing but the proposal record.
+temperature — therefore cost a mask test plus the incident nets, and
+allocate nothing but the proposal record.  :meth:`move_sampler`, the
+annealer's proposal source, inlines draw, legality and delta into one
+closure; the public ``propose_*`` methods are the plain formulation it
+is tested against.
 
 **Exact energy on read.**  :meth:`commit` does not re-evaluate Eq. 3.
 It adds the proposal's incident-nets delta to :attr:`estimate` and
@@ -66,15 +77,6 @@ from repro.place.placement import PlacedComponent, Placement
 
 __all__ = ["MOVE_KINDS", "PendingMove", "AppliedMove", "PlacementWorkspace"]
 
-#: Component count from which the cell-level occupancy scan beats the
-#: linear loop over blocks.  Below it, checking a candidate against
-#: every other block (a handful of integer comparisons each) is cheaper
-#: than hashing the ~(w+2)·(h+2) cells of the inflated rectangle; above
-#: it, the footprint-bounded scan wins and keeps legality O(1) in the
-#: number of components.  Both paths are exact — the choice only
-#: affects speed, never decisions.
-INDEX_SCAN_THRESHOLD = 12
-
 #: Move kinds in :func:`~repro.place.moves.random_move`'s tuple order.
 #: :meth:`PlacementWorkspace.move_sampler` draws the kind as an index
 #: into this tuple, exactly as ``rng.choice`` on any length-3 sequence.
@@ -96,19 +98,20 @@ _COMMIT_SLACK = 1e-6
 class PendingMove:
     """A legal, not-yet-applied move and its estimated energy delta.
 
-    ``changes`` holds one ``(current_block, new_x, new_y, new_width,
-    new_height)`` tuple per moved component; the candidate
-    :class:`PlacedComponent` objects are only materialised if the move
-    is committed.  ``delta`` sums only the nets incident to the moved
-    components; it agrees with the realised energy change within
-    ``1e-9``.  Nothing in the workspace has changed yet; pass the
+    ``changes`` holds one ``(cid, new_x, new_y, new_width, new_height)``
+    tuple per moved component.  ``delta`` sums only the nets incident
+    to the moved components; it agrees with the realised energy change
+    within ``1e-9``.  ``stamp`` is the workspace's state stamp when the
+    move was proposed: any later change of the workspace makes the
+    proposal stale.  Nothing in the workspace has changed yet; pass the
     proposal to :meth:`PlacementWorkspace.apply` (or the annealer's
     no-undo twin :meth:`PlacementWorkspace.commit`) to take it.
     """
 
     kind: str
-    changes: tuple[tuple[PlacedComponent, int, int, int, int], ...]
+    changes: tuple[tuple[str, int, int, int, int], ...]
     delta: float
+    stamp: int
 
 
 @dataclass(slots=True)
@@ -142,38 +145,48 @@ class PlacementWorkspace:
         self.priorities = priorities
         self._width = placement.grid.width
         self._height = placement.grid.height
-        self._blocks: dict[str, PlacedComponent] = {
-            cid: placement.block(cid) for cid in placement.components()
-        }
-        self._components: list[str] = sorted(self._blocks)
-        self._use_index_scan = len(self._blocks) >= INDEX_SCAN_THRESHOLD
-        #: Occupancy index: linear cell index (y * width + x) -> cid.
-        #: Maintained only at/above :data:`INDEX_SCAN_THRESHOLD` — below
-        #: it :meth:`_fits` never reads the index, so keeping it current
-        #: would be pure overhead.
-        self._owner: dict[int, str] = {}
-        if self._use_index_scan:
-            for block in self._blocks.values():
-                self._occupy(block)
-        #: Centre cache: component index -> centre coordinate, with the
-        #: exact ``x + (width - 1) / 2.0`` floats of
-        #: :meth:`PlacedComponent.centre` — list indexing is far cheaper
-        #: than block attribute access in the energy loops, and the
-        #: cached values are bit-identical to freshly computed ones.
+        #: Padded row stride of the occupancy bitset.
+        self._stride = self._width + 2
+        self._components: list[str] = placement.components()
         self._idx: dict[str, int] = {
             cid: i for i, cid in enumerate(self._components)
         }
-        ordered = [self._blocks[c] for c in self._components]
-        self._cx: list[float] = [b.x + (b.width - 1) / 2.0 for b in ordered]
-        self._cy: list[float] = [b.y + (b.height - 1) / 2.0 for b in ordered]
-        #: Inflated rectangles, index-aligned with the centre cache:
-        #: ``(x, x + width + 1, y, y + height + 1)`` per block — the four
-        #: bounds the linear clearance test of :meth:`_fits` compares
-        #: against.  Kept at every size (one tuple per moved block), so
-        #: either legality strategy can run on any workspace.
-        self._rects: list[tuple[int, int, int, int]] = [
-            _inflated(b) for b in ordered
-        ]
+        ordered = [placement.block(cid) for cid in self._components]
+        #: ``(w, h) -> (footprint mask, keep-out mask, transposed
+        #: keep-out mask)`` at shift 0, for every footprint a component
+        #: can take (both orientations).
+        self._shapes: dict[tuple[int, int], tuple[int, int, int]] = {}
+        for b in ordered:
+            for w, h in ((b.width, b.height), (b.height, b.width)):
+                if (w, h) not in self._shapes:
+                    self._shapes[w, h] = (
+                        self._rectangle(1, 1, w, h),
+                        self._rectangle(0, 0, w + 2, h + 2),
+                        self._rectangle(0, 0, h + 2, w + 2),
+                    )
+        # Index-aligned block state.  The centre cache holds the exact
+        # ``x + (width - 1) / 2.0`` floats of PlacedComponent.centre()
+        # — list indexing is far cheaper than block attribute access in
+        # the energy loops, and the values are bit-identical.
+        n = len(ordered)
+        self._xs: list[int] = [0] * n
+        self._ys: list[int] = [0] * n
+        self._ws: list[int] = [0] * n
+        self._hs: list[int] = [0] * n
+        self._cx: list[float] = [0.0] * n
+        self._cy: list[float] = [0.0] * n
+        self._masks: list[int] = [0] * n
+        self._footprint: list[int] = [0] * n
+        self._keepout: list[int] = [0] * n
+        self._keepout_t: list[int] = [0] * n
+        #: Occupancy bitset: the OR (and, blocks being disjoint, the
+        #: XOR) of every block's mask.
+        self._occ = 0
+        for i, b in enumerate(ordered):
+            self._place(i, b.x, b.y, b.width, b.height)
+        #: Bumped by every state change; a proposal carrying an older
+        #: stamp is stale.
+        self._stamp = 0
         # Validates that every net's endpoints are placed, exactly as
         # a full evaluation would on its first call — and before
         # the index-based net list below assumes the endpoints exist.
@@ -206,17 +219,44 @@ class PlacementWorkspace:
         #: :meth:`exact_delta` — lets the commit of that very move take
         #: the already-computed full pass instead of marking unsynced.
         self._candidate: tuple[PendingMove, float] | None = None
-        #: Net adjacency: cid -> ((other_index, priority), ...).
-        adjacency: dict[str, list[tuple[int, float]]] = {
-            cid: [] for cid in self._blocks
-        }
-        for (cid_a, cid_b), priority in priorities.priorities.items():
-            if cid_a in adjacency and cid_b in adjacency:
-                adjacency[cid_a].append((self._idx[cid_b], priority))
-                adjacency[cid_b].append((self._idx[cid_a], priority))
-        self._incident: dict[str, tuple[tuple[int, float], ...]] = {
-            cid: tuple(pairs) for cid, pairs in adjacency.items()
-        }
+        #: Net adjacency, index-aligned: ((other_index, priority), ...).
+        adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+        for ia, ib, priority in self._net_list:
+            adjacency[ia].append((ib, priority))
+            adjacency[ib].append((ia, priority))
+        self._incident: list[tuple[tuple[int, float], ...]] = [
+            tuple(pairs) for pairs in adjacency
+        ]
+
+    def _rectangle(self, x: int, y: int, width: int, height: int) -> int:
+        """Mask of a *width* × *height* rectangle whose top-left bit is
+        padded column *x*, padded row *y*."""
+        row = ((1 << width) - 1) << x
+        stride = self._stride
+        mask = 0
+        for r in range(y, y + height):
+            mask |= row << (r * stride)
+        return mask
+
+    def _place(self, i: int, x: int, y: int, w: int, h: int) -> None:
+        """Move component *i* to origin ``(x, y)`` with footprint
+        ``(w, h)``, keeping every index-aligned structure in step."""
+        footprint, keepout, keepout_t = self._shapes[w, h]
+        mask = footprint << (x + y * self._stride)
+        # Old masks lie in ``occ`` and new ones are disjoint from the
+        # rest, so XOR-ing both in — in any order across a swap's two
+        # components — leaves the union of the new blocks.
+        self._occ ^= self._masks[i] ^ mask
+        self._masks[i] = mask
+        self._footprint[i] = footprint
+        self._keepout[i] = keepout
+        self._keepout_t[i] = keepout_t
+        self._xs[i] = x
+        self._ys[i] = y
+        self._ws[i] = w
+        self._hs[i] = h
+        self._cx[i] = x + (w - 1) / 2.0
+        self._cy[i] = y + (h - 1) / 2.0
 
     # ------------------------------------------------------------------
     # Accessors
@@ -226,103 +266,29 @@ class PlacementWorkspace:
         set never changes, only positions do)."""
         return self._components
 
-    def block(self, cid: str) -> PlacedComponent:
+    def _index(self, cid: str) -> int:
         try:
-            return self._blocks[cid]
+            return self._idx[cid]
         except KeyError:
             raise PlacementError(f"component {cid!r} is not placed") from None
 
+    def block(self, cid: str) -> PlacedComponent:
+        i = self._index(cid)
+        return PlacedComponent(
+            cid, self._xs[i], self._ys[i], self._ws[i], self._hs[i]
+        )
+
     def snapshot_blocks(self) -> dict[str, PlacedComponent]:
-        """A copy of the current block assignment (blocks are frozen)."""
-        return dict(self._blocks)
+        """The current block assignment as fresh frozen blocks."""
+        xs, ys, ws, hs = self._xs, self._ys, self._ws, self._hs
+        return {
+            cid: PlacedComponent(cid, xs[i], ys[i], ws[i], hs[i])
+            for i, cid in enumerate(self._components)
+        }
 
     def snapshot(self) -> Placement:
         """An immutable :class:`Placement` of the current state."""
-        return Placement(self.grid, self._blocks)
-
-    # ------------------------------------------------------------------
-    # Occupancy index
-    # ------------------------------------------------------------------
-    def _occupy(self, block: PlacedComponent) -> None:
-        owner = self._owner
-        width = self._width
-        cid = block.cid
-        x0 = block.x
-        for y in range(block.y, block.y + block.height):
-            base = y * width + x0
-            for offset in range(block.width):
-                owner[base + offset] = cid
-
-    def _vacate(self, block: PlacedComponent) -> None:
-        owner = self._owner
-        width = self._width
-        x0 = block.x
-        for y in range(block.y, block.y + block.height):
-            base = y * width + x0
-            for offset in range(block.width):
-                del owner[base + offset]
-
-    def _fits(
-        self, x: int, y: int, width: int, height: int,
-        ignore_a: str, ignore_b: str | None = None,
-    ) -> bool:
-        """Bounds + no-full-span + clearance for one candidate block.
-
-        Clearance is checked either by scanning the occupancy index over
-        the one-cell-inflated rectangle or — below
-        :data:`INDEX_SCAN_THRESHOLD` components — by a linear loop over
-        the other blocks' inflated rectangles.  Both are equivalent to
-        ``not candidate.overlaps(other, spacing=1)`` for every other
-        block: two integer-aligned rectangles violate the clearance iff
-        the other covers a cell of the candidate inflated by one cell on
-        each side.
-        """
-        grid_w = self._width
-        grid_h = self._height
-        if x < 0 or y < 0:
-            return False
-        if x + width > grid_w or y + height > grid_h:
-            return False
-        if width >= grid_w or height >= grid_h:
-            return False
-        if not self._use_index_scan:
-            x_end = x + width + 1
-            y_end = y + height + 1
-            rects = self._rects
-            idx = self._idx
-            skip_a = rects[idx[ignore_a]]
-            skip_b = rects[idx[ignore_b]] if ignore_b is not None else None
-            for rect in rects:
-                if (
-                    x_end > rect[0]
-                    and rect[1] > x
-                    and y_end > rect[2]
-                    and rect[3] > y
-                    and rect is not skip_a
-                    and rect is not skip_b
-                ):
-                    return False
-            return True
-        get = self._owner.get
-        x0 = x - 1 if x > 0 else 0
-        y0 = y - 1 if y > 0 else 0
-        x1 = x + width
-        if x1 > grid_w - 1:
-            x1 = grid_w - 1
-        y1 = y + height
-        if y1 > grid_h - 1:
-            y1 = grid_h - 1
-        for cy in range(y0, y1 + 1):
-            base = cy * grid_w
-            for cell in range(base + x0, base + x1 + 1):
-                occupant = get(cell)
-                if (
-                    occupant is not None
-                    and occupant != ignore_a
-                    and occupant != ignore_b
-                ):
-                    return False
-        return True
+        return Placement(self.grid, self.snapshot_blocks())
 
     # ------------------------------------------------------------------
     # Energy
@@ -369,8 +335,8 @@ class PlacementWorkspace:
         idx = self._idx
         centres = []
         identity = True
-        for old, x, y, w, h in move.changes:
-            i = idx[old.cid]
+        for cid, x, y, w, h in move.changes:
+            i = idx[cid]
             nx = x + (w - 1) / 2.0
             ny = y + (h - 1) / 2.0
             if nx != cx[i] or ny != cy[i]:
@@ -391,138 +357,96 @@ class PlacementWorkspace:
         self._candidate = (move, total)
         return total - current
 
-    def _delta_single(
-        self, cid: str, new_x: int, new_y: int, new_w: int, new_h: int
-    ) -> float:
-        """Incident-nets energy delta of moving *cid* alone."""
-        cx = self._cx
-        cy = self._cy
-        i = self._idx[cid]
-        ox = cx[i]
-        oy = cy[i]
-        nx = new_x + (new_w - 1) / 2.0
-        ny = new_y + (new_h - 1) / 2.0
-        new_sum = 0.0
-        old_sum = 0.0
-        for oi, priority in self._incident[cid]:
-            bx = cx[oi]
-            by = cy[oi]
-            new_sum += (abs(nx - bx) + abs(ny - by)) * priority
-            old_sum += (abs(ox - bx) + abs(oy - by)) * priority
-        return new_sum - old_sum
-
-    def _delta_pair(
-        self,
-        old_a: PlacedComponent,
-        old_b: PlacedComponent,
-        ax: int, ay: int, bx_o: int, by_o: int,
-    ) -> float:
-        """Incident-nets delta of moving two components at once (swap).
-
-        ``(ax, ay)`` / ``(bx_o, by_o)`` are the new origins of *old_a* /
-        *old_b*; footprints are unchanged by a swap.
-        """
-        cx = self._cx
-        cy = self._cy
-        idx = self._idx
-        ia = idx[old_a.cid]
-        ib = idx[old_b.cid]
-        oax = cx[ia]
-        oay = cy[ia]
-        obx = cx[ib]
-        oby = cy[ib]
-        nax = ax + (old_a.width - 1) / 2.0
-        nay = ay + (old_a.height - 1) / 2.0
-        nbx = bx_o + (old_b.width - 1) / 2.0
-        nby = by_o + (old_b.height - 1) / 2.0
-        new_sum = 0.0
-        old_sum = 0.0
-        for oi, priority in self._incident[old_a.cid]:
-            if oi == ib:
-                # The net between the moved pair: count it once, with
-                # both endpoints at their new positions.
-                new_sum += (abs(nax - nbx) + abs(nay - nby)) * priority
-                old_sum += (abs(oax - obx) + abs(oay - oby)) * priority
-                continue
-            bx = cx[oi]
-            by = cy[oi]
-            new_sum += (abs(nax - bx) + abs(nay - by)) * priority
-            old_sum += (abs(oax - bx) + abs(oay - by)) * priority
-        for oi, priority in self._incident[old_b.cid]:
-            if oi == ia:
-                continue
-            bx = cx[oi]
-            by = cy[oi]
-            new_sum += (abs(nbx - bx) + abs(nby - by)) * priority
-            old_sum += (abs(obx - bx) + abs(oby - by)) * priority
-        return new_sum - old_sum
-
     # ------------------------------------------------------------------
     # Move proposals (legality + delta; nothing is mutated)
     # ------------------------------------------------------------------
     def propose_translate(self, cid: str, x: int, y: int) -> PendingMove | None:
         """Translate *cid* to origin ``(x, y)``; ``None`` when illegal."""
-        return self._translate(self.block(cid), x, y)
+        i = self._index(cid)
+        return self._propose(
+            "translate", ((i, x, y, self._ws[i], self._hs[i]),)
+        )
 
     def propose_rotate(self, cid: str) -> PendingMove | None:
         """Transpose *cid*'s footprint in place; ``None`` when illegal."""
-        return self._rotate(self.block(cid))
+        i = self._index(cid)
+        return self._propose(
+            "rotate", ((i, self._xs[i], self._ys[i], self._hs[i], self._ws[i]),)
+        )
 
     def propose_swap(self, cid_a: str, cid_b: str) -> PendingMove | None:
         """Exchange the origins of two components; ``None`` when illegal."""
-        if cid_a == cid_b:
+        a = self._index(cid_a)
+        b = self._index(cid_b)
+        if a == b:
             return None
-        return self._swap(self.block(cid_a), self.block(cid_b))
-
-    def _translate(
-        self, old: PlacedComponent, x: int, y: int
-    ) -> PendingMove | None:
-        width = old.width
-        height = old.height
-        cid = old.cid
-        if not self._fits(x, y, width, height, cid):
-            return None
-        delta = self._delta_single(cid, x, y, width, height)
-        return PendingMove("translate", ((old, x, y, width, height),), delta)
-
-    def _rotate(self, old: PlacedComponent) -> PendingMove | None:
-        width = old.height
-        height = old.width
-        x = old.x
-        y = old.y
-        cid = old.cid
-        if not self._fits(x, y, width, height, cid):
-            return None
-        delta = self._delta_single(cid, x, y, width, height)
-        return PendingMove("rotate", ((old, x, y, width, height),), delta)
-
-    def _swap(
-        self, old_a: PlacedComponent, old_b: PlacedComponent
-    ) -> PendingMove | None:
-        cid_a = old_a.cid
-        cid_b = old_b.cid
-        if not self._fits(old_b.x, old_b.y, old_a.width, old_a.height, cid_a, cid_b):
-            return None
-        if not self._fits(old_a.x, old_a.y, old_b.width, old_b.height, cid_a, cid_b):
-            return None
-        # Clearance of the swapped pair against each other (the scans
-        # above ignored both).  Inline inflated-rectangle test ==
-        # PlacedComponent.overlaps(spacing=1) on the moved blocks.
-        if not (
-            old_b.x + old_a.width + 1 <= old_a.x
-            or old_a.x + old_b.width + 1 <= old_b.x
-            or old_b.y + old_a.height + 1 <= old_a.y
-            or old_a.y + old_b.height + 1 <= old_b.y
-        ):
-            return None
-        delta = self._delta_pair(old_a, old_b, old_b.x, old_b.y, old_a.x, old_a.y)
-        return PendingMove(
+        xs, ys, ws, hs = self._xs, self._ys, self._ws, self._hs
+        return self._propose(
             "swap",
             (
-                (old_a, old_b.x, old_b.y, old_a.width, old_a.height),
-                (old_b, old_a.x, old_a.y, old_b.width, old_b.height),
+                (a, xs[b], ys[b], ws[a], hs[a]),
+                (b, xs[a], ys[a], ws[b], hs[b]),
             ),
-            delta,
+        )
+
+    def _propose(
+        self, kind: str, moves: tuple[tuple[int, int, int, int, int], ...]
+    ) -> PendingMove | None:
+        """Legality and incident-nets delta of moving the components
+        ``moves`` names, each to ``(i, x, y, w, h)``.
+
+        Each moved block is tested against the unmoved blocks' bits and
+        the moved blocks already placed before it.  The delta sums the
+        incident nets component by component, counting a net between
+        two moved components once, with both at their new centres.
+        """
+        width = self._width
+        height = self._height
+        stride = self._stride
+        rest = self._occ
+        for i, _x, _y, _w, _h in moves:
+            rest ^= self._masks[i]
+        for _i, x, y, w, h in moves:
+            if (
+                x < 0 or y < 0 or x + w > width or y + h > height
+                or w >= width or h >= height
+            ):
+                return None
+            footprint, keepout, _t = self._shapes[w, h]
+            shift = x + y * stride
+            if rest & (keepout << shift):
+                return None
+            rest |= footprint << shift
+        cx = self._cx
+        cy = self._cy
+        new_centre = {i: (x + (w - 1) / 2.0, y + (h - 1) / 2.0)
+                      for i, x, y, w, h in moves}
+        new_sum = 0.0
+        old_sum = 0.0
+        done: set[int] = set()
+        for i, _x, _y, _w, _h in moves:
+            nx, ny = new_centre[i]
+            ox = cx[i]
+            oy = cy[i]
+            for oi, priority in self._incident[i]:
+                if oi in done:
+                    continue
+                if oi in new_centre:
+                    bx, by = new_centre[oi]
+                    new_sum += (abs(nx - bx) + abs(ny - by)) * priority
+                    old_sum += (abs(ox - cx[oi]) + abs(oy - cy[oi])) * priority
+                    continue
+                bx = cx[oi]
+                by = cy[oi]
+                new_sum += (abs(nx - bx) + abs(ny - by)) * priority
+                old_sum += (abs(ox - bx) + abs(oy - by)) * priority
+            done.add(i)
+        components = self._components
+        return PendingMove(
+            kind,
+            tuple((components[i], x, y, w, h) for i, x, y, w, h in moves),
+            new_sum - old_sum,
+            self._stamp,
         )
 
     def move_sampler(
@@ -533,56 +457,180 @@ class PlacementWorkspace:
         Incremental twin of :func:`~repro.place.moves.random_move`:
         each call samples up to *attempts* moves and returns the first
         legal one (``None`` when all were illegal).  It consumes *rng*
-        draw for draw like that sampler — ``rng.choice``, ``rng.randint``
-        and ``rng.sample(components, 2)`` are inlined as the bound
-        ``rng._randbelow`` calls CPython makes for them, including both
-        of ``sample``'s branches (a guard test pins the equivalence).
+        draw for draw like that sampler: ``rng.choice``, ``rng.randint``
+        and ``rng.sample(components, 2)`` are inlined as the
+        ``rng.getrandbits`` rejection loops of CPython's
+        ``_randbelow_with_getrandbits`` (``k = n.bit_length()`` bits,
+        redrawn while ``>= n``), including both of ``sample``'s
+        branches; ``tests/place/test_sampler.py`` pins the mirror.
+        Each proposal's legality and delta are inlined too, equal to
+        :meth:`propose_translate`, :meth:`propose_swap` and
+        :meth:`propose_rotate`.
+
+        A translate draws its origin from ``[0, width - w]`` without the
+        reference sampler's empty-range check: the workspace's blocks
+        never span the full grid, so the range is never empty.
         """
         components = self._components
         n = len(components)
-        last = components[-1] if components else None
-        blocks = self._blocks
-        grid_w = self._width
-        grid_h = self._height
-        translate = self._translate
-        swap = self._swap
-        rotate = self._rotate
-        randbelow = rng._randbelow
-        n_kinds = len(MOVE_KINDS)
+        n_bits = n.bit_length()
+        pool_branch = n <= _SAMPLE_POOL_MAX
+        last = n - 1
+        last_bits = last.bit_length()
+        width = self._width
+        height = self._height
+        x_span = width + 1
+        y_span = height + 1
+        bit_length = [k.bit_length() for k in range(max(x_span, y_span))]
+        stride = self._stride
+        xs = self._xs
+        ys = self._ys
+        ws = self._ws
+        hs = self._hs
+        cx = self._cx
+        cy = self._cy
+        masks = self._masks
+        footprints = self._footprint
+        keepout = self._keepout
+        keepout_t = self._keepout_t
+        incident = self._incident
+        getrandbits = rng.getrandbits
+        workspace = self
 
         def sample() -> PendingMove | None:
             for _ in range(attempts):
-                kind = randbelow(n_kinds)
-                if kind == 0:  # translate
-                    if not n:
-                        continue
-                    old = blocks[components[randbelow(n)]]
-                    max_x = grid_w - old.width
-                    max_y = grid_h - old.height
-                    if max_x < 0 or max_y < 0:
-                        continue
-                    pending = translate(
-                        old, randbelow(max_x + 1), randbelow(max_y + 1)
-                    )
-                elif kind == 1:  # swap
+                # An index into MOVE_KINDS: 3.bit_length() == 2 bits.
+                kind = getrandbits(2)
+                while kind == 3:
+                    kind = getrandbits(2)
+                if kind == 1:  # swap
                     if n < 2:
                         continue
-                    first = randbelow(n)
-                    if n <= _SAMPLE_POOL_MAX:
-                        second = randbelow(n - 1)
-                        cid_b = last if second == first else components[second]
+                    a = getrandbits(n_bits)
+                    while a >= n:
+                        a = getrandbits(n_bits)
+                    if pool_branch:
+                        b = getrandbits(last_bits)
+                        while b >= last:
+                            b = getrandbits(last_bits)
+                        if b == a:
+                            b = last
                     else:
-                        second = randbelow(n)
-                        while second == first:
-                            second = randbelow(n)
-                        cid_b = components[second]
-                    pending = swap(blocks[components[first]], blocks[cid_b])
-                else:  # rotate
-                    if not n:
+                        b = getrandbits(n_bits)
+                        while b >= n or b == a:
+                            b = getrandbits(n_bits)
+                    ax = xs[a]
+                    ay = ys[a]
+                    aw = ws[a]
+                    ah = hs[a]
+                    bx = xs[b]
+                    by = ys[b]
+                    bw = ws[b]
+                    bh = hs[b]
+                    if (
+                        bx + aw > width or by + ah > height
+                        or ax + bw > width or ay + bh > height
+                    ):
                         continue
-                    pending = rotate(blocks[components[randbelow(n)]])
-                if pending is not None:
-                    return pending
+                    rest = workspace._occ ^ masks[a] ^ masks[b]
+                    a_shift = bx + by * stride
+                    if rest & (keepout[a] << a_shift):
+                        continue
+                    rest |= footprints[a] << a_shift
+                    if rest & (keepout[b] << (ax + ay * stride)):
+                        continue
+                    oax = cx[a]
+                    oay = cy[a]
+                    obx = cx[b]
+                    oby = cy[b]
+                    nax = bx + (aw - 1) / 2.0
+                    nay = by + (ah - 1) / 2.0
+                    nbx = ax + (bw - 1) / 2.0
+                    nby = ay + (bh - 1) / 2.0
+                    new_sum = 0.0
+                    old_sum = 0.0
+                    for oi, priority in incident[a]:
+                        if oi == b:
+                            # The net between the moved pair: count it
+                            # once, with both ends at their new centres.
+                            new_sum += (abs(nax - nbx) + abs(nay - nby)) * priority
+                            old_sum += (abs(oax - obx) + abs(oay - oby)) * priority
+                            continue
+                        ox = cx[oi]
+                        oy = cy[oi]
+                        new_sum += (abs(nax - ox) + abs(nay - oy)) * priority
+                        old_sum += (abs(oax - ox) + abs(oay - oy)) * priority
+                    for oi, priority in incident[b]:
+                        if oi == a:
+                            continue
+                        ox = cx[oi]
+                        oy = cy[oi]
+                        new_sum += (abs(nbx - ox) + abs(nby - oy)) * priority
+                        old_sum += (abs(obx - ox) + abs(oby - oy)) * priority
+                    return PendingMove(
+                        "swap",
+                        (
+                            (components[a], bx, by, aw, ah),
+                            (components[b], ax, ay, bw, bh),
+                        ),
+                        new_sum - old_sum,
+                        workspace._stamp,
+                    )
+                if not n:
+                    continue
+                i = getrandbits(n_bits)
+                while i >= n:
+                    i = getrandbits(n_bits)
+                if kind == 0:  # translate
+                    w = ws[i]
+                    h = hs[i]
+                    span = x_span - w
+                    k = bit_length[span]
+                    x = getrandbits(k)
+                    while x >= span:
+                        x = getrandbits(k)
+                    span = y_span - h
+                    k = bit_length[span]
+                    y = getrandbits(k)
+                    while y >= span:
+                        y = getrandbits(k)
+                    if (workspace._occ ^ masks[i]) & (
+                        keepout[i] << (x + y * stride)
+                    ):
+                        continue
+                    name = "translate"
+                else:  # rotate
+                    w = hs[i]
+                    h = ws[i]
+                    x = xs[i]
+                    y = ys[i]
+                    if (
+                        w >= width or h >= height
+                        or x + w > width or y + h > height
+                    ):
+                        continue
+                    if (workspace._occ ^ masks[i]) & (
+                        keepout_t[i] << (x + y * stride)
+                    ):
+                        continue
+                    name = "rotate"
+                ox = cx[i]
+                oy = cy[i]
+                nx = x + (w - 1) / 2.0
+                ny = y + (h - 1) / 2.0
+                new_sum = 0.0
+                old_sum = 0.0
+                for oi, priority in incident[i]:
+                    bx = cx[oi]
+                    by = cy[oi]
+                    new_sum += (abs(nx - bx) + abs(ny - by)) * priority
+                    old_sum += (abs(ox - bx) + abs(oy - by)) * priority
+                return PendingMove(
+                    name,
+                    ((components[i], x, y, w, h),),
+                    new_sum - old_sum,
+                    workspace._stamp,
+                )
             return None
 
         return sample
@@ -597,43 +645,30 @@ class PlacementWorkspace:
         :meth:`apply`, minus the :class:`AppliedMove` record.  No full
         pass runs here: the estimate absorbs the proposal's delta and
         the exact energy is recomputed when :attr:`energy` is next read.
-        Unchanged blocks (identity moves) are left in place.
+        Unchanged components (identity moves) are left in place.
         """
-        blocks = self._blocks
-        changes = move.changes
-        for old, _x, _y, _w, _h in changes:
-            if blocks.get(old.cid) is not old:
-                raise PlacementError(
-                    f"stale move: block of {old.cid!r} changed since the "
-                    "proposal was made"
-                )
+        if move.stamp != self._stamp:
+            raise PlacementError(
+                f"stale move: the workspace changed since the {move.kind} "
+                f"of {move.changes[0][0]!r} was proposed"
+            )
         candidate = self._candidate
         self._candidate = None
         idx = self._idx
-        cx = self._cx
-        cy = self._cy
-        rects = self._rects
-        moved = []
-        for old, x, y, w, h in changes:
-            if x == old.x and y == old.y and w == old.width and h == old.height:
-                continue
-            cid = old.cid
-            new = PlacedComponent(cid, x, y, w, h)
-            blocks[cid] = new
-            moved.append((old, new))
+        xs = self._xs
+        ys = self._ys
+        ws = self._ws
+        hs = self._hs
+        moved = False
+        for cid, x, y, w, h in move.changes:
             i = idx[cid]
-            cx[i] = x + (w - 1) / 2.0
-            cy[i] = y + (h - 1) / 2.0
-            rects[i] = (x, x + w + 1, y, y + h + 1)
+            if x == xs[i] and y == ys[i] and w == ws[i] and h == hs[i]:
+                continue
+            self._place(i, x, y, w, h)
+            moved = True
         if not moved:
             return
-        if self._use_index_scan:
-            # Vacate every old block before occupying any new one: a
-            # swap's new blocks cover the pair's old cells.
-            for old, _new in moved:
-                self._vacate(old)
-            for _old, new in moved:
-                self._occupy(new)
+        self._stamp += 1
         if candidate is not None and candidate[0] is move:
             self._energy = self.estimate = candidate[1]
             self.slack = 0.0
@@ -648,38 +683,24 @@ class PlacementWorkspace:
         token's ``delta`` is the realised full-evaluation change.
         """
         energy_before = self.energy
+        before = [self.block(change[0]) for change in move.changes]
         self.commit(move)
-        replacements = tuple(
-            (old, self._blocks[old.cid]) for old, _x, _y, _w, _h in move.changes
-        )
+        replacements = tuple((old, self.block(old.cid)) for old in before)
         return AppliedMove(
             move.kind, replacements, self.energy - energy_before, energy_before
         )
 
     def undo(self, applied: AppliedMove) -> None:
         """Reverse a committed move, restoring the exact prior energy."""
-        blocks = self._blocks
         for _old, new in applied.replacements:
-            if blocks.get(new.cid) is not new:
+            if self.block(new.cid) != new:
                 raise PlacementError(
                     f"cannot undo: block of {new.cid!r} changed after the move"
                 )
         self._candidate = None
-        use_index = self._use_index_scan
-        if use_index:
-            for _old, new in applied.replacements:
-                self._vacate(new)
-        idx = self._idx
-        cx = self._cx
-        cy = self._cy
         for old, _new in applied.replacements:
-            if use_index:
-                self._occupy(old)
-            blocks[old.cid] = old
-            i = idx[old.cid]
-            cx[i] = old.x + (old.width - 1) / 2.0
-            cy[i] = old.y + (old.height - 1) / 2.0
-            self._rects[i] = _inflated(old)
+            self._place(self._idx[old.cid], old.x, old.y, old.width, old.height)
+        self._stamp += 1
         self._energy = self.estimate = applied.energy_before
         self.slack = 0.0
 
@@ -687,31 +708,47 @@ class PlacementWorkspace:
     # Invariant checks (test / paranoid-mode hooks)
     # ------------------------------------------------------------------
     def check_consistency(self, tolerance: float = 0.0) -> float:
-        """Assert index + energy invariants against the from-scratch oracle.
+        """Assert bitset + energy invariants against the from-scratch oracle.
 
-        Raises :class:`PlacementError` when the occupancy index or the
-        rectangle list disagrees with the blocks, the placement is
-        illegal, the full pass differs from a ``placement_energy``
+        Raises :class:`PlacementError` when a block's mask differs from
+        the one rebuilt from its cells, two masks intersect, the
+        occupancy bitset is not their union, a footprint or keep-out
+        entry or a cached centre disagrees with the block, the placement
+        is illegal, the full pass differs from a ``placement_energy``
         recompute by more than *tolerance* (default: must be bit-exact),
         or the estimate has left its guard band (``|estimate - exact| <
         slack``, or equality while synced).  Reads nothing lazily, so it
         never syncs the energy.  Returns the recomputed energy.
         """
-        if self._use_index_scan:
-            expected_owner: dict[int, str] = {}
-            for cid, block in self._blocks.items():
-                for cell in block.cells():
-                    expected_owner[cell.y * self._width + cell.x] = cid
-            if expected_owner != self._owner:
-                raise PlacementError("occupancy index out of sync with blocks")
-        elif self._owner:
-            raise PlacementError(
-                "occupancy index should stay empty below the scan threshold"
-            )
-        if self._rects != [_inflated(self._blocks[c]) for c in self._components]:
-            raise PlacementError("rectangle list out of sync with blocks")
-        for cid, block in self._blocks.items():
+        stride = self._stride
+        placement = self.snapshot()
+        union = 0
+        for block in placement.blocks():
+            cid = block.cid
             i = self._idx[cid]
+            expected = 0
+            for cell in block.cells():
+                expected |= 1 << ((cell.y + 1) * stride + cell.x + 1)
+            if self._masks[i] != expected:
+                raise PlacementError(
+                    f"occupancy mask out of sync for component {cid!r}"
+                )
+            if union & expected:
+                raise PlacementError(
+                    f"occupancy mask of component {cid!r} overlaps another"
+                )
+            union |= expected
+            footprint, keepout, keepout_t = self._shapes[
+                block.width, block.height
+            ]
+            if (
+                self._footprint[i] != footprint
+                or self._keepout[i] != keepout
+                or self._keepout_t[i] != keepout_t
+            ):
+                raise PlacementError(
+                    f"footprint masks out of sync for component {cid!r}"
+                )
             if (
                 self._cx[i] != block.x + (block.width - 1) / 2.0
                 or self._cy[i] != block.y + (block.height - 1) / 2.0
@@ -719,7 +756,8 @@ class PlacementWorkspace:
                 raise PlacementError(
                     f"centre cache out of sync for component {cid!r}"
                 )
-        placement = self.snapshot()
+        if union != self._occ:
+            raise PlacementError("occupancy bitset out of sync with blocks")
         if not placement.is_legal():
             raise PlacementError(
                 "workspace holds an illegal placement: "
@@ -744,8 +782,3 @@ class PlacementWorkspace:
                 f"(estimate {self.estimate!r}) vs recomputed {exact!r}"
             )
         return exact
-
-
-def _inflated(block: PlacedComponent) -> tuple[int, int, int, int]:
-    """``(x, x + width + 1, y, y + height + 1)`` of *block*."""
-    return (block.x, block.x + block.width + 1, block.y, block.y + block.height + 1)

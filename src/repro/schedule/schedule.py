@@ -112,7 +112,7 @@ class Schedule:
             records = self.operations_on(cid)
             if not records:
                 continue
-            busy = sum(rec.duration for rec in records)
+            busy = _sum_in_order(rec.duration for rec in records)
             window = records[-1].end - records[0].start
             if window > 0:
                 total += busy / window
@@ -123,11 +123,13 @@ class Schedule:
 
     def total_cache_time(self) -> Seconds:
         """Sum of channel cache times over all movements (Fig. 8)."""
-        return sum(m.cache_time for m in self.movements)
+        return _sum_in_order(m.cache_time for m in self.movements)
 
     def total_component_wash_time(self) -> Seconds:
         """Total wash seconds charged on components by Eq. 2."""
-        return sum(s.wash_time_total for s in self.components.values())
+        return _sum_in_order(
+            s.wash_time_total for s in self.components.values()
+        )
 
     def transport_count(self) -> int:
         """Number of physical channel transports the router must realise."""
@@ -199,3 +201,16 @@ class Schedule:
                 count -= 1  # a non-degenerate task overlaps itself
             result[task.task_id] = count
         return result
+
+
+def _sum_in_order(values: Iterable[Seconds]) -> Seconds:
+    """Left-to-right sum, the same float on every CPython version.
+
+    From 3.12 on, builtin ``sum()`` compensates float rounding, so its
+    result can differ in the last bit from 3.10/3.11's plain additions.
+    These totals are part of the solution document and its digest.
+    """
+    total: Seconds = 0
+    for value in values:
+        total += value
+    return total

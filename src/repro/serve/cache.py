@@ -21,9 +21,12 @@ Hit/miss counters live on the instance; the server republishes them as
 With a *limit*, the cache evicts least-recently-used entries
 (LRU-by-mtime: every hit — memory-warm or disk-cold — touches the
 entry file's mtime) once a :meth:`put` pushes the entry count over the
-bound.  Eviction only ever forgets a *reproducible* value: the flow is
-deterministic, so a re-request of an evicted entry re-synthesizes the
-byte-identical result text and re-caches it.
+bound.  Without one nothing is ever evicted, so hits skip the touch:
+it is an inode write per hit, and on the service's hit path it cost
+more than the rest of the cache lookup.  Eviction only ever forgets a
+*reproducible* value: the flow is deterministic, so a re-request of an
+evicted entry re-synthesizes the byte-identical result text and
+re-caches it.
 """
 
 from __future__ import annotations
@@ -77,7 +80,10 @@ class ResultCache:
         self.evictions = 0
 
     def _touch(self, key: str) -> None:
-        """Refresh the entry's mtime — the LRU recency signal."""
+        """Refresh the entry's mtime — the LRU recency signal, read
+        only by eviction, so an unbounded cache skips it."""
+        if self.limit is None:
+            return
         try:
             os.utime(self._path(key))
         except OSError:
@@ -148,6 +154,13 @@ class ResultCache:
 
     def put(self, key: str, text: str) -> None:
         """Store *text* under *key* (atomic; last writer wins)."""
+        self.write(key, text)
+        self.remember(key, text)
+
+    def write(self, key: str, text: str) -> None:
+        """The disk half of :meth:`put`: durable and atomic.  It takes
+        no lock, so the server runs it on a job thread while the event
+        loop keeps answering hits; :meth:`remember` must follow."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp-{os.getpid()}-{threading.get_ident()}")
@@ -156,6 +169,9 @@ class ResultCache:
             stream.flush()
             os.fsync(stream.fileno())
         os.replace(tmp, path)
+
+    def remember(self, key: str, text: str) -> None:
+        """The index half of :meth:`put`, once :meth:`write` returned."""
         with self._lock:
             self._memory[key] = text
             self._known.add(key)

@@ -169,9 +169,12 @@ async def write_response(
         head.insert(2, f"Content-Length: {len(body)}")
     for name, value in (extra_headers or {}).items():
         head.append(f"{name}: {value}")
-    writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1"))
+    data = ("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
     if body and not head_only:
-        writer.write(body)
+        # One write, so the response leaves in one send() and reaches
+        # the client in one segment rather than head and body apart.
+        data += body
+    writer.write(data)
     await writer.drain()
 
 

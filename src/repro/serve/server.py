@@ -65,7 +65,7 @@ from repro.errors import ReproError
 from repro.obs.instrument import Instrumentation
 from repro.obs.live import Heartbeat, HeartbeatSpec
 from repro.serve.cache import ResultCache
-from repro.serve.executor import JobExecutor
+from repro.serve.executor import JobExecutor, JobOutcome
 from repro.serve.http import (
     HttpError,
     Request,
@@ -408,15 +408,9 @@ class SynthesisServer:
             seed=int((job.document.get("parameters") or {}).get("seed", 0)),
             label=job.job_id,
         )
-        started = time.perf_counter()
         try:
-            outcome = await self._loop.run_in_executor(
-                self._threads,
-                lambda: self.executor.execute(
-                    job.document,
-                    deadline=self.config.deadline,
-                    heartbeat=spec,
-                ),
+            outcome, elapsed = await self._loop.run_in_executor(
+                self._threads, self._execute, job, spec
             )
         except ReproError as error:
             self.queue.fail(job.job_id, str(error))
@@ -431,13 +425,11 @@ class SynthesisServer:
                 {"event": "failed", "error": repr(error), "ts": time.time()}
             )
         else:
-            elapsed = time.perf_counter() - started
-            self.cache.put(job.cache_key, outcome.result_text)
+            self.cache.remember(job.cache_key, outcome.result_text)
             self.queue.finish(job.job_id)
             self.instr.absorb(outcome.snapshot, worker=0)
             self.instr.count("serve.jobs_done")
             self.instr.observe("serve.job_seconds", elapsed)
-            self._append_ledger(job, outcome.record)
             log.append(
                 {
                     "event": "done",
@@ -450,6 +442,26 @@ class SynthesisServer:
             self._inflight -= 1
             self._gauges()
             self._kick()
+
+    def _execute(
+        self, job: Job, spec: HeartbeatSpec
+    ) -> tuple[JobOutcome, float]:
+        """Run *job* on the pool, then write its cache file and ledger
+        record (job thread).  Returns the outcome and the pool seconds.
+
+        Both writes wait on an fsync.  On the event loop they stalled
+        the cache hits in flight once per job; here they take no lock
+        the loop holds, so hits go on meanwhile.  The loop then indexes
+        the cached result and journals ``done``, in that order.
+        """
+        started = time.perf_counter()
+        outcome = self.executor.execute(
+            job.document, deadline=self.config.deadline, heartbeat=spec
+        )
+        elapsed = time.perf_counter() - started
+        self.cache.write(job.cache_key, outcome.result_text)
+        self._append_ledger(job, outcome.record)
+        return outcome, elapsed
 
     def _append_ledger(self, job: Job, record: dict[str, Any]) -> None:
         if self.config.ledger is None:

@@ -3,20 +3,25 @@
 The contract under test (see ``repro/place/incremental.py``): the
 workspace's maintained energy is at all times *bit-identical* to a
 from-scratch :func:`placement_energy`, proposals' incident-nets deltas
-agree with the realised change within ``1e-9``, the occupancy state
-always matches the blocks, and a seeded incremental annealing run
+agree with the realised change within ``1e-9``, the bitset legality
+test agrees with ``Placement.is_legal`` and the occupancy bitset always
+matches the blocks, and a seeded incremental annealing run
 produces the identical best placement and energy as the immutable
 reference loop of :mod:`tests.oracles.annealing`.
 """
 
 from __future__ import annotations
 
+import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.benchmarks.registry import get_benchmark
-from repro.core.problem import SynthesisProblem
+from repro.core.problem import MAX_GRID_CELLS, SynthesisProblem
 from repro.errors import PlacementError
 from repro.place.annealing import AnnealingParameters, anneal_placement
 from repro.place.energy import (
@@ -25,11 +30,9 @@ from repro.place.energy import (
     placement_energy,
 )
 from repro.place.grid import ChipGrid
-from repro.place.incremental import (
-    INDEX_SCAN_THRESHOLD,
-    PlacementWorkspace,
-)
+from repro.place.incremental import PlacementWorkspace
 from repro.place.moves import random_placement
+from repro.place.placement import PlacedComponent, Placement
 from repro.schedule import schedule_assay
 from tests.oracles.annealing import anneal_reference
 
@@ -86,8 +89,6 @@ def propose_random(workspace: PlacementWorkspace, rng: random.Random):
 
 class TestWorkspaceBasics:
     def test_requires_legal_placement(self):
-        from repro.place.placement import PlacedComponent, Placement
-
         overlapping = Placement(
             GRID,
             {
@@ -194,51 +195,117 @@ class TestApplyUndoProperty:
             assert ws_a.snapshot_blocks() == ws_b.snapshot_blocks()
 
 
-class TestOccupancyIndexThreshold:
-    def test_small_instance_skips_index(self):
-        workspace, _ = make_workspace()
-        assert len(FOOTPRINTS) < INDEX_SCAN_THRESHOLD
-        assert not workspace._use_index_scan
-        assert workspace._owner == {}
+def _edge_biased(low: int, high: int, *extra: int):
+    """Integers in ``[low, high]``, drawing the ends (and *extra*) often."""
+    return st.sampled_from(sorted({low, high, *extra})) | st.integers(
+        low, high
+    )
 
-    def test_large_instance_uses_index(self):
-        footprints = {f"C{i}": (1, 1) for i in range(INDEX_SCAN_THRESHOLD)}
-        rng = random.Random(0)
-        placement = random_placement(ChipGrid(20, 20), footprints, rng)
-        assert placement is not None
-        priorities = ConnectionPriorities(priorities={("C0", "C1"): 1.0})
+
+@st.composite
+def flush_placements(draw):
+    """A legal placement on a random (often non-square) 3–24-cell grid.
+
+    Footprints mix 1×1 blocks, blocks one cell short of the grid and
+    blocks whose transpose spans it fully.  The first block sits in the
+    ``x = 0, y = 0`` corner and the second, when it fits, flush against
+    ``x + w = W`` and ``y + h = H``; the rest prefer the edges too.
+    """
+    width = draw(st.integers(3, 24), label="width")
+    height = draw(st.integers(3, 24), label="height")
+    blocks: dict[str, PlacedComponent] = {}
+    for k in range(draw(st.integers(1, 6), label="count")):
+        w = draw(_edge_biased(1, width - 1, min(height, width - 1)))
+        h = draw(_edge_biased(1, height - 1, min(width, height - 1)))
+        if k == 0:
+            x, y = 0, 0
+        elif k == 1:
+            x, y = width - w, height - h
+        else:
+            x = draw(_edge_biased(0, width - w))
+            y = draw(_edge_biased(0, height - h))
+        block = PlacedComponent(f"C{k}", x, y, w, h)
+        if all(not block.overlaps(b, spacing=1) for b in blocks.values()):
+            blocks[block.cid] = block
+    placement = Placement(ChipGrid(width, height), blocks)
+    assert placement.is_legal()
+    return placement
+
+
+class TestBitsetLegality:
+    """Every proposal is legal exactly when ``Placement.is_legal`` says
+    the candidate placement is, on grids and footprints nobody picked."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(placement=flush_placements(), data=st.data())
+    def test_proposals_match_is_legal(self, placement, data):
+        cids = placement.components()
+        priorities = ConnectionPriorities(
+            priorities={
+                pair: 1.0 + i for i, pair in enumerate(zip(cids, cids[1:]))
+            }
+        )
         workspace = PlacementWorkspace(placement, priorities)
-        assert workspace._use_index_scan
-        assert len(workspace._owner) == len(footprints)
-        for _ in range(200):
-            move = propose_random(workspace, rng)
+        width, height = placement.grid.width, placement.grid.height
+        for _ in range(30):
+            current = workspace.snapshot()
+            kind = data.draw(st.sampled_from(["translate", "rotate", "swap"]))
+            cid = data.draw(st.sampled_from(cids))
+            block = current.block(cid)
+            if kind == "translate":
+                # One cell past either edge too: those must be refused.
+                x = data.draw(_edge_biased(-1, width - block.width + 1))
+                y = data.draw(_edge_biased(-1, height - block.height + 1))
+                move = workspace.propose_translate(cid, x, y)
+                candidate = current.with_block(block.moved_to(x, y))
+            elif kind == "rotate":
+                move = workspace.propose_rotate(cid)
+                candidate = current.with_block(block.rotated())
+            else:
+                other = current.block(data.draw(st.sampled_from(cids)))
+                if other.cid == cid:
+                    assert workspace.propose_swap(cid, cid) is None
+                    continue
+                move = workspace.propose_swap(cid, other.cid)
+                candidate = current.with_blocks(
+                    block.moved_to(other.x, other.y),
+                    other.moved_to(block.x, block.y),
+                )
+            assert (move is not None) == candidate.is_legal(), (kind, cid)
             if move is not None:
+                realised = placement_energy(candidate, priorities) - (
+                    placement_energy(current, priorities)
+                )
+                assert abs(move.delta - realised) <= 1e-9
                 workspace.commit(move)
         workspace.check_consistency()
 
-    def test_both_strategies_agree_on_legality(self):
-        """The algebraic loop and the index scan accept the same moves."""
-        footprints = {f"C{i}": (2, 2) for i in range(INDEX_SCAN_THRESHOLD)}
-        rng = random.Random(1)
-        placement = random_placement(ChipGrid(24, 24), footprints, rng)
+
+def test_sampler_memory_at_the_grid_cap():
+    """Footprint and keep-out masks are per footprint, not per position:
+    a workspace on the largest allowed grid stays small while sampling.
+    (A keep-out table per ``(x, y)`` would need ~256 MB per footprint.)"""
+    side = math.isqrt(MAX_GRID_CELLS)
+    grid = ChipGrid(side, side)
+    shapes = ((3, 2), (2, 2), (1, 1), (4, 3))
+    footprints = {f"C{i:02d}": shapes[i % 4] for i in range(24)}
+    nets = {(f"C{i:02d}", f"C{i + 1:02d}"): 1.0 for i in range(23)}
+    tracemalloc.start()
+    try:
+        rng = random.Random(0)
+        placement = random_placement(grid, footprints, rng)
         assert placement is not None
-        priorities = ConnectionPriorities(priorities={("C0", "C1"): 1.0})
-        indexed = PlacementWorkspace(placement, priorities)
-        linear = PlacementWorkspace(placement, priorities)
-        linear._use_index_scan = False
-        linear._owner = {}
-        assert indexed._use_index_scan
-        for _ in range(500):
-            cid = rng.choice(indexed.components())
-            block = indexed.block(cid)
-            x = rng.randint(0, indexed.grid.width - block.width)
-            y = rng.randint(0, indexed.grid.height - block.height)
-            a = indexed.propose_translate(cid, x, y)
-            b = linear.propose_translate(cid, x, y)
-            assert (a is None) == (b is None)
-            if a is not None:
-                indexed.commit(a)
-                linear.commit(b)
+        workspace = PlacementWorkspace(placement, ConnectionPriorities(nets))
+        sample = workspace.move_sampler(rng)
+        for _ in range(2000):
+            move = sample()
+            if move is not None:
+                workspace.commit(move)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    workspace.check_consistency()
+    assert peak < 4 * 1024 * 1024
 
 
 class TestEngineParity:

@@ -26,7 +26,7 @@ from repro.components.allocation import Allocation
 from repro.core.problem import SynthesisProblem
 from repro.place.annealing import AnnealingParameters, anneal_placement
 from repro.place.energy import build_connection_priorities, placement_energy
-from repro.place.incremental import INDEX_SCAN_THRESHOLD, PlacementWorkspace
+from repro.place.incremental import _SAMPLE_POOL_MAX, PlacementWorkspace
 from repro.place.moves import random_placement
 from repro.schedule import schedule_assay
 
@@ -37,8 +37,8 @@ FAST = AnnealingParameters(
     iterations_per_temperature=40,
 )
 
-#: A generated instance above the occupancy-index threshold, with more
-#: than 21 components so swaps take ``sample``'s set branch too.
+#: A generated instance with more than 21 components, so swaps take
+#: ``random.sample``'s set branch too.
 GENERATED = SyntheticSpec("Lazy24", 60, Allocation(9, 6, 5, 4), seed=7)
 
 
@@ -79,9 +79,9 @@ def audited_reads(monkeypatch):
     return reads
 
 
-def test_generated_instance_uses_the_index_scan():
+def test_generated_instance_takes_the_sample_set_branch():
     _grid, footprints, _priorities = _instance(GENERATED.name)
-    assert len(footprints) > max(INDEX_SCAN_THRESHOLD, 21)
+    assert len(footprints) > _SAMPLE_POOL_MAX
 
 
 @pytest.mark.parametrize("name", INSTANCES)
@@ -113,9 +113,9 @@ def test_random_walk_estimate_stays_in_guard_band(name):
         if pending is None:
             continue
         centres_kept = all(
-            old.x + (old.width - 1) / 2.0 == x + (w - 1) / 2.0
-            and old.y + (old.height - 1) / 2.0 == y + (h - 1) / 2.0
-            for old, x, y, w, h in pending.changes
+            workspace.block(cid).centre()
+            == (x + (w - 1) / 2.0, y + (h - 1) / 2.0)
+            for cid, x, y, w, h in pending.changes
         )
         if centres_kept:
             identities += 1

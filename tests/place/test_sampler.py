@@ -1,14 +1,17 @@
 """Guard test for the incremental engine's inlined move sampler.
 
-:meth:`PlacementWorkspace.move_sampler` draws through the bound
-``rng._randbelow`` instead of calling ``rng.choice``, ``rng.randint``
-and ``rng.sample(components, 2)``, mirroring how CPython's
-:mod:`random` implements those three.  The seeded parity of every
-anneal, and every pinned solution digest, depends on that mirror.  A
-change to CPython's ``random`` internals must therefore fail here,
-loudly, rather than silently re-pin the digests.  Component counts
-1–40 cover both branches of ``sample`` (its list pool up to 21 items,
-its rejection set above).
+:meth:`PlacementWorkspace.move_sampler` draws straight from
+``rng.getrandbits`` instead of calling ``rng.choice``, ``rng.randint``
+and ``rng.sample(components, 2)``: it copies the rejection loop of
+CPython's ``Random._randbelow_with_getrandbits`` (``n.bit_length()``
+bits, redrawn while ``>= n``), which is what those three call.  The
+seeded parity of every anneal, and every pinned solution digest,
+depends on that mirror.  A change to CPython's ``random`` internals
+must therefore fail here, loudly, rather than silently re-pin the
+digests.  Component counts 1–40 cover both branches of ``sample`` (its
+list pool up to 21 items, its rejection set above); grids 9, 16, 17
+and 24 cells wide make ``randint``'s range an exact power of two for
+some footprints, which exercises the redraw loop.
 """
 
 from __future__ import annotations
@@ -51,12 +54,14 @@ def reference_sample(workspace: PlacementWorkspace, rng: random.Random):
     return None
 
 
-def make_workspace(count: int, seed: int) -> PlacementWorkspace:
+def make_workspace(
+    count: int, seed: int, grid: ChipGrid = GRID
+) -> PlacementWorkspace:
     rng = random.Random(seed)
     footprints = {
         f"C{i:02d}": ((2, 1) if i % 3 == 0 else (1, 1)) for i in range(count)
     }
-    placement = random_placement(GRID, footprints, rng)
+    placement = random_placement(grid, footprints, rng)
     assert placement is not None
     nets = {
         (f"C{i:02d}", f"C{i + 1:02d}"): 1.0 + i % 4 for i in range(count - 1)
@@ -64,14 +69,20 @@ def make_workspace(count: int, seed: int) -> PlacementWorkspace:
     return PlacementWorkspace(placement, ConnectionPriorities(nets))
 
 
-@pytest.mark.parametrize("count", range(1, 41))
-def test_inlined_draws_match_random_api(count):
-    fast = make_workspace(count, seed=count)
-    slow = make_workspace(count, seed=count)
-    rng_fast = random.Random(1000 + count)
-    rng_slow = random.Random(1000 + count)
+def test_random_draws_through_getrandbits():
+    mirrored = random.Random._randbelow_with_getrandbits
+    assert random.Random._randbelow is mirrored, (
+        "Random._randbelow is no longer _randbelow_with_getrandbits: "
+        "PlacementWorkspace.move_sampler mirrors that method's getrandbits "
+        "rejection loop and must be updated with it"
+    )
+
+
+def assert_draws_match(fast, slow, rng_seed: int, trials: int = 150) -> None:
+    rng_fast = random.Random(rng_seed)
+    rng_slow = random.Random(rng_seed)
     sample = fast.move_sampler(rng_fast)
-    for _ in range(150):
+    for _ in range(trials):
         got = sample()
         want = reference_sample(slow, rng_slow)
         assert rng_fast.getstate() == rng_slow.getstate()
@@ -85,4 +96,25 @@ def test_inlined_draws_match_random_api(count):
         fast.commit(got)
         slow.commit(want)
     assert fast.snapshot_blocks() == slow.snapshot_blocks()
+
+
+@pytest.mark.parametrize("count", range(1, 41))
+def test_inlined_draws_match_random_api(count):
+    assert_draws_match(
+        make_workspace(count, seed=count),
+        make_workspace(count, seed=count),
+        rng_seed=1000 + count,
+    )
+
+
+@pytest.mark.parametrize("count", [1, 2, 9, 22])
+@pytest.mark.parametrize("width", [9, 16, 17, 24])
+def test_inlined_draws_match_across_grid_widths(width, count):
+    grid = ChipGrid(width, 13)
+    assert_draws_match(
+        make_workspace(count, seed=count, grid=grid),
+        make_workspace(count, seed=count, grid=grid),
+        rng_seed=2000 + width + count,
+        trials=300,
+    )
 

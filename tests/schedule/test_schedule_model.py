@@ -6,7 +6,7 @@ from repro.assay.builder import AssayBuilder
 from repro.components.allocation import Allocation
 from repro.errors import SchedulingError
 from repro.schedule.list_scheduler import schedule_assay
-from repro.schedule.schedule import ScheduledOperation
+from repro.schedule.schedule import ScheduledOperation, _sum_in_order
 
 
 def two_mixer_schedule():
@@ -85,6 +85,13 @@ class TestScheduleMetrics:
     def test_transport_count_matches_tasks(self):
         schedule = two_mixer_schedule()
         assert schedule.transport_count() == len(schedule.transport_tasks())
+
+    def test_totals_add_left_to_right_on_every_version(self):
+        # Builtin sum() gives 1.0 here from CPython 3.12 on; the solution
+        # digest needs 3.10/3.11's plain left-to-right additions.
+        assert _sum_in_order([0.1] * 10) == 0.9999999999999999
+        total = _sum_in_order([2, 3])
+        assert total == 5 and isinstance(total, int)
 
     def test_concurrency_of(self):
         schedule = two_mixer_schedule()

@@ -115,6 +115,13 @@ class TestEviction:
         assert cache.contains("aa" * 32)
         assert not cache.contains("bb" * 32)
 
+    def test_unbounded_cache_hits_leave_mtime_alone(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put("aa" * 32, '{"n":1}')
+        _age(cache, "aa" * 32, 1000.0)
+        assert cache.get("aa" * 32) == '{"n":1}'
+        assert cache._path("aa" * 32).stat().st_mtime == 1000.0
+
     def test_just_written_key_never_evicted(self, tmp_path):
         cache = ResultCache(tmp_path, limit=1)
         cache.put("aa" * 32, '{"n":1}')
