@@ -21,7 +21,7 @@ checkers can share the vocabulary without import cycles.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 __all__ = [

@@ -28,7 +28,7 @@ from repro.core.problem import SynthesisParameters, SynthesisProblem
 from repro.core.solution import SynthesisResult
 from repro.obs.instrument import Instrumentation
 from repro.place.greedy import greedy_placement
-from repro.route.baseline_router import route_tasks_baseline
+from repro.route.router import route_tasks_baseline
 from repro.schedule.baseline_scheduler import schedule_assay_baseline
 from repro.schedule.validate import validate_schedule
 
@@ -65,10 +65,7 @@ def synthesize_problem_baseline(
 
     def route_stage(problem, schedule, placement, instr: Instrumentation):
         return route_tasks_baseline(
-            placement,
-            schedule.transport_tasks(),
-            instrumentation=instr,
-            engine=params.route_engine,
+            placement, schedule.transport_tasks(), instrumentation=instr
         )
 
     return execute_flow(

@@ -24,10 +24,9 @@ ledger history from before a change is recognisably incomparable rather
 than silently different.
 
 This module is the single home of that definition.  It originally
-lived in :mod:`repro.obs.ledger`, which still re-exports
-:func:`problem_digest` for backwards compatibility; the byte-level
-canonicalisation is pinned by tests so digests written by older
-ledgers stay comparable forever.
+lived in :mod:`repro.obs.ledger`; the byte-level canonicalisation is
+pinned by tests so digests written by older ledgers stay comparable
+forever.
 """
 
 from __future__ import annotations

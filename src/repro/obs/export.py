@@ -29,7 +29,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from repro.obs.sinks import read_jsonl
 
-__all__ = ["trace_to_chrome", "convert_trace", "chrome_main", "run_trace2chrome"]
+__all__ = ["trace_to_chrome", "convert_trace", "run_trace2chrome"]
 
 #: Synthetic process id — a trace comes from one logical run.
 _PID = 1
@@ -159,7 +159,3 @@ def run_trace2chrome(argv: Sequence[str] | None = None) -> int:
     )
     return 0
 
-
-def chrome_main(argv: Sequence[str] | None = None) -> None:
-    """Console entry point wrapper around :func:`run_trace2chrome`."""
-    raise SystemExit(run_trace2chrome(argv))

@@ -52,30 +52,20 @@ import time
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-# Deprecated re-export: the digest definition moved to
-# :mod:`repro.core.digest` (PR 9) so the serve cache and the ledger
-# share one canonicalisation.  Importing it from here keeps working —
-# and must keep producing byte-identical digests — forever.
-from repro.core.digest import DIGEST_EXCLUDED_PARAMETERS, problem_digest
+from repro.core.digest import problem_digest
 
 __all__ = [
     "DEFAULT_LEDGER_PATH",
     "LEDGER_SCHEMA_VERSION",
-    "problem_digest",
     "build_record",
     "append_record",
     "read_ledger",
     "record_run",
     "run_stats",
-    "stats_main",
 ]
 
 DEFAULT_LEDGER_PATH = Path(".repro") / "ledger.jsonl"
 LEDGER_SCHEMA_VERSION = 1
-
-#: Deprecated alias of
-#: :data:`repro.core.digest.DIGEST_EXCLUDED_PARAMETERS`.
-_DIGEST_EXCLUDED_PARAMETERS = DIGEST_EXCLUDED_PARAMETERS
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +357,3 @@ def run_stats(argv: Sequence[str] | None = None) -> int:
         print("baseline: no regressions")
     return 0
 
-
-def stats_main(argv: Sequence[str] | None = None) -> None:
-    """Console entry point wrapper around :func:`run_stats`."""
-    raise SystemExit(run_stats(argv))

@@ -1,11 +1,13 @@
 """Routing stage (Algorithm 2, lines 9–18) and the baseline router.
 
-:class:`RoutingResult` is the whole routing record: its paths carry
-their per-cell occupations, from which the channel footprint and the
-per-cell usage history are derived.
+One routing loop serves both flows: :func:`route_tasks` (the paper's
+weighted, slot-aware A*) and :func:`route_tasks_baseline` (BA's
+construction by correction) differ only in the search that finds a
+task's path at a given delay.  :class:`RoutingResult` is the whole
+routing record: its paths carry their per-cell occupations, from which
+the channel footprint and the per-cell usage history are derived.
 """
 
-from repro.route.baseline_router import route_tasks_baseline
 from repro.route.flat import (
     DEFAULT_INITIAL_WEIGHT,
     FlatOccupancy,
@@ -18,6 +20,7 @@ from repro.route.router import (
     ROUTE_ENGINES,
     RoutingResult,
     route_tasks,
+    route_tasks_baseline,
 )
 from repro.route.timeslots import TimeSlot
 

@@ -28,14 +28,20 @@ A postponement fallback handles the rest: when no admissible plan
 exists, the task slides forward in 1-second steps until one does.  It
 fires more often as assays grow.  At seed 1 it postpones 0 of 3 tasks on
 PCR, 10 of 47 on CPA, 11 of 44 on Synthetic4, 44 of 80 on Scale100 and
-146 of 181 on Scale200 (docs/ALGORITHMS.md §5 has every row).  It is also
-the *primary* correction mechanism of the baseline router in
-:mod:`repro.route.baseline_router`.
+146 of 181 on Scale200 (docs/ALGORITHMS.md §5 has every row).
+
+The baseline (BA, Section V) routes by construction and correction and
+shares this loop: :func:`route_tasks` and :func:`route_tasks_baseline`
+differ only in the *search* that finds a task's path at a given delay
+(:func:`_paper_search`, :func:`_baseline_search`).  The start-time
+order, the slide and its budget, the commit and the counters are
+:func:`_route`'s alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.errors import RoutingError
 from repro.obs.instrument import Instrumentation
@@ -56,6 +62,7 @@ __all__ = [
     "DEFAULT_ROUTE_ENGINE",
     "RoutingResult",
     "route_tasks",
+    "route_tasks_baseline",
     "plan_path_slots",
 ]
 
@@ -68,6 +75,13 @@ _POSTPONE_LIMIT: int = 1000
 #: the value stays part of every problem digest and result document.
 ROUTE_ENGINES = ("flat",)
 DEFAULT_ROUTE_ENGINE = "flat"
+
+#: Zero-length slot for geometry-only searches (conflicts with nothing).
+_GEOMETRY_PROBE = TimeSlot(0.0, 0.0)
+
+#: A task's path and slot plan at a given delay, or ``None`` when it
+#: does not fit yet.
+Attempt = Callable[[Seconds], "tuple[tuple[Cell, ...], list[TimeSlot]] | None"]
 
 
 def check_route_engine(engine: str) -> None:
@@ -229,6 +243,90 @@ def _route_self_loop(
     return None
 
 
+def _paper_search(
+    grid, finder, task, sources, targets, all_ports, instrumentation
+) -> Attempt:
+    """The paper's search: at each delay, a weighted, slot-aware A* path
+    with its slot plan, or a nearby cell for a self-loop."""
+    if task.src_component == task.dst_component:
+
+        def attempt(delay: Seconds):
+            cache = _cache_slot(task, delay)
+            cells = _route_self_loop(grid, sources, cache)
+            return (cells, [cache]) if cells else None
+
+        return attempt
+
+    def attempt(delay: Seconds):
+        cells = finder(
+            grid, sources, targets, _transit_slot(task, delay),
+            instrumentation=instrumentation,
+        )
+        if cells is None:
+            return None
+        slots = plan_path_slots(grid, cells, task, delay, avoid_for_cache=all_ports)
+        return (cells, slots) if slots is not None else None
+
+    return attempt
+
+
+def _baseline_search(
+    grid, finder, task, sources, targets, all_ports, instrumentation
+) -> Attempt:
+    """BA's construction-by-correction search (Section V).
+
+    **Construction** — the task gets one plain shortest path, searched
+    once: uniform cell cost, no wash-weight guidance, occupation slots
+    ignored (a self-loop takes its component's first port).
+    **Correction** — at each delay the constructed path is planned; when
+    its slots conflict, a uniform-cost, occupation-aware detour is tried
+    (BA never uses the wash-time weights that let the paper's router
+    share cheap channels).  When neither fits, the loop postpones the
+    task — the delays Section II-C.2 attributes to BA, e.g. the shared
+    segment in Fig. 4(a) forcing the ``o4→o6`` transport to wait for a
+    10 s wash.
+    """
+    self_loop = task.src_component == task.dst_component
+    if self_loop:
+        constructed: tuple[Cell, ...] | None = (sources[0],)
+    else:
+        constructed = finder(
+            grid, sources, targets, _GEOMETRY_PROBE,
+            instrumentation=instrumentation,
+            use_weights=False, use_slots=False,
+        )
+    if constructed is None:
+        raise RoutingError(
+            f"task {task.task_id} ({task.src_component} -> "
+            f"{task.dst_component}) has no geometric path",
+            task_id=task.task_id,
+        )
+
+    def attempt(delay: Seconds):
+        slots = plan_path_slots(
+            grid, constructed, task, delay, avoid_for_cache=all_ports
+        )
+        if slots is not None:
+            return constructed, slots
+        if self_loop:
+            return None
+        detour = finder(
+            grid, sources, targets, _transit_slot(task, delay),
+            instrumentation=instrumentation,
+            use_weights=False, use_slots=True,
+        )
+        if detour is None:
+            return None
+        slots = plan_path_slots(grid, detour, task, delay, avoid_for_cache=all_ports)
+        if slots is None:
+            return None
+        if instrumentation is not None:
+            instrumentation.count("route.reroutes")
+        return detour, slots
+
+    return attempt
+
+
 def route_tasks(
     placement: Placement,
     tasks: list[TransportTask],
@@ -251,11 +349,26 @@ def route_tasks(
     """
     check_route_engine(engine)
     return _route(
-        placement,
-        tasks,
-        FlatRoutingState(placement, initial_weight),
-        find_path_flat,
-        instrumentation,
+        placement, tasks, FlatRoutingState(placement, initial_weight),
+        find_path_flat, _paper_search, instrumentation,
+    )
+
+
+def route_tasks_baseline(
+    placement: Placement,
+    tasks: list[TransportTask],
+    instrumentation: Instrumentation | None = None,
+) -> RoutingResult:
+    """Route *tasks* with BA's construction-by-correction search.
+
+    Same loop, budget and counters as :func:`route_tasks`, plus
+    ``route.reroutes`` (accepted correction detours).  Its postponements
+    are returned per edge so :func:`repro.schedule.retiming.retime_with_delays`
+    can propagate them into the baseline's final execution time.
+    """
+    return _route(
+        placement, tasks, FlatRoutingState(placement, initial_weight=0.0),
+        find_path_flat, _baseline_search, instrumentation,
     )
 
 
@@ -264,13 +377,18 @@ def _route(
     tasks: list[TransportTask],
     grid,
     finder,
+    search: Callable[..., Attempt],
     instrumentation: Instrumentation | None,
 ) -> RoutingResult:
     """The routing loop over a ``(grid, finder)`` pair.
 
     *grid* offers the ``is_routable`` / ``is_free`` / ``weight`` /
     ``commit_path`` surface of :class:`FlatRoutingState` and *finder*
-    searches it with the signature of :func:`find_path_flat`.
+    searches it with the signature of :func:`find_path_flat`.  For each
+    task, ``search(grid, finder, task, sources, targets, all_ports,
+    instrumentation)`` returns the task's :data:`Attempt`; the loop
+    slides the delay in :data:`_POSTPONE_STEP` steps until an attempt
+    fits, at most :data:`_POSTPONE_LIMIT` times.
     """
     result = RoutingResult(placement=placement)
     ordered = sorted(tasks, key=lambda t: (t.depart, t.task_id))
@@ -281,42 +399,25 @@ def _route(
     }
     all_ports = {cell for ports in port_cache.values() for cell in ports}
     for task in ordered:
-        sources = port_cache[task.src_component]
-        targets = port_cache[task.dst_component]
-        delay = 0.0
-        cells: tuple[Cell, ...] | None = None
-        slots: list[TimeSlot] | None = None
+        attempt = search(
+            grid, finder, task, port_cache[task.src_component],
+            port_cache[task.dst_component], all_ports, instrumentation,
+        )
         for step_index in range(_POSTPONE_LIMIT):
             delay = step_index * _POSTPONE_STEP
-            if task.src_component == task.dst_component:
-                cells = _route_self_loop(grid, sources, _cache_slot(task, delay))
-                slots = [_cache_slot(task, delay)] if cells else None
-            else:
-                cells = finder(
-                    grid,
-                    sources,
-                    targets,
-                    _transit_slot(task, delay),
-                    instrumentation=instrumentation,
-                )
-                slots = (
-                    plan_path_slots(
-                        grid, cells, task, delay, avoid_for_cache=all_ports
-                    )
-                    if cells is not None
-                    else None
-                )
-            if slots is not None:
+            found = attempt(delay)
+            if found is not None:
                 break
             if instrumentation is not None:
                 instrumentation.count("route.conflict_retries")
-        if cells is None or slots is None:
+        else:
             raise RoutingError(
                 f"task {task.task_id} ({task.src_component} -> "
                 f"{task.dst_component}) could not be routed within the "
                 f"postponement budget",
                 task_id=task.task_id,
             )
+        cells, slots = found
         grid.commit_path(cells, task.task_id, slots, task.wash_time)
         result.paths.append(
             RoutedPath(

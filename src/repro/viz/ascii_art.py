@@ -9,7 +9,6 @@ Terminal-friendly views used by the examples and by debugging sessions:
 
 from __future__ import annotations
 
-from repro.place.grid import Cell
 from repro.place.placement import Placement
 from repro.route.router import RoutingResult
 from repro.schedule.schedule import Schedule

@@ -5,7 +5,6 @@ import pytest
 from repro.check.report import (
     CHECK_MODES,
     CheckReport,
-    Rule,
     Severity,
     Violation,
     all_rules,

@@ -1,11 +1,8 @@
-"""Tests for the extracted content-addressing module.
+"""Tests for the content-addressing module (:mod:`repro.core.digest`).
 
-``problem_digest`` moved from :mod:`repro.obs.ledger` into
-:mod:`repro.core.digest` (the serve subsystem needs it without pulling
-in the ledger).  The digest is a *stable identifier* — ledger history
-and the service's result cache both key on it — so these tests pin the
-algorithm: the move must not change a single byte of any digest, and
-future edits that would must be made deliberately.
+The digest is a *stable identifier* — ledger history and the service's
+result cache both key on it — so these tests pin the algorithm: an edit
+that changes a single byte of any digest must be made deliberately.
 """
 
 from __future__ import annotations
@@ -86,27 +83,6 @@ class TestProblemDigest:
         json.dumps(document)
 
 
-class TestLedgerReExport:
-    """The ledger keeps re-exporting the digest API (deprecated path)."""
-
-    def test_same_function_objects(self):
-        from repro.obs import ledger
-
-        assert ledger.problem_digest is problem_digest
-        assert (
-            ledger._DIGEST_EXCLUDED_PARAMETERS is DIGEST_EXCLUDED_PARAMETERS
-        )
-
-    def test_digest_equality_across_the_move(self):
-        # The load-bearing pin: records written by older code (through
-        # the ledger's digest) and keys computed by the serve cache
-        # (through core.digest) must agree forever.
-        from repro.obs.ledger import problem_digest as ledger_digest
-
-        problem = _problem(seed=7)
-        assert ledger_digest(problem) == problem_digest(problem)
-
-
 class TestIdentityPins:
     """Literal SHA-256 pins of problem and solution identity.
 
@@ -133,6 +109,11 @@ class TestIdentityPins:
             ("PCR", "baseline", "5e34d36daee7227d6b1007b13cc0769eab3c8e683560cfc9f13bc6f51440ff04"),
             ("CPA", "ours", "f6b1864efe89e3a9f77f2dfd0ca6a8a60dafc3129842605293a3bbafc7fc9eda"),
             ("CPA", "baseline", "787e3b1220740b933708a075fca14e264e3c77a1fd558a9f03aff2c2045058b6"),
+            # Congested rows: BA's correction detours and postponements.
+            ("Synthetic2", "ours", "79e68ca7c1d49fd5e65da3b53b3c0f549f0a4f73a1f6197cb8d7a1e623b39a5e"),
+            ("Synthetic2", "baseline", "2fd185b13eca27ac5f8890b0648ec61da862aaff9c29b13f20d6a05b2632b992"),
+            ("Scale100", "ours", "4d9fcfdbaecaca9458cd30aaf2a0c4d51b06fa43247fb391775eefcfd70fe20d"),
+            ("Scale100", "baseline", "47f0f568d18d7ff2863f9f9e4e73b38d17b2d034efc93e3cb0e3130336908986"),
         ],
     )
     def test_solution_document_digest(self, name, flow, expected):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.benchmarks.registry import get_benchmark
+from repro.core.digest import problem_digest
 from repro.core.problem import SynthesisParameters, SynthesisProblem
 from repro.core.synthesizer import synthesize_problem
 from repro.obs.instrument import Instrumentation
@@ -12,7 +13,6 @@ from repro.obs.ledger import (
     LEDGER_SCHEMA_VERSION,
     append_record,
     build_record,
-    problem_digest,
     read_ledger,
     record_run,
     run_stats,

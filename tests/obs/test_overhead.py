@@ -10,8 +10,6 @@ runs this short.
 
 import time
 
-import pytest
-
 from repro.core.problem import SynthesisParameters, SynthesisProblem
 from repro.core.synthesizer import synthesize_problem
 from repro.place.annealing import anneal_placement

@@ -8,9 +8,10 @@ Manhattan heuristic recomputed per cell — so the parity suites can
 check the production search against an independent implementation.
 
 :func:`route_tasks_reference` and :func:`route_tasks_baseline_reference`
-drive the production routing loops through this search on a
-:class:`RoutingGrid`; both return results that must be identical to
-:func:`repro.route.route_tasks` / :func:`repro.route.route_tasks_baseline`.
+drive the production routing loop, with each flow's search, through
+this A* on a :class:`RoutingGrid`; both return results that must be
+identical to :func:`repro.route.route_tasks` /
+:func:`repro.route.route_tasks_baseline`.
 """
 
 from __future__ import annotations
@@ -26,9 +27,13 @@ import pytest
 from repro.obs.instrument import Instrumentation
 from repro.place.grid import Cell
 from repro.place.placement import Placement
-from repro.route.baseline_router import _route_baseline
 from repro.route.flat import DEFAULT_INITIAL_WEIGHT, _flush_search_stats
-from repro.route.router import RoutingResult, _route
+from repro.route.router import (
+    RoutingResult,
+    _baseline_search,
+    _paper_search,
+    _route,
+)
 from repro.route.timeslots import TimeSlot
 from repro.schedule.tasks import TransportTask
 from tests.oracles.routing_grid import RoutingGrid
@@ -242,7 +247,7 @@ def route_tasks_reference(
     """
     return _route(
         placement, tasks, RoutingGrid(placement, initial_weight), finder,
-        instrumentation,
+        _paper_search, instrumentation,
     )
 
 
@@ -250,12 +255,12 @@ def route_tasks_baseline_reference(
     placement: Placement,
     tasks: list[TransportTask],
     instrumentation: Instrumentation | None = None,
-    engine: str = "flat",
 ) -> RoutingResult:
-    """The baseline routing loop over a :class:`RoutingGrid` and the oracle."""
-    return _route_baseline(
+    """The routing loop with BA's search over a :class:`RoutingGrid` and
+    the oracle."""
+    return _route(
         placement, tasks, RoutingGrid(placement, initial_weight=0.0),
-        find_path_reference, instrumentation,
+        find_path_reference, _baseline_search, instrumentation,
     )
 
 

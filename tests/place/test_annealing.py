@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.components.allocation import Allocation
 from repro.errors import PlacementError
 from repro.place.annealing import (
     AnnealingParameters,

@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.place.grid import ChipGrid
 from repro.place.moves import (
     random_move,

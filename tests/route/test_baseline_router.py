@@ -6,7 +6,7 @@ from repro.core.problem import SynthesisProblem
 from repro.place.greedy import construct_placement
 from repro.place.grid import ChipGrid
 from repro.place.placement import PlacedComponent, Placement
-from repro.route.baseline_router import route_tasks_baseline
+from repro.route.router import route_tasks_baseline
 from repro.route.router import route_tasks
 from repro.schedule.baseline_scheduler import schedule_assay_baseline
 from repro.schedule.tasks import TransportTask

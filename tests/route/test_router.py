@@ -4,9 +4,16 @@ import pytest
 
 from repro.assay.fluids import Fluid
 from repro.benchmarks.registry import get_benchmark
+from repro.errors import RoutingError
 from repro.place.grid import ChipGrid
 from repro.place.placement import PlacedComponent, Placement
-from repro.route.router import plan_path_slots, route_tasks
+from repro.route.router import (
+    _POSTPONE_LIMIT,
+    _POSTPONE_STEP,
+    plan_path_slots,
+    route_tasks,
+    route_tasks_baseline,
+)
 from tests.oracles.routing_grid import RoutingGrid
 from repro.schedule.list_scheduler import schedule_assay
 from repro.schedule.tasks import TransportTask
@@ -256,3 +263,58 @@ class TestPostponementCounter:
             instrumentation.counters.get("route.postponements", 0)
             == len(postponed)
         )
+
+    @pytest.mark.parametrize("flow", ["ours", "baseline"])
+    def test_self_loop_counter_matches_self_loop_paths(self, flow):
+        """`route.self_loops` counts exactly the committed self-loop
+        paths, in both flows."""
+        from repro.core.baseline import synthesize_problem_baseline
+        from repro.core.problem import SynthesisParameters, SynthesisProblem
+        from repro.core.synthesizer import synthesize_problem
+        from repro.obs.instrument import Instrumentation
+
+        case = get_benchmark("CPA")
+        problem = SynthesisProblem(
+            assay=case.assay,
+            allocation=case.allocation,
+            parameters=SynthesisParameters(seed=1),
+        )
+        run = synthesize_problem if flow == "ours" else synthesize_problem_baseline
+        instrumentation = Instrumentation()
+        result = run(problem, instrumentation=instrumentation)
+        loops = [
+            p for p in result.routing.paths
+            if p.task.src_component == p.task.dst_component
+        ]
+        assert loops  # CPA evicts fluids beside their own component
+        assert instrumentation.counters.get("route.self_loops", 0) == len(loops)
+
+
+class TestPostponementBudget:
+    @pytest.mark.parametrize(
+        "router", [route_tasks, route_tasks_baseline], ids=["ours", "baseline"]
+    )
+    def test_budget_exhaustion_raises_naming_the_task(self, router):
+        """Both routers give up after `_POSTPONE_LIMIT` slides.
+
+        A single corridor joins the two mixers; the first task caches
+        its plug in the corridor for longer than the whole budget, so
+        the second can only pass after more than `_POSTPONE_LIMIT`
+        slides.
+        """
+        corridor = Placement(
+            ChipGrid(7, 1),
+            {
+                "Mixer1": PlacedComponent("Mixer1", 0, 0, 2, 1),
+                "Mixer2": PlacedComponent("Mixer2", 5, 0, 2, 1),
+            },
+        )
+        blocking = task(
+            "tk0", depart=0.0, arrive=2.0,
+            consume=(_POSTPONE_LIMIT + 100) * _POSTPONE_STEP,
+        )
+        starved = task("tk1", depart=1.0, arrive=3.0, consume=3.0)
+        with pytest.raises(RoutingError, match="tk1") as caught:
+            router(corridor, [blocking, starved])
+        assert caught.value.task_id == "tk1"
+

@@ -76,7 +76,7 @@ class TestRoutingFailures:
         corridor must raise a RoutingError naming the task."""
         from repro.assay.fluids import Fluid
         from repro.place.placement import PlacedComponent, Placement
-        from repro.route.baseline_router import route_tasks_baseline
+        from repro.route.router import route_tasks_baseline
         from repro.schedule.tasks import TransportTask
 
         # Hand-build an (illegal, but structurally valid) placement with

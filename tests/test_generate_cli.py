@@ -1,7 +1,5 @@
 """Tests for the repro-generate CLI and its round trip with synthesis."""
 
-import pytest
-
 from repro.assay.io import load_assay
 from repro.cli import run as synthesize_cli
 from repro.generate import build_parser, run

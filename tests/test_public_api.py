@@ -31,15 +31,11 @@ class TestPublicApi:
         assert callable(repro.get_benchmark)
 
     def test_subpackages_importable(self):
-        import repro.assay
-        import repro.benchmarks
-        import repro.components
-        import repro.core
-        import repro.experiments
-        import repro.place
-        import repro.route
-        import repro.schedule
-        import repro.viz
+        for name in (
+            "assay", "benchmarks", "components", "core", "experiments",
+            "place", "route", "schedule", "viz",
+        ):
+            importlib.import_module(f"repro.{name}")
 
     def test_errors_hierarchy(self):
         from repro import errors
