@@ -9,20 +9,22 @@ Defaults are the paper's: ``T0=10000, Tmin=1.0, α=0.9, Imax=150``.
 The best placement ever seen is returned (not merely the final one) —
 standard practice that only improves on the paper's description.
 
-The move loop runs on the
-:class:`~repro.place.incremental.PlacementWorkspace`: in-place
-apply/undo moves, bitset legality, and delta energy over only the nets
-incident to the moved components.
+Each temperature step is one call of
+:meth:`~repro.place.incremental.PlacementWorkspace.anneal_step`, the
+workspace's kernel: in-place moves, bitset legality, delta energy over
+only the nets incident to the moved components, acceptance and the
+best-so-far check, all in one loop.
 
-The workspace loop consumes the seeded RNG through the *identical*
-draw sequence as the straightforward immutable formulation (one new
+The kernel consumes the seeded RNG through the *identical* draw
+sequence as the straightforward immutable formulation (one new
 :class:`~repro.place.placement.Placement`, full legality scan, and full
 Eq. 3 evaluation per trial) and makes identical accept/reject
 decisions, so a given seed yields the same best placement and
 bit-identical best energy.  The test suite keeps that formulation as an
-oracle and asserts the parity in ``tests/place/test_incremental.py``.
+oracle and asserts the parity in ``tests/place/test_incremental.py``
+and ``tests/place/test_sampler.py``.
 
-The loop does not pay a full Eq. 3 pass per accepted move.  After a
+The kernel does not pay a full Eq. 3 pass per accepted move.  After a
 commit it compares the workspace's running estimate with the best
 energy: only when the estimate lies within the workspace's guard band
 (``slack``) of the best, or below it, does it read the exact energy
@@ -38,12 +40,13 @@ import math
 import random
 from dataclasses import dataclass
 from time import perf_counter
+from typing import Callable
 
 from repro.errors import PlacementError
 from repro.obs.instrument import Instrumentation
 from repro.place.energy import ConnectionPriorities
 from repro.place.grid import ChipGrid
-from repro.place.incremental import PendingMove, PlacementWorkspace
+from repro.place.incremental import PlacementWorkspace
 from repro.place.moves import random_placement
 from repro.place.placement import Placement
 
@@ -58,17 +61,6 @@ __all__ = [
 #: The workspace loop is the only engine; the parameter stays because
 #: callers name it and the value appears in result documents.
 PLACEMENT_ENGINES = ("incremental",)
-
-#: Below this magnitude the incident-nets delta estimate cannot be
-#: trusted to carry the same *sign* as a full-evaluation difference
-#: (symmetric moves have a true delta of exactly zero, and the two
-#: computations round differently), so the incremental engine falls
-#: back to the exact delta.  A wrong sign would change the RNG stream:
-#: ``delta < 0`` accepts without drawing ``rng.random()``.  The
-#: estimate and the exact delta agree within ~1e-11, so any estimate
-#: beyond this threshold has a reliable sign.
-_EXACT_DELTA_THRESHOLD = 1e-6
-
 
 @dataclass(frozen=True)
 class AnnealingParameters:
@@ -98,9 +90,18 @@ class AnnealingParameters:
 
     @property
     def temperature_steps(self) -> int:
-        """Number of cooling steps the schedule will take."""
-        ratio = math.log(self.min_temperature / self.initial_temperature)
-        return max(1, math.ceil(ratio / math.log(self.cooling_rate)))
+        """Number of cooling steps the schedule will take.
+
+        Counted with :func:`anneal_placement`'s own ``T ← α·T`` float
+        products, so it agrees with the loop where a closed-form
+        logarithm would round the other way.
+        """
+        steps = 0
+        temperature = self.initial_temperature
+        while temperature > self.min_temperature:
+            steps += 1
+            temperature *= self.cooling_rate
+        return steps
 
 
 @dataclass
@@ -156,11 +157,12 @@ def anneal_placement(
         ``"incremental"``, the only engine (see
         :data:`PLACEMENT_ENGINES`).
     verify:
-        After every accepted move, check the workspace against a
-        from-scratch Eq. 3 evaluation — a bit-exact full pass, the
-        running estimate inside its guard band, the move's delta within
-        ``1e-9`` of the realised change — and the occupancy bitset
-        against the blocks.  Does not change the walk.  Slow; meant for
+        After every commit that moves a block, check the workspace
+        against a from-scratch Eq. 3 evaluation — a bit-exact full pass,
+        the running estimate inside its guard band, the move's delta
+        within ``1e-9`` of the realised change — and the occupancy
+        bitset against the blocks.  It runs the same kernel as a plain
+        anneal and does not change the walk.  Slow; meant for
         tests and debugging.
     """
     if engine not in PLACEMENT_ENGINES:
@@ -179,13 +181,8 @@ def anneal_placement(
             f"{grid.width}x{grid.height} grid"
         )
     workspace = PlacementWorkspace(initial, priorities)
-    propose = workspace.move_sampler(rng)
-    draw = rng.random
-    commit = workspace.commit
-    exact_delta = workspace.exact_delta
-    exp = math.exp
     initial_energy = workspace.energy
-    verified_energy = workspace.check_consistency() if verify else 0.0
+    check = _commit_checker(workspace) if verify else None
     best_energy = initial_energy
     best_blocks = {cid: initial.block(cid) for cid in initial.components()}
     accepted = 0
@@ -194,30 +191,14 @@ def anneal_placement(
     temperature = params.initial_temperature
     while temperature > params.min_temperature:
         step_started = perf_counter()
-        step_accepted = 0
-        step_trials = 0
-        for _ in range(params.iterations_per_temperature):
-            pending = propose()
-            if pending is None:
-                continue
-            step_trials += 1
-            delta = pending.delta
-            if -_EXACT_DELTA_THRESHOLD < delta < _EXACT_DELTA_THRESHOLD:
-                delta = exact_delta(pending)
-            if delta < 0 or draw() < exp(-delta / temperature):
-                commit(pending)
-                step_accepted += 1
-                if verify:
-                    verified_energy = _verify_commit(
-                        workspace, pending, verified_energy
-                    )
-                # Outside the guard band the exact energy cannot beat
-                # the best, so only a read inside it pays a full pass.
-                if workspace.estimate < best_energy + workspace.slack:
-                    current_energy = workspace.energy
-                    if current_energy < best_energy:
-                        best_energy = current_energy
-                        best_blocks = workspace.snapshot_blocks()
+        step_trials, step_accepted, best_energy, snapshot = (
+            workspace.anneal_step(
+                rng, temperature, params.iterations_per_temperature,
+                best_energy, check,
+            )
+        )
+        if snapshot is not None:
+            best_blocks = snapshot
         current_energy = workspace.energy
         accepted += step_accepted
         trials += step_trials
@@ -276,21 +257,27 @@ def _flush_final(
     instrumentation.gauge("sa.initial_energy", initial_energy)
 
 
-def _verify_commit(
-    workspace: PlacementWorkspace, pending: PendingMove, energy_before: float
-) -> float:
-    """Re-check one accepted move against the from-scratch oracle.
+def _commit_checker(workspace: PlacementWorkspace) -> Callable[[float], None]:
+    """The per-commit check of a ``verify=True`` anneal.
 
-    Asserts the workspace invariants (occupancy bitset and masks,
-    centres, legality, a bit-exact full pass, the estimate inside its
-    guard band) and that the proposal's incident-nets delta agrees with the
-    realised change within ``1e-9``.  Returns the new oracle energy.
+    Checks the workspace once now, then returns a check for the kernel
+    to call with each moving commit's incident-nets delta.  It asserts
+    the workspace invariants (occupancy bitset and masks, centres,
+    legality, a bit-exact full pass, the estimate inside its guard
+    band) and that the delta agrees with the realised change within
+    ``1e-9``.
     """
-    energy_after = workspace.check_consistency()
-    realised = energy_after - energy_before
-    if abs(pending.delta - realised) > 1e-9:
-        raise PlacementError(
-            f"delta estimate {pending.delta!r} disagrees "
-            f"with realised change {realised!r}"
-        )
-    return energy_after
+    energy_before = workspace.check_consistency()
+
+    def check(delta: float) -> None:
+        nonlocal energy_before
+        energy_after = workspace.check_consistency()
+        realised = energy_after - energy_before
+        if abs(delta - realised) > 1e-9:
+            raise PlacementError(
+                f"delta estimate {delta!r} disagrees "
+                f"with realised change {realised!r}"
+            )
+        energy_before = energy_after
+
+    return check

@@ -33,11 +33,13 @@ two components.  :class:`PlacementWorkspace` replaces all three:
   recomputes only the nets incident to the moved component(s).
 
 Rejected proposals — the annealer's overwhelmingly common case at low
-temperature — therefore cost a mask test plus the incident nets, and
-allocate nothing but the proposal record.  :meth:`move_sampler`, the
-annealer's proposal source, inlines draw, legality and delta into one
-closure; the public ``propose_*`` methods are the plain formulation it
-is tested against.
+temperature — therefore cost a mask test plus the incident nets.
+:meth:`anneal_step`, the annealer's kernel, runs a whole temperature
+step in one call: draw, legality, delta, the exact fallback, the
+Metropolis test, the commit and the best-so-far check, on locals bound
+once per step and with no record allocated per trial.  The public
+``propose_*``/:meth:`commit`/:meth:`apply`/:meth:`undo` methods are
+the plain formulation it is tested against.
 
 **Exact energy on read.**  :meth:`commit` does not re-evaluate Eq. 3.
 It adds the proposal's incident-nets delta to :attr:`estimate` and
@@ -66,6 +68,7 @@ only needs to validate the blocks it moves.
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -75,12 +78,7 @@ from repro.errors import PlacementError
 from repro.place.energy import ConnectionPriorities, placement_energy
 from repro.place.placement import PlacedComponent, Placement
 
-__all__ = ["MOVE_KINDS", "PendingMove", "AppliedMove", "PlacementWorkspace"]
-
-#: Move kinds in :func:`~repro.place.moves.random_move`'s tuple order.
-#: :meth:`PlacementWorkspace.move_sampler` draws the kind as an index
-#: into this tuple, exactly as ``rng.choice`` on any length-3 sequence.
-MOVE_KINDS = ("translate", "swap", "rotate")
+__all__ = ["PendingMove", "AppliedMove", "PlacementWorkspace"]
 
 #: Largest population :meth:`random.Random.sample` draws two items from
 #: through its list-pool branch (``setsize`` for ``k <= 5``); larger
@@ -92,6 +90,16 @@ _SAMPLE_POOL_MAX = 21
 #: difference within ~1e-11 on the benchmark energies, so this is a
 #: wide margin, not a tuned tolerance.
 _COMMIT_SLACK = 1e-6
+
+#: Below this magnitude the incident-nets delta estimate cannot be
+#: trusted to carry the same *sign* as a full-evaluation difference
+#: (symmetric moves have a true delta of exactly zero, and the two
+#: computations round differently), so :meth:`PlacementWorkspace.anneal_step`
+#: falls back to the exact delta.  A wrong sign would change the RNG
+#: stream: ``delta < 0`` accepts without drawing ``rng.random()``.  The
+#: estimate and the exact delta agree within ~1e-11, so any estimate
+#: beyond this threshold has a reliable sign.
+_EXACT_DELTA_THRESHOLD = 1e-6
 
 
 @dataclass(slots=True)
@@ -147,6 +155,10 @@ class PlacementWorkspace:
         self._height = placement.grid.height
         #: Padded row stride of the occupancy bitset.
         self._stride = self._width + 2
+        #: ``k.bit_length()`` for every translate origin range ``k``.
+        self._bit_length = [
+            k.bit_length() for k in range(max(self._width, self._height) + 1)
+        ]
         self._components: list[str] = placement.components()
         self._idx: dict[str, int] = {
             cid: i for i, cid in enumerate(self._components)
@@ -449,30 +461,51 @@ class PlacementWorkspace:
             self._stamp,
         )
 
-    def move_sampler(
-        self, rng: random.Random, attempts: int = 20
-    ) -> Callable[[], PendingMove | None]:
-        """A zero-argument sampler of random legal proposals.
+    def anneal_step(
+        self,
+        rng: random.Random,
+        temperature: float,
+        iterations: int,
+        best_energy: float,
+        check: Callable[[float], None] | None = None,
+    ) -> tuple[int, int, float, dict[str, PlacedComponent] | None]:
+        """Run one SA temperature step: *iterations* Metropolis trials.
 
-        Incremental twin of :func:`~repro.place.moves.random_move`:
-        each call samples up to *attempts* moves and returns the first
-        legal one (``None`` when all were illegal).  It consumes *rng*
-        draw for draw like that sampler: ``rng.choice``, ``rng.randint``
-        and ``rng.sample(components, 2)`` are inlined as the
-        ``rng.getrandbits`` rejection loops of CPython's
+        Each trial draws a move exactly as
+        :func:`~repro.place.moves.random_move` does (up to 20 attempts
+        until one is legal; none legal means no trial), scores it by its
+        incident-nets delta, falls back to the exact delta when that is
+        within ``_EXACT_DELTA_THRESHOLD`` of zero, accepts it by the
+        Metropolis test at *temperature*, commits it in place, and
+        checks it against *best_energy*.  ``rng.choice``,
+        ``rng.randint`` and ``rng.sample(components, 2)`` are inlined as
+        the ``rng.getrandbits`` rejection loops of CPython's
         ``_randbelow_with_getrandbits`` (``k = n.bit_length()`` bits,
         redrawn while ``>= n``), including both of ``sample``'s
-        branches; ``tests/place/test_sampler.py`` pins the mirror.
-        Each proposal's legality and delta are inlined too, equal to
-        :meth:`propose_translate`, :meth:`propose_swap` and
-        :meth:`propose_rotate`.
+        branches, so *rng* is consumed draw for draw like that sampler;
+        legality and delta equal :meth:`propose_translate`,
+        :meth:`propose_swap` and :meth:`propose_rotate`.  A translate
+        draws its origin from ``[0, width - w]`` without the reference
+        sampler's empty-range check: the workspace's blocks never span
+        the full grid, so the range is never empty.
 
-        A translate draws its origin from ``[0, width - w]`` without the
-        reference sampler's empty-range check: the workspace's blocks
-        never span the full grid, so the range is never empty.
+        A commit writes only the slots the move changes and updates
+        :attr:`estimate` and :attr:`slack` as :meth:`commit` does; the
+        commit of a move scored by the exact fallback takes that pass's
+        energy.  An identity move (every centre unchanged) is accepted
+        with its ``rng.random()`` draw and changes nothing.  After a
+        commit whose estimate lies within :attr:`slack` of
+        *best_energy* or below it, the exact :attr:`energy` is read and
+        compared; a lower one becomes the new best.  *check*, when
+        given, is called with the incident-nets delta after every
+        commit that moves a block.
+
+        Returns ``(trials, accepted, best_energy, best_blocks)``, where
+        ``best_blocks`` is a snapshot of the step's last new best, or
+        ``None`` when the step found none.  The step leaves every
+        outstanding proposal stale.
         """
-        components = self._components
-        n = len(components)
+        n = len(self._components)
         n_bits = n.bit_length()
         pool_branch = n <= _SAMPLE_POOL_MAX
         last = n - 1
@@ -481,7 +514,7 @@ class PlacementWorkspace:
         height = self._height
         x_span = width + 1
         y_span = height + 1
-        bit_length = [k.bit_length() for k in range(max(x_span, y_span))]
+        bit_length = self._bit_length
         stride = self._stride
         xs = self._xs
         ys = self._ys
@@ -493,13 +526,22 @@ class PlacementWorkspace:
         footprints = self._footprint
         keepout = self._keepout
         keepout_t = self._keepout_t
+        shapes = self._shapes
         incident = self._incident
+        commit_slack = self._commit_slack
         getrandbits = rng.getrandbits
-        workspace = self
-
-        def sample() -> PendingMove | None:
-            for _ in range(attempts):
-                # An index into MOVE_KINDS: 3.bit_length() == 2 bits.
+        draw = rng.random
+        exp = math.exp
+        threshold = _EXACT_DELTA_THRESHOLD
+        attempts = range(20)
+        occ = self._occ
+        best_blocks = None
+        trials = 0
+        accepted = 0
+        for _ in range(iterations):
+            # Draw: random_move's 20 attempts.  The kind is an index into
+            # its (translate, swap, rotate): 3.bit_length() == 2 bits.
+            for _attempt in attempts:
                 kind = getrandbits(2)
                 while kind == 3:
                     kind = getrandbits(2)
@@ -532,12 +574,13 @@ class PlacementWorkspace:
                         or ax + bw > width or ay + bh > height
                     ):
                         continue
-                    rest = workspace._occ ^ masks[a] ^ masks[b]
+                    rest = occ ^ masks[a] ^ masks[b]
                     a_shift = bx + by * stride
                     if rest & (keepout[a] << a_shift):
                         continue
-                    rest |= footprints[a] << a_shift
-                    if rest & (keepout[b] << (ax + ay * stride)):
+                    a_mask = footprints[a] << a_shift
+                    b_shift = ax + ay * stride
+                    if (rest | a_mask) & (keepout[b] << b_shift):
                         continue
                     oax = cx[a]
                     oay = cy[a]
@@ -567,15 +610,7 @@ class PlacementWorkspace:
                         oy = cy[oi]
                         new_sum += (abs(nbx - ox) + abs(nby - oy)) * priority
                         old_sum += (abs(obx - ox) + abs(oby - oy)) * priority
-                    return PendingMove(
-                        "swap",
-                        (
-                            (components[a], bx, by, aw, ah),
-                            (components[b], ax, ay, bw, bh),
-                        ),
-                        new_sum - old_sum,
-                        workspace._stamp,
-                    )
+                    break
                 if not n:
                     continue
                 i = getrandbits(n_bits)
@@ -594,11 +629,9 @@ class PlacementWorkspace:
                     y = getrandbits(k)
                     while y >= span:
                         y = getrandbits(k)
-                    if (workspace._occ ^ masks[i]) & (
-                        keepout[i] << (x + y * stride)
-                    ):
+                    shift = x + y * stride
+                    if (occ ^ masks[i]) & (keepout[i] << shift):
                         continue
-                    name = "translate"
                 else:  # rotate
                     w = hs[i]
                     h = ws[i]
@@ -609,11 +642,9 @@ class PlacementWorkspace:
                         or x + w > width or y + h > height
                     ):
                         continue
-                    if (workspace._occ ^ masks[i]) & (
-                        keepout_t[i] << (x + y * stride)
-                    ):
+                    shift = x + y * stride
+                    if (occ ^ masks[i]) & (keepout_t[i] << shift):
                         continue
-                    name = "rotate"
                 ox = cx[i]
                 oy = cy[i]
                 nx = x + (w - 1) / 2.0
@@ -625,15 +656,88 @@ class PlacementWorkspace:
                     by = cy[oi]
                     new_sum += (abs(nx - bx) + abs(ny - by)) * priority
                     old_sum += (abs(ox - bx) + abs(oy - by)) * priority
-                return PendingMove(
-                    name,
-                    ((components[i], x, y, w, h),),
-                    new_sum - old_sum,
-                    workspace._stamp,
-                )
-            return None
-
-        return sample
+                break
+            else:
+                continue
+            trials += 1
+            delta = new_sum - old_sum
+            change = delta
+            full = None
+            if -threshold < delta < threshold:
+                # Too close to zero to trust the sign: take the exact
+                # delta, a difference of two full evaluations.
+                if kind != 1 and nx == ox and ny == oy:
+                    # Identity move: exactly 0.0, always accepted.
+                    draw()
+                    accepted += 1
+                    continue
+                current = self.energy
+                if kind == 1:
+                    cx[a] = nax
+                    cy[a] = nay
+                    cx[b] = nbx
+                    cy[b] = nby
+                    full = self._exact_energy()
+                    cx[a] = oax
+                    cy[a] = oay
+                    cx[b] = obx
+                    cy[b] = oby
+                else:
+                    cx[i] = nx
+                    cy[i] = ny
+                    full = self._exact_energy()
+                    cx[i] = ox
+                    cy[i] = oy
+                change = full - current
+            if change < 0 or draw() < exp(-change / temperature):
+                accepted += 1
+                if kind == 1:
+                    b_mask = footprints[b] << b_shift
+                    occ ^= masks[a] ^ masks[b] ^ a_mask ^ b_mask
+                    masks[a] = a_mask
+                    masks[b] = b_mask
+                    xs[a] = bx
+                    ys[a] = by
+                    xs[b] = ax
+                    ys[b] = ay
+                    cx[a] = nax
+                    cy[a] = nay
+                    cx[b] = nbx
+                    cy[b] = nby
+                else:
+                    if kind == 0:
+                        xs[i] = x
+                        ys[i] = y
+                        mask = footprints[i] << shift
+                    else:
+                        ws[i] = w
+                        hs[i] = h
+                        footprint = footprints[i] = shapes[w, h][0]
+                        keepout[i], keepout_t[i] = keepout_t[i], keepout[i]
+                        mask = footprint << shift
+                    occ ^= masks[i] ^ mask
+                    masks[i] = mask
+                    cx[i] = nx
+                    cy[i] = ny
+                if full is None:
+                    estimate = self.estimate = self.estimate + delta
+                    slack = self.slack = self.slack + commit_slack
+                else:
+                    self._energy = self.estimate = estimate = full
+                    self.slack = slack = 0.0
+                if check is not None:
+                    self._occ = occ
+                    check(delta)
+                # Outside the guard band the exact energy cannot beat
+                # the best, so only a read inside it pays a full pass.
+                if estimate < best_energy + slack:
+                    energy = self.energy
+                    if energy < best_energy:
+                        best_energy = energy
+                        best_blocks = self.snapshot_blocks()
+        self._occ = occ
+        self._stamp += 1
+        return trials, accepted, best_energy, best_blocks
 
     # ------------------------------------------------------------------
     # Apply / undo

@@ -45,6 +45,21 @@ class TestAnnealingParameters:
         # 10000 * 0.9^n <= 1  =>  n >= 87.4.
         assert AnnealingParameters().temperature_steps == 88
 
+    def test_temperature_steps_follow_the_float_products(self):
+        # log(1e-5) / log(0.1) is 5.000000000000001, whose ceiling is 6,
+        # but five products take 10000.0 to exactly 0.1: the loop ends.
+        params = AnnealingParameters(
+            initial_temperature=10_000.0,
+            min_temperature=0.1,
+            cooling_rate=0.1,
+            iterations_per_temperature=1,
+        )
+        assert params.temperature_steps == 5
+        result = anneal_placement(
+            ChipGrid(12, 12), FOOTPRINTS, PRIORITIES, params, seed=0
+        )
+        assert len(result.energy_trace) == 5
+
     def test_invalid_cooling_rate(self):
         with pytest.raises(PlacementError):
             AnnealingParameters(cooling_rate=1.0)

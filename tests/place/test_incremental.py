@@ -283,8 +283,9 @@ class TestBitsetLegality:
 
 def test_sampler_memory_at_the_grid_cap():
     """Footprint and keep-out masks are per footprint, not per position:
-    a workspace on the largest allowed grid stays small while sampling.
-    (A keep-out table per ``(x, y)`` would need ~256 MB per footprint.)"""
+    a workspace on the largest allowed grid stays small while the
+    annealing kernel runs a step.  (A keep-out table per ``(x, y)``
+    would need ~256 MB per footprint.)"""
     side = math.isqrt(MAX_GRID_CELLS)
     grid = ChipGrid(side, side)
     shapes = ((3, 2), (2, 2), (1, 1), (4, 3))
@@ -296,14 +297,13 @@ def test_sampler_memory_at_the_grid_cap():
         placement = random_placement(grid, footprints, rng)
         assert placement is not None
         workspace = PlacementWorkspace(placement, ConnectionPriorities(nets))
-        sample = workspace.move_sampler(rng)
-        for _ in range(2000):
-            move = sample()
-            if move is not None:
-                workspace.commit(move)
+        trials, accepted, _best, _blocks = workspace.anneal_step(
+            rng, 1000.0, 2000, workspace.energy
+        )
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert trials == 2000 and accepted > 1000
     workspace.check_consistency()
     assert peak < 4 * 1024 * 1024
 

@@ -29,6 +29,8 @@ from repro.place.energy import build_connection_priorities, placement_energy
 from repro.place.incremental import _SAMPLE_POOL_MAX, PlacementWorkspace
 from repro.place.moves import random_placement
 from repro.schedule import schedule_assay
+from tests.oracles import annealing as oracle
+from tests.place.test_incremental import propose_random
 
 FAST = AnnealingParameters(
     initial_temperature=200.0,
@@ -99,6 +101,43 @@ def test_verified_anneal_reads_exact_energies(name, audited_reads):
     assert verified.placement.blocks() == plain.placement.blocks()
 
 
+@pytest.mark.parametrize("name", ["CPA", GENERATED.name])
+def test_verify_checks_each_committed_move_once(name, monkeypatch):
+    """``verify=True`` runs the plain kernel with one check after every
+    commit that moves a block: identity moves (always accepted, as
+    their exact delta is ``0.0``) are not checked.  The oracle walk,
+    identical for the seed, counts the identity proposals."""
+    grid, footprints, priorities = _instance(name)
+    identities = []
+    random_move = oracle.random_move
+
+    def counted_move(current, rng):
+        candidate = random_move(current, rng)
+        if candidate is not None and candidate.blocks() == current.blocks():
+            identities.append(None)
+        return candidate
+
+    monkeypatch.setattr(oracle, "random_move", counted_move)
+    reference = oracle.anneal_reference(
+        grid, footprints, priorities, FAST, seed=3
+    )
+    full_check = PlacementWorkspace.check_consistency
+    checks = []
+
+    def counted_check(self, *args):
+        checks.append(None)
+        return full_check(self, *args)
+
+    monkeypatch.setattr(PlacementWorkspace, "check_consistency", counted_check)
+    verified = anneal_placement(
+        grid, footprints, priorities, FAST, seed=3, verify=True
+    )
+    assert verified.accepted_moves == reference.accepted_moves
+    assert identities
+    # One check of the starting workspace, then one per moving commit.
+    assert len(checks) == 1 + reference.accepted_moves - len(identities)
+
+
 @pytest.mark.parametrize("name", ["IVD", "Synthetic4", GENERATED.name])
 def test_random_walk_estimate_stays_in_guard_band(name):
     grid, footprints, priorities = _instance(name)
@@ -106,10 +145,9 @@ def test_random_walk_estimate_stays_in_guard_band(name):
     placement = random_placement(grid, footprints, rng)
     assert placement is not None
     workspace = PlacementWorkspace(placement, priorities)
-    sample = workspace.move_sampler(rng)
     identities = 0
     for step in range(600):
-        pending = sample()
+        pending = propose_random(workspace, rng)
         if pending is None:
             continue
         centres_kept = all(
@@ -141,10 +179,9 @@ def test_exact_delta_commit_reuses_its_pass():
     workspace = PlacementWorkspace(
         random_placement(grid, footprints, rng), priorities
     )
-    sample = workspace.move_sampler(rng)
     checked = 0
     while checked < 50:
-        pending = sample()
+        pending = propose_random(workspace, rng)
         if pending is None:
             continue
         before = workspace.energy
