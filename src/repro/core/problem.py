@@ -24,6 +24,7 @@ from repro.route.router import DEFAULT_ROUTE_ENGINE, ROUTE_ENGINES
 from repro.units import Millimetres, Seconds
 
 __all__ = [
+    "MAX_ANNEALING_TRIALS",
     "MAX_GRID_CELLS",
     "MAX_OPERATIONS",
     "SynthesisParameters",
@@ -45,6 +46,14 @@ MAX_GRID_CELLS = 256 * 256
 #: studied size while a far larger assay fails fast instead of holding
 #: a worker for minutes.
 MAX_OPERATIONS = 1000
+
+#: Largest SA budget the flow accepts, in trials (temperature steps x
+#: ``iterations_per_temperature`` x ``restarts``): 100x the paper's
+#: 13,200 (88 steps x Imax 150).  Placement runs 170k-290k trials/s on
+#: the Table I rows and about 120k on Scale200 (2-core host, CPython
+#: 3.11), so the cap is 5-11 s of annealing, while a cooling rate just
+#: under 1 fails fast instead of holding a worker indefinitely.
+MAX_ANNEALING_TRIALS = 100 * 13_200
 
 
 @dataclass(frozen=True)
@@ -125,7 +134,7 @@ class SynthesisParameters:
                 f"got {self.grid_fill_ratio}"
             )
         try:
-            self.annealing()
+            annealing = self.annealing()
         except PlacementError as error:
             raise ValidationError(str(error)) from None
         if self.placement_engine not in PLACEMENT_ENGINES:
@@ -141,6 +150,15 @@ class SynthesisParameters:
         if self.restarts < 1:
             raise ValidationError(
                 f"restarts must be >= 1, got {self.restarts}"
+            )
+        per_step = self.iterations_per_temperature * self.restarts
+        step_limit = MAX_ANNEALING_TRIALS // per_step
+        if annealing.temperature_steps_up_to(step_limit) > step_limit:
+            raise ValidationError(
+                "SA budget (temperature steps x iterations_per_temperature "
+                f"x restarts) is over the {MAX_ANNEALING_TRIALS}-trial "
+                "limit; lower the cooling rate, iterations_per_temperature "
+                "or restarts"
             )
         if self.jobs < 0:
             raise ValidationError(

@@ -5,7 +5,9 @@ synthesis pipeline.  It always maintains cheap in-memory aggregates —
 per-span-path wall-clock totals, counter totals, last gauge values — and
 *additionally* streams structured events to its sink unless the sink is
 a :class:`~repro.obs.sinks.NullSink` (the default), in which case no
-event objects are constructed at all.
+event objects are constructed at all.  A sink that subscribes to a few
+names (:attr:`~repro.obs.sinks.Sink.subscribed`) gets events for those
+names only, and no other event is built.
 
 Usage::
 
@@ -91,7 +93,9 @@ class Instrumentation:
     ----------
     sink:
         Event destination; ``None`` means :class:`NullSink` — aggregates
-        are still kept, but no events are built or emitted.
+        are still kept, but no events are built or emitted.  Events are
+        built only for the names in the sink's ``subscribed`` set (all
+        names when it is ``None``); aggregates never depend on the sink.
     clock:
         Monotonic time source (seconds).  Injectable for deterministic
         tests; defaults to :func:`time.perf_counter`.
@@ -112,6 +116,9 @@ class Instrumentation:
         #: True when events flow to the sink; NullSink (and subclasses)
         #: short-circuit every emission with this single flag.
         self.active: bool = not isinstance(self.sink, NullSink)
+        #: Names the sink reads (``None`` = all), read once: an active
+        #: instrumentation builds events only for these names.
+        self._subscribed = self.sink.subscribed
         self.worker = worker
         self._clock = clock
         self._epoch = clock()
@@ -159,7 +166,10 @@ class Instrumentation:
         # Seed the totals at first open so aggregate iteration order is
         # chronological (parents before children) for tree rendering.
         self._span_totals.setdefault(handle.path, 0.0)
-        if self.active:
+        emits = self.active and (
+            self._subscribed is None or name in self._subscribed
+        )
+        if emits:
             self.sink.emit(
                 Event(
                     kind="span_start",
@@ -180,7 +190,7 @@ class Instrumentation:
             self._span_counts[handle.path] = (
                 self._span_counts.get(handle.path, 0) + 1
             )
-            if self.active:
+            if emits:
                 self.sink.emit(
                     Event(
                         kind="span_end",
@@ -200,7 +210,9 @@ class Instrumentation:
         """Add *delta* to counter *name* (creates it at zero)."""
         total = self._counters.get(name, 0) + delta
         self._counters[name] = total
-        if self.active:
+        if self.active and (
+            self._subscribed is None or name in self._subscribed
+        ):
             span = self.current_span
             self.sink.emit(
                 Event(
@@ -224,7 +236,9 @@ class Instrumentation:
         self._gauges[name] = value
         self._absorb_seq += 1
         self._gauge_ranks[name] = (_LOCAL_GAUGE_RANK, self._absorb_seq)
-        if self.active:
+        if self.active and (
+            self._subscribed is None or name in self._subscribed
+        ):
             span = self.current_span
             self.sink.emit(
                 Event(
@@ -251,7 +265,9 @@ class Instrumentation:
         if histogram is None:
             histogram = self._histograms[name] = Histogram()
         histogram.record(value)
-        if self.active:
+        if self.active and (
+            self._subscribed is None or name in self._subscribed
+        ):
             span = self.current_span
             self.sink.emit(
                 Event(
@@ -266,8 +282,11 @@ class Instrumentation:
             )
 
     def event(self, name: str, **fields: Any) -> None:
-        """Emit a free-form point event (no-op with a :class:`NullSink`)."""
-        if not self.active:
+        """Emit a free-form point event (no-op with a :class:`NullSink`
+        or a sink that does not subscribe to *name*)."""
+        if not self.active or (
+            self._subscribed is not None and name not in self._subscribed
+        ):
             return
         span = self.current_span
         self.sink.emit(

@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 #: Event names a relay translates into heartbeats.
-_WATCHED_EVENTS = ("sa.step", "route.task")
+_WATCHED_EVENTS = frozenset({"sa.step", "route.task"})
 
 #: Default minimum seconds between two heartbeats from one worker.
 DEFAULT_HEARTBEAT_INTERVAL = 0.25
@@ -85,8 +85,16 @@ class HeartbeatRelay(Sink):
     Watches ``sa.step`` and ``route.task`` point events, forwarding at
     most one heartbeat per *interval* seconds (per relay).  Designed to
     sit inside a :class:`~repro.obs.TeeSink` next to a recording or
-    JSONL sink, or alone when only liveness is wanted.
+    JSONL sink, or alone when only liveness is wanted.  Alone, it
+    subscribes to those two names, so its instrumentation builds no
+    other event.
+
+    *queue* is anything with ``put_nowait(beat)``: a manager queue
+    proxy (the CLI's ``--live``) or the service's heartbeat pipe
+    (:class:`repro.serve.executor.BeatPipe`).
     """
+
+    subscribed = _WATCHED_EVENTS
 
     def __init__(
         self,
@@ -104,7 +112,8 @@ class HeartbeatRelay(Sink):
         self.interval = interval
         self._clock = clock
         self._last_sent = -float("inf")
-        self._last_state: Heartbeat | None = None
+        #: Latest watched event; its beat is built only when sent.
+        self._last_event: Event | None = None
         self._routed = 0
         self.sent = 0
 
@@ -113,44 +122,44 @@ class HeartbeatRelay(Sink):
             self.queue.put_nowait(beat)
             self.sent += 1
         except Exception:
-            # A full queue or a parent that already tore the manager
-            # down must never take the worker's computation with it.
+            # A full queue or pipe, or a parent that already tore the
+            # channel down, must never take the worker's computation
+            # with it: the beat is dropped.
             pass
 
-    def emit(self, event: Event) -> None:
-        if event.kind != "point" or event.name not in _WATCHED_EVENTS:
-            return
+    def _beat(self, event: Event, kind: str | None = None) -> Heartbeat:
         if event.name == "sa.step":
-            kind = "sa"
             fields = dict(event.fields)
         else:
-            kind = "route"
-            self._routed += 1
             fields = {"tasks_routed": self._routed, **event.fields}
-        beat = Heartbeat(
+        return Heartbeat(
             worker=self.worker,
             seed=self.seed,
-            kind=kind,
+            kind=kind or ("sa" if event.name == "sa.step" else "route"),
             t=event.time,
             fields=fields,
             label=self.label,
         )
-        self._last_state = beat
+
+    def emit(self, event: Event) -> None:
+        if event.kind != "point" or event.name not in _WATCHED_EVENTS:
+            return
+        if event.name == "route.task":
+            self._routed += 1
+        self._last_event = event
         now = self._clock()
         if now - self._last_sent >= self.interval:
             self._last_sent = now
-            self._send(beat)
+            self._send(self._beat(event))
 
     def close(self) -> None:
         """Send the final (unthrottled) state as a ``done`` heartbeat."""
-        last = self._last_state
+        last = self._last_event
         self._send(
-            Heartbeat(
-                worker=self.worker,
-                seed=self.seed,
-                kind="done",
-                t=last.t if last is not None else 0.0,
-                fields=dict(last.fields) if last is not None else {},
+            self._beat(last, kind="done")
+            if last is not None
+            else Heartbeat(
+                worker=self.worker, seed=self.seed, kind="done", t=0.0,
                 label=self.label,
             )
         )

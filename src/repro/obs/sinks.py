@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import threading
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, ClassVar, Iterable
 
 from repro.obs.events import Event
 
@@ -36,7 +36,15 @@ class Sink:
     Sinks are context managers so callers can write
     ``with JsonlSink(path) as sink: ...`` and be sure the stream is
     flushed; :meth:`close` is idempotent.
+
+    :attr:`subscribed` names the events a sink reads.  An
+    :class:`~repro.obs.instrument.Instrumentation` reads it once and
+    builds an :class:`Event` only for a name in the set, so a sink that
+    watches two names does not pay for the rest of the stream.
+    ``None`` (the default) means every name.
     """
+
+    subscribed: ClassVar[frozenset[str] | None] = None
 
     def emit(self, event: Event) -> None:
         raise NotImplementedError
@@ -147,6 +155,8 @@ class TeeSink(Sink):
     ``--trace``) with a transient consumer (e.g. the live-progress
     heartbeat relay of :mod:`repro.obs.live`).  Closing the tee closes
     every child; children that share ownership semantics keep them.
+    The tee subscribes to every name, so its children see the whole
+    stream whatever they subscribe to.
     """
 
     def __init__(self, *sinks: Sink) -> None:

@@ -185,10 +185,22 @@ class PoolSession:
     terminates the shared workers, so sibling waves fail with
     :class:`ParallelExecutionError` and should be retried after a
     :meth:`reset`.
+
+    *initializer* runs with *initargs* once in every worker process,
+    including the workers of a pool re-forked after :meth:`reset`; the
+    service uses it to hand workers a pipe they inherit from the
+    parent.  The inline ``jobs=1`` path never calls it.
     """
 
-    def __init__(self, jobs: int = 1) -> None:
+    def __init__(
+        self,
+        jobs: int = 1,
+        initializer: Callable[..., None] | None = None,
+        initargs: tuple[Any, ...] = (),
+    ) -> None:
         self.jobs = resolve_jobs(jobs)
+        self._initializer = initializer
+        self._initargs = initargs
         self._pool: ProcessPoolExecutor | None = None
         self._broken: str | None = None
         self._lock = threading.Lock()
@@ -255,7 +267,11 @@ class PoolSession:
                     f"{self._broken}"
                 )
             if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.jobs,
+                    initializer=self._initializer,
+                    initargs=self._initargs,
+                )
                 self.generations += 1
             pool = self._pool
         results: list[Any] = []

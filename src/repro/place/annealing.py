@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from time import perf_counter
 from typing import Callable
 
@@ -96,12 +97,34 @@ class AnnealingParameters:
         products, so it agrees with the loop where a closed-form
         logarithm would round the other way.
         """
-        steps = 0
-        temperature = self.initial_temperature
-        while temperature > self.min_temperature:
-            steps += 1
-            temperature *= self.cooling_rate
-        return steps
+        return self.temperature_steps_up_to(None)
+
+    def temperature_steps_up_to(self, limit: int | None) -> int:
+        """:attr:`temperature_steps`, but counting stops at ``limit + 1``.
+
+        A cooling rate just under 1 makes billions of steps; a caller
+        that only needs to know whether the schedule fits in *limit*
+        steps gets the answer without counting them all.
+        """
+        return _count_steps(
+            self.initial_temperature, self.min_temperature,
+            self.cooling_rate, limit,
+        )
+
+
+@lru_cache(maxsize=256)
+def _count_steps(
+    temperature: float, minimum: float, rate: float, limit: int | None
+) -> int:
+    # Cached: every service submission validates its schedule, and
+    # almost all of them repeat the paper's.
+    steps = 0
+    while temperature > minimum:
+        steps += 1
+        if limit is not None and steps > limit:
+            break
+        temperature *= rate
+    return steps
 
 
 @dataclass

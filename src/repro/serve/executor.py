@@ -25,16 +25,28 @@ the semantics a service needs on top of the pool's wave contract:
 processes): deadlines and death-recovery are then inert, which is the
 documented trade-off of a single-process deployment.
 
-Workers bridge progress out through the existing obs heartbeat channel
-(:class:`~repro.obs.live.HeartbeatRelay` watching ``sa.step`` /
-``route.task`` events); the server pumps those beats into per-job SSE
-streams.
+Workers bridge progress out through the obs heartbeat relay
+(:class:`~repro.obs.live.HeartbeatRelay`, subscribed to ``sa.step`` /
+``route.task`` events) over one :class:`BeatPipe` that the server
+creates before the pool: workers inherit its write end through the
+pool initializer, the inline path writes to it directly, and the
+server pumps the beats into per-job SSE streams.  Writing a beat takes
+no lock, so a deadline kill that stops a worker mid-beat cannot wedge
+the channel for later jobs.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import pickle
+import queue
+import select
+import struct
 import threading
+import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
 from repro.errors import (
@@ -43,10 +55,12 @@ from repro.errors import (
     ReproError,
 )
 from repro.obs.instrument import Instrumentation, InstrumentationSnapshot
-from repro.obs.live import HeartbeatSpec
+from repro.obs.live import HeartbeatRelay
 from repro.parallel.pool import PoolSession
 
 __all__ = [
+    "BeatPipe",
+    "BeatSender",
     "DEFAULT_RETRIES",
     "JobDeadlineError",
     "JobExecutor",
@@ -57,6 +71,98 @@ __all__ = [
 
 #: Default pool-rebuild retries per job before giving up.
 DEFAULT_RETRIES = 3
+
+#: Length header of one beat frame on a :class:`BeatPipe`.
+_FRAME = struct.Struct("!I")
+
+
+class BeatSender:
+    """Write end of a :class:`BeatPipe`: the queue a relay puts beats on.
+
+    :meth:`put_nowait` pickles the beat and sends it, length header
+    included, as one ``os.write`` of at most ``PIPE_BUF`` bytes on a
+    non-blocking pipe.  POSIX makes such a write atomic: it never
+    interleaves with another process's beat and never blocks, and it
+    takes no lock that a worker killed mid-write could leave held.  A
+    full pipe or an oversized beat raises :class:`queue.Full`, which
+    the relay treats as a dropped beat.
+    """
+
+    def __init__(self, connection: Any) -> None:
+        #: ``multiprocessing`` connection, so the end survives pickling
+        #: into a spawned worker as well as fork inheritance.
+        self.connection = connection
+
+    def put_nowait(self, beat: Any) -> None:
+        data = pickle.dumps(beat, pickle.HIGHEST_PROTOCOL)
+        frame = _FRAME.pack(len(data)) + data
+        if len(frame) > select.PIPE_BUF:
+            raise queue.Full(f"beat of {len(frame)} bytes exceeds PIPE_BUF")
+        try:
+            os.write(self.connection.fileno(), frame)
+        except BlockingIOError:
+            raise queue.Full("beat pipe full") from None
+
+
+class BeatPipe:
+    """The service's one heartbeat channel: job executions to the server.
+
+    Created before the pool; workers keep :attr:`sender` through the
+    pool initializer, and the server's pump thread blocks in
+    :meth:`get`.  Shutdown wakes the pump with :meth:`wake`.
+    """
+
+    def __init__(self) -> None:
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        os.set_blocking(writer.fileno(), False)
+        self.reader = reader
+        self.sender = BeatSender(writer)
+
+    def get(self) -> Any:
+        """The next beat, blocking until one arrives (``None`` is the
+        :meth:`wake` sentinel).  Raises :class:`EOFError` once every
+        write end is closed."""
+        (size,) = _FRAME.unpack(self._read(_FRAME.size))
+        return pickle.loads(self._read(size))
+
+    def _read(self, size: int) -> bytes:
+        data = b""
+        while len(data) < size:
+            chunk = os.read(self.reader.fileno(), size - len(data))
+            if not chunk:
+                raise EOFError("beat pipe closed")
+            data += chunk
+        return data
+
+    def wake(self, timeout: float = 5.0) -> None:
+        """Send the sentinel that ends a blocked :meth:`get`, waiting up
+        to *timeout* seconds for room while the pipe is full."""
+        deadline = time.monotonic() + timeout
+        while True:
+            try:
+                self.sender.put_nowait(None)
+                return
+            except queue.Full:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return
+                select.select(
+                    [], [self.sender.connection.fileno()], [], remaining
+                )
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sender.connection.close()
+
+
+#: This pool worker's beat-pipe write end (set by :func:`_install_beats`).
+_worker_beats: BeatSender | None = None
+
+
+def _install_beats(sender: BeatSender | None) -> None:
+    """Pool initializer: keep the inherited beat pipe for every job."""
+    global _worker_beats
+    _worker_beats = sender
 
 
 class JobDeadlineError(ReproError):
@@ -69,9 +175,8 @@ class JobTask:
     """Picklable pool payload: one submission document to synthesize."""
 
     document: dict[str, Any]
-    #: Live-progress relay recipe (queue proxy + job label); ``None``
-    #: runs silent.
-    heartbeat: HeartbeatSpec | None = None
+    #: Job id stamped on the job's heartbeats; empty runs silent.
+    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -86,13 +191,16 @@ class JobOutcome:
     snapshot: InstrumentationSnapshot
 
 
-def execute_submission(task: JobTask) -> JobOutcome:
+def execute_submission(
+    task: JobTask, beats: BeatSender | None = None
+) -> JobOutcome:
     """Worker entry point: parse, synthesize, serialise.
 
     Runs with a private :class:`~repro.obs.Instrumentation` whose sink
-    is the heartbeat relay (when wired), so SA convergence and routing
-    progress stream back to the server while histograms/counters ride
-    home in the snapshot.
+    is the heartbeat relay when the task has a label and a beat pipe is
+    at hand (*beats*, else the pool worker's inherited one), so SA
+    convergence and routing progress stream back to the server while
+    histograms/counters ride home in the snapshot.
     """
     from repro.core.baseline import synthesize_baseline
     from repro.core.digest import canonical_json
@@ -101,9 +209,16 @@ def execute_submission(task: JobTask) -> JobOutcome:
     from repro.serve.protocol import parse_submission, result_document
 
     submission = parse_submission(task.document)
-    relay = task.heartbeat.build() if task.heartbeat is not None else None
-    instrumentation = Instrumentation(sink=relay)
     problem = submission.problem()
+    beats = beats if beats is not None else _worker_beats
+    relay = (
+        HeartbeatRelay(
+            beats, worker=0, seed=problem.parameters.seed, label=task.label
+        )
+        if beats is not None and task.label
+        else None
+    )
+    instrumentation = Instrumentation(sink=relay)
     try:
         if submission.algorithm == "baseline":
             result = synthesize_baseline(
@@ -138,8 +253,17 @@ class JobExecutor:
         pool_jobs: int = 1,
         retries: int = DEFAULT_RETRIES,
         instrumentation: Instrumentation | None = None,
+        beats: BeatPipe | None = None,
     ) -> None:
-        self.session = PoolSession(jobs=pool_jobs)
+        #: Heartbeat channel of labelled jobs; ``None`` runs them silent.
+        self.beats = beats
+        sender = beats.sender if beats is not None else None
+        self.session = PoolSession(
+            jobs=pool_jobs, initializer=_install_beats, initargs=(sender,)
+        )
+        # Pool workers hold the pipe from the initializer; an inline
+        # run is handed it.
+        self._run = partial(execute_submission, beats=sender)
         self.retries = max(0, retries)
         self.instrumentation = instrumentation
         self._lock = threading.Lock()
@@ -159,22 +283,22 @@ class JobExecutor:
         self,
         document: dict[str, Any],
         deadline: float | None = None,
-        heartbeat: HeartbeatSpec | None = None,
+        label: str = "",
     ) -> JobOutcome:
         """Run one job to completion (blocking; call from a thread).
 
-        Raises :class:`JobDeadlineError` past *deadline* seconds,
-        re-raises worker domain errors with their original type, and
-        raises :class:`~repro.errors.ParallelExecutionError` only after
+        Beats of a job with a *label* go to :attr:`beats`.  Raises
+        :class:`JobDeadlineError` past *deadline* seconds, re-raises
+        worker domain errors with their original type, and raises
+        :class:`~repro.errors.ParallelExecutionError` only after
         ``retries`` pool rebuilds failed in a row.
         """
-        task = JobTask(document=document, heartbeat=heartbeat)
+        task = JobTask(document=document, label=label)
+        run = self._run if self.session.jobs == 1 else execute_submission
         attempt = 0
         while True:
             try:
-                [outcome] = self.session.run(
-                    execute_submission, [task], timeout=deadline
-                )
+                [outcome] = self.session.run(run, [task], timeout=deadline)
                 return outcome
             except ParallelTimeoutError as error:
                 # The deadline kill poisoned (and terminated) the shared

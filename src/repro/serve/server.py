@@ -36,8 +36,9 @@ Design points:
   time; a hit never touches the queue or the pool and returns in
   microseconds with the original run's result byte for byte.
 * **Progress is the obs stream** — workers' ``sa.step`` /
-  ``route.task`` events ride the existing heartbeat relay; the server
-  pumps them into per-job SSE streams.  Worker counter/histogram
+  ``route.task`` events ride the heartbeat relay over one lock-free
+  pipe (:class:`~repro.serve.executor.BeatPipe`) that workers inherit;
+  the server pumps them into per-job SSE streams.  Worker counter/histogram
   aggregates are absorbed into the server's instrumentation, and every
   executed job appends a ``source: "serve"`` run-ledger record
   (inspect with ``python -m repro stats --serve``).
@@ -53,7 +54,6 @@ import contextlib
 import hashlib
 import json
 import math
-import queue as queue_module
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -63,9 +63,9 @@ from typing import Any, AsyncIterator
 
 from repro.errors import ReproError
 from repro.obs.instrument import Instrumentation
-from repro.obs.live import Heartbeat, HeartbeatSpec
+from repro.obs.live import Heartbeat
 from repro.serve.cache import ResultCache
-from repro.serve.executor import JobExecutor, JobOutcome
+from repro.serve.executor import BeatPipe, JobExecutor, JobOutcome
 from repro.serve.http import (
     HttpError,
     Request,
@@ -201,8 +201,7 @@ class SynthesisServer:
         self._wake: asyncio.Event | None = None
         self._stop_event: asyncio.Event | None = None
         self._dispatcher: asyncio.Task | None = None
-        self._beats: Any = None
-        self._beat_manager: Any = None
+        self._beats: BeatPipe | None = None
         self._pump: threading.Thread | None = None
         self._started_at = time.time()
         self._epoch = time.perf_counter()
@@ -228,26 +227,25 @@ class SynthesisServer:
             on_evict=lambda n: self.instr.count("serve.cache_evictions", n),
         )
         if self.executor is None:
+            # The pipe exists before the pool, so every worker the pool
+            # forks (or re-forks after a deadline kill) inherits it.
             self.executor = JobExecutor(
                 pool_jobs=cfg.pool_jobs,
                 retries=cfg.retries,
                 instrumentation=self.instr,
+                beats=BeatPipe(),
             )
         self._threads = ThreadPoolExecutor(
             max_workers=max(1, cfg.inflight),
             thread_name_prefix="repro-serve-job",
         )
-        if self.executor.pool_jobs == 1:
-            self._beats = queue_module.Queue()
-        else:
-            import multiprocessing
-
-            self._beat_manager = multiprocessing.Manager()
-            self._beats = self._beat_manager.Queue()
-        self._pump = threading.Thread(
-            target=self._pump_beats, name="repro-serve-beats", daemon=True
-        )
-        self._pump.start()
+        self._beats = self.executor.beats
+        if self._beats is not None:
+            self._pump = threading.Thread(
+                target=self._pump_beats, name="repro-serve-beats",
+                daemon=True,
+            )
+            self._pump.start()
         # Journal-replayed jobs re-enter the event machinery as queued.
         for job in self.queue.jobs():
             if job.status == "queued":
@@ -320,18 +318,18 @@ class SynthesisServer:
         if self._dispatcher is not None:
             with contextlib.suppress(asyncio.CancelledError):
                 await self._dispatcher
-        if self._pump is not None:
-            with contextlib.suppress(Exception):
-                self._beats.put(None)
-            self._pump.join(timeout=5.0)
-            self._pump = None
-        if self._beat_manager is not None:
-            self._beat_manager.shutdown()
-            self._beat_manager = None
+        pump, self._pump = self._pump, None
+        if pump is not None:
+            self._beats.wake()
+            pump.join(timeout=5.0)
         if self._threads is not None:
             self._threads.shutdown(wait=True)
         if self.executor is not None:
             self.executor.close()
+        if pump is not None and not pump.is_alive():
+            # A pump still blocked in a read keeps its descriptor: a
+            # closed one could be reused and read by it.
+            self._beats.close()
         self.ready.clear()
 
     # ------------------------------------------------------------------
@@ -402,15 +400,9 @@ class SynthesisServer:
             {"event": "started", "attempt": job.attempts, "ts": time.time()}
         )
         self.instr.count("serve.jobs_started")
-        spec = HeartbeatSpec(
-            queue=self._beats,
-            worker=0,
-            seed=int((job.document.get("parameters") or {}).get("seed", 0)),
-            label=job.job_id,
-        )
         try:
             outcome, elapsed = await self._loop.run_in_executor(
-                self._threads, self._execute, job, spec
+                self._threads, self._execute, job
             )
         except ReproError as error:
             self.queue.fail(job.job_id, str(error))
@@ -443,9 +435,7 @@ class SynthesisServer:
             self._gauges()
             self._kick()
 
-    def _execute(
-        self, job: Job, spec: HeartbeatSpec
-    ) -> tuple[JobOutcome, float]:
+    def _execute(self, job: Job) -> tuple[JobOutcome, float]:
         """Run *job* on the pool, then write its cache file and ledger
         record (job thread).  Returns the outcome and the pool seconds.
 
@@ -456,7 +446,7 @@ class SynthesisServer:
         """
         started = time.perf_counter()
         outcome = self.executor.execute(
-            job.document, deadline=self.config.deadline, heartbeat=spec
+            job.document, deadline=self.config.deadline, label=job.job_id
         )
         elapsed = time.perf_counter() - started
         self.cache.write(job.cache_key, outcome.result_text)
@@ -479,13 +469,12 @@ class SynthesisServer:
 
     # -- heartbeat pump (thread) ----------------------------------------
     def _pump_beats(self) -> None:
+        # A blocking read: shutdown wakes it with the pipe's sentinel.
         while True:
             try:
-                beat = self._beats.get(timeout=0.2)
-            except queue_module.Empty:
-                continue
-            except Exception:
-                return  # queue torn down
+                beat = self._beats.get()
+            except (EOFError, OSError):
+                return  # pipe torn down
             if beat is None:
                 return
             if isinstance(beat, Heartbeat) and self._loop is not None:

@@ -94,6 +94,37 @@ class TestSynthesisParameters:
         # jobs=0 means "one worker per CPU" and is accepted.
         assert SynthesisParameters(jobs=0).jobs == 0
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # ~9.2e9 temperature steps: counting them all would hang.
+            {"cooling_rate": 0.999999999,
+             "iterations_per_temperature": 1_000_000_000},
+            {"iterations_per_temperature": 1_000_000_000},
+            {"cooling_rate": 0.9999},
+            {"restarts": 101},
+        ],
+    )
+    def test_sa_budget_over_the_trial_limit_rejected(self, overrides):
+        import time
+
+        started = time.perf_counter()
+        with pytest.raises(ValidationError, match="trial limit"):
+            SynthesisParameters(**overrides)
+        assert time.perf_counter() - started < 1.0
+
+    def test_sa_budget_at_the_trial_limit_accepted(self):
+        from repro.core.problem import MAX_ANNEALING_TRIALS
+
+        # The paper's schedule is 88 steps x Imax 150 = 13,200 trials,
+        # so 100 restarts of it sit exactly on the limit.
+        assert MAX_ANNEALING_TRIALS == 100 * 13_200
+        params = SynthesisParameters(restarts=100)
+        steps = params.annealing().temperature_steps
+        assert steps * 150 * 100 == MAX_ANNEALING_TRIALS
+        # An unchanged default keeps the default problem digest.
+        assert SynthesisParameters().annealing().temperature_steps == 88
+
 
 class TestSynthesisProblem:
     def test_validates_assay_against_allocation(self):

@@ -15,6 +15,7 @@ import pytest
 from repro.errors import ParallelExecutionError, ParallelTimeoutError
 from repro.obs.instrument import Instrumentation
 from repro.serve.executor import (
+    BeatPipe,
     JobDeadlineError,
     JobExecutor,
     JobOutcome,
@@ -160,6 +161,98 @@ class TestRealPool:
         finally:
             executor.close()
         assert outcome.record["benchmark"] == "PCR"
+
+
+def _beats_of(pipe: BeatPipe, label: str, timeout: float = 30.0) -> list:
+    """Read *pipe* until *label*'s final ``done`` beat; its beats."""
+    beats = []
+    while pipe.reader.poll(timeout):
+        beat = pipe.get()
+        if beat.label == label:
+            beats.append(beat)
+            if beat.kind == "done":
+                break
+    return beats
+
+
+class TestHeartbeatPipe:
+    """Beats cross one inherited pipe, inline and pooled alike."""
+
+    @pytest.mark.parametrize("pool_jobs", [1, 2])
+    def test_labelled_job_streams_beats(self, pool_jobs):
+        pipe = BeatPipe()
+        executor = JobExecutor(pool_jobs=pool_jobs, beats=pipe)
+        try:
+            executor.execute(PCR, label="job-1")
+            beats = _beats_of(pipe, "job-1")
+        finally:
+            executor.close()
+            pipe.close()
+        assert beats[0].kind == "sa"
+        assert "temperature" in beats[0].fields
+        assert beats[-1].kind == "done"
+
+    def test_unlabelled_job_runs_silent(self):
+        pipe = BeatPipe()
+        executor = JobExecutor(pool_jobs=1, beats=pipe)
+        try:
+            executor.execute(PCR)
+            assert not pipe.reader.poll(0.2)
+        finally:
+            executor.close()
+            pipe.close()
+
+    def test_beats_survive_a_deadline_kill(self):
+        # The kill stops a worker at any instruction, possibly mid-beat.
+        # The write side holds no lock, so the next job's beats (from a
+        # re-forked pool, which inherits the pipe again) still arrive.
+        pipe = BeatPipe()
+        executor = JobExecutor(pool_jobs=2, beats=pipe)
+        try:
+            with pytest.raises(JobDeadlineError):
+                executor.execute(
+                    {"benchmark": "Scale50", "parameters": {"seed": 1}},
+                    deadline=0.05,
+                    label="killed",
+                )
+            outcome = executor.execute(PCR, label="next")
+            beats = _beats_of(pipe, "next")
+        finally:
+            executor.close()
+            pipe.close()
+        assert outcome.record["benchmark"] == "PCR"
+        assert executor.session.generations == 2
+        assert [b.kind for b in beats][0] == "sa"
+        assert beats[-1].kind == "done"
+
+    def test_full_pipe_drops_beats_without_blocking(self):
+        import queue
+
+        pipe = BeatPipe()
+        try:
+            beat = {"label": "x" * 64}
+            with pytest.raises(queue.Full):
+                while True:  # a non-blocking end: fills, then refuses
+                    pipe.sender.put_nowait(beat)
+            # A beat over PIPE_BUF could not be written atomically.
+            with pytest.raises(queue.Full, match="PIPE_BUF"):
+                pipe.sender.put_nowait({"label": "x" * 10_000})
+            assert pipe.get() == beat  # frames stay whole
+        finally:
+            pipe.close()
+
+    def test_wake_ends_a_blocked_read(self):
+        import threading
+
+        pipe = BeatPipe()
+        got = []
+        reader = threading.Thread(target=lambda: got.append(pipe.get()))
+        reader.start()
+        pipe.wake()
+        reader.join(timeout=10.0)
+        pipe.close()
+        assert not reader.is_alive()
+        assert got == [None]
 
 
 class TestExecuteSubmission:

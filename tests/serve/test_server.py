@@ -679,6 +679,24 @@ OVERSIZED = [
     ),
 ]
 
+# In range but unbounded work: each was accepted and, with no deadline,
+# held a pool worker for hours or more.
+UNBOUNDED_ANNEALING = [
+    pytest.param(
+        {"benchmark": "PCR",
+         "parameters": {"cooling_rate": 0.999999999,
+                        "iterations_per_temperature": 1000000000}},
+        id="cooling_rate-near-one",
+    ),
+    pytest.param(
+        {"benchmark": "PCR",
+         "parameters": {"cooling_rate": 0.999999999,
+                        "iterations_per_temperature": 1000000000,
+                        "restarts": 1000000}},
+        id="restarts-huge",
+    ),
+]
+
 
 class TestMalformedParameters:
     @pytest.mark.parametrize("endpoint", ["/jobs", "/jobs/batch"])
@@ -756,6 +774,34 @@ class TestMalformedParameters:
                     "invalid"
                 ]
                 assert "operation limit" in response["jobs"][0]["error"]
+                assert response["accepted"] == 0
+            assert read_journal(journal) == before
+        finally:
+            harness.stop()
+
+    @pytest.mark.parametrize("endpoint", ["/jobs", "/jobs/batch"])
+    @pytest.mark.parametrize("bad", UNBOUNDED_ANNEALING)
+    def test_unbounded_annealing_rejected_at_the_door(
+        self, tmp_path, bad, endpoint
+    ):
+        # Paused, so a submission that slipped through would sit queued
+        # (and fail the assertions) instead of holding a worker.
+        from repro.serve.jobs import read_journal
+
+        harness = _Harness(tmp_path, paused=True).start()
+        try:
+            journal = harness.config.state_dir / "journal.jsonl"
+            before = read_journal(journal)
+            if endpoint == "/jobs":
+                status, _, body = harness.raw("POST", endpoint, bad)
+                assert status == 400
+                assert "trial limit" in json.loads(body)["error"]
+            else:
+                response = harness.client.submit_batch([bad])
+                assert [e["status"] for e in response["jobs"]] == [
+                    "invalid"
+                ]
+                assert "trial limit" in response["jobs"][0]["error"]
                 assert response["accepted"] == 0
             assert read_journal(journal) == before
         finally:
@@ -1019,6 +1065,35 @@ class TestHeartbeats:
             assert dropped >= 1
         finally:
             harness.stop()
+
+    def test_pooled_job_streams_sa_progress(self, tmp_path):
+        # The default server runs jobs on a process pool; its beats
+        # cross the pipe the workers inherit.  Nothing is forked before
+        # the first job: the pool starts with it, and there is no
+        # channel process.
+        import multiprocessing
+
+        before = {p.pid for p in multiprocessing.active_children()}
+        harness = _Harness(tmp_path, pool_jobs=2).start()
+        try:
+            idle = {p.pid for p in multiprocessing.active_children()}
+            assert idle - before == set()
+            status, _, body = harness.raw(
+                "POST", "/jobs", {"benchmark": "CPA", "parameters": {"seed": 5}}
+            )
+            assert status == 202
+            events = list(harness.client.events(json.loads(body)["job_id"]))
+        finally:
+            harness.stop()
+        kinds = [event.get("event") for event in events]
+        assert "done" in kinds
+        sa = [
+            index for index, event in enumerate(events)
+            if event.get("event") == "progress" and event.get("kind") == "sa"
+        ]
+        assert sa and sa[0] < kinds.index("done")
+        first = events[sa[0]]
+        assert "temperature" in first and "best_energy" in first
 
     def test_no_heartbeats_option_is_gone(self):
         from repro.serve.server import run_serve
