@@ -6,6 +6,12 @@
 servable by the allocation, durations should be positive for real work,
 and fan-in must be physically plausible.
 
+The raising variant, :func:`check_assay`, runs on every
+:class:`~repro.core.problem.SynthesisProblem` construction and every
+schedule, so its passing verdict is memoised per (graph, allocation):
+graphs are immutable, so a verdict cannot go stale, and the side table
+holds its graphs weakly, so it never keeps one alive.
+
 The findings are reported in the same :class:`~repro.check.report.Violation`
 vocabulary the post-synthesis design-rule checker (:mod:`repro.check`)
 uses — rules ``INP-CAPACITY``, ``INP-FANIN``, ``INP-DURATION`` and
@@ -17,6 +23,7 @@ violations unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from weakref import WeakKeyDictionary
 
 from repro.assay.graph import OperationType, SequencingGraph
 from repro.check.report import Severity, Violation
@@ -32,6 +39,11 @@ MAX_FAN_IN = {
     OperationType.FILTER: 1,
     OperationType.DETECT: 1,
 }
+
+#: Graph -> the allocations it passed :func:`check_assay` on.
+_FEASIBLE: WeakKeyDictionary[SequencingGraph, set[Allocation]] = (
+    WeakKeyDictionary()
+)
 
 
 @dataclass
@@ -120,9 +132,13 @@ def validate_assay(
 
 def check_assay(assay: SequencingGraph, allocation: Allocation) -> None:
     """Raise :class:`AllocationError` when *assay* cannot run on *allocation*."""
+    passed = _FEASIBLE.get(assay)
+    if passed is not None and allocation in passed:
+        return
     report = validate_assay(assay, allocation)
     if not report.ok:
         raise AllocationError(
             f"assay {assay.name!r} cannot be synthesised: "
             + "; ".join(report.errors)
         )
+    _FEASIBLE.setdefault(assay, set()).add(allocation)

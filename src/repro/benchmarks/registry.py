@@ -2,8 +2,14 @@
 
 :func:`get_benchmark` returns a :class:`BenchmarkCase` by name;
 :func:`table1_benchmarks` yields the seven cases in the paper's row
-order.  Benchmarks are constructed lazily and freshly on each call so
-callers can never corrupt each other through shared mutable state.
+order.  Each case is built lazily, on first request, and then shared by
+every caller: a case, its :class:`~repro.assay.graph.SequencingGraph`
+and its :class:`~repro.components.allocation.Allocation` are all
+immutable, so sharing them cannot leak state between callers.  Sharing
+is what lets the per-graph memos (the digest prefix of
+:mod:`repro.core.digest`, the feasibility verdict of
+:mod:`repro.assay.validation`) serve every run of a benchmark, and
+spares the service a rebuild of the assay on every job.
 """
 
 from __future__ import annotations
@@ -76,18 +82,29 @@ def benchmark_names() -> list[str]:
     return list(TABLE1_ORDER) + ["Fig2a"] + list(SCALE_ORDER)
 
 
+#: Benchmark name -> its shared case, built on first request.
+_CASES: dict[str, BenchmarkCase] = {}
+
+
 def get_benchmark(name: str) -> BenchmarkCase:
-    """Build the named benchmark afresh.
+    """The named benchmark: one shared, immutable case per name.
 
     Raises :class:`AssayError` for unknown names.
     """
+    case = _CASES.get(name)
+    if case is not None:
+        return case
     if name in _REAL:
         assay_factory, allocation_factory = _REAL[name]
-        return BenchmarkCase(name, assay_factory(), allocation_factory())
-    if name in SYNTHETIC_SPECS or name in SCALE_SPECS:
-        return BenchmarkCase(name, synthetic_assay(name), synthetic_allocation(name))
-    known = ", ".join(benchmark_names())
-    raise AssayError(f"unknown benchmark {name!r} (known: {known})")
+        case = BenchmarkCase(name, assay_factory(), allocation_factory())
+    elif name in SYNTHETIC_SPECS or name in SCALE_SPECS:
+        case = BenchmarkCase(
+            name, synthetic_assay(name), synthetic_allocation(name)
+        )
+    else:
+        known = ", ".join(benchmark_names())
+        raise AssayError(f"unknown benchmark {name!r} (known: {known})")
+    return _CASES.setdefault(name, case)
 
 
 def table1_benchmarks() -> Iterator[BenchmarkCase]:

@@ -46,7 +46,15 @@ class Allocation:
 
     def __post_init__(self) -> None:
         for op_type in _ORDER:
-            if self.count(op_type) < 0:
+            count = self.count(op_type)
+            # Counts are digested as JSON, where 3, 3.0 and True differ
+            # although they compare (and hash) equal in Python.
+            if isinstance(count, bool) or not isinstance(count, int):
+                raise AllocationError(
+                    f"{op_type.component_name} count must be an integer, "
+                    f"got {type(count).__name__}"
+                )
+            if count < 0:
                 raise AllocationError(
                     f"negative component count for {op_type.component_name}"
                 )

@@ -82,6 +82,9 @@ class ComponentLibrary:
                     f"{spec.op_type.value}"
                 )
         self._specs = dict(specs)
+        self._max_dimension = max(
+            max(spec.width, spec.height) for spec in self._specs.values()
+        )
 
     def spec(self, op_type: OperationType) -> ComponentSpec:
         """The spec of the family serving *op_type*."""
@@ -97,9 +100,7 @@ class ComponentLibrary:
 
     def max_dimension(self) -> int:
         """Largest single footprint dimension across all families."""
-        return max(
-            max(spec.width, spec.height) for spec in self._specs.values()
-        )
+        return self._max_dimension
 
 
 #: Default geometry: mixers are the big ring mixers of Fig. 1 (3x2 cells);

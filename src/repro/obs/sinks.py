@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import threading
 from pathlib import Path
-from typing import IO, ClassVar, Iterable
+from typing import IO, Iterable
 
 from repro.obs.events import Event
 
@@ -41,10 +41,12 @@ class Sink:
     :class:`~repro.obs.instrument.Instrumentation` reads it once and
     builds an :class:`Event` only for a name in the set, so a sink that
     watches two names does not pay for the rest of the stream.
-    ``None`` (the default) means every name.
+    ``None`` (the default) means every name.  It is usually fixed per
+    class; a sink whose reading depends on its use sets it per instance
+    before any instrumentation is built on it.
     """
 
-    subscribed: ClassVar[frozenset[str] | None] = None
+    subscribed: frozenset[str] | None = None
 
     def emit(self, event: Event) -> None:
         raise NotImplementedError

@@ -24,12 +24,15 @@ makes that *deterministic*:
   so SA counters and latency percentiles in the ``--profile`` report
   cover every restart regardless of ``jobs``.
 * **Merged event streams** — when the caller's sink is live (e.g.
-  ``--trace``), each worker additionally records its full event stream
-  and the parent replays it after the pool drains, time-shifted to the
+  ``--trace``), each worker additionally records its event stream and
+  the parent replays it after the pool drains, time-shifted to the
   dispatch instant and stamped with the worker index.  A merged trace
   therefore contains every restart's span tree, unambiguous under the
   ``(worker, span_id)`` namespacing, and ``trace2chrome`` renders one
-  track per worker.
+  track per worker.  A worker records only the names the caller's sink
+  subscribes to (:attr:`~repro.obs.sinks.Sink.subscribed`), so a
+  service job's heartbeat relay, which reads two names, does not make
+  every restart build and ship its whole stream.
 * **Live heartbeats** — when a
   :class:`~repro.obs.live.LiveProgressMonitor` is installed, each
   worker relays throttled ``sa.step`` progress over its queue, giving
@@ -122,9 +125,10 @@ def multistart_seeds(
 class RestartOutcome:
     """One restart's annealing result plus its telemetry aggregates.
 
-    ``events`` is the restart's full event stream (worker-stamped),
-    captured only when the parent's sink is live; empty otherwise so
-    nothing extra crosses the pool boundary on untraced runs.
+    ``events`` is the restart's event stream (worker-stamped), limited
+    to the names the parent's sink subscribes to and captured only when
+    that sink is live; empty otherwise so nothing extra crosses the
+    pool boundary on untraced runs.
     """
 
     seed: int
@@ -147,6 +151,8 @@ class _AnnealTask:
     index: int = 0
     #: Record and return the worker's event stream (traced runs only).
     capture_events: bool = False
+    #: Names to record when capturing (``None``: every name).
+    capture_names: frozenset[str] | None = None
     #: Live-progress relay recipe, when a monitor is installed.
     heartbeat: HeartbeatSpec | None = None
 
@@ -157,6 +163,9 @@ def _run_anneal_task(task: _AnnealTask) -> RestartOutcome:
     sinks: list[Sink] = []
     if task.capture_events:
         recorder = RecordingSink()
+        # Built alone on the recorder, the instrumentation builds events
+        # for the parent's names only.
+        recorder.subscribed = task.capture_names
         sinks.append(recorder)
     relay = task.heartbeat.build() if task.heartbeat is not None else None
     if relay is not None:
@@ -233,6 +242,9 @@ def anneal_multistart(
         )
     params = parameters or AnnealingParameters()
     capture = instrumentation is not None and instrumentation.active
+    capture_names = instrumentation.sink.subscribed if capture else None
+    if capture_names is not None and not capture_names:
+        capture = False
     monitor = active_monitor()
     dispatch_t = instrumentation.now() if instrumentation is not None else 0.0
     seeds = multistart_seeds(base_seed, restarts, seed_derivation)
@@ -246,6 +258,7 @@ def anneal_multistart(
             engine=engine,
             index=index,
             capture_events=capture,
+            capture_names=capture_names,
             heartbeat=(
                 monitor.spec_for(worker=index, seed=seed)
                 if monitor is not None and monitor.queue is not None

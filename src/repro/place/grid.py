@@ -24,6 +24,10 @@ __all__ = ["Cell", "ChipGrid", "auto_grid"]
 #: Default physical pitch of one grid cell, in millimetres.
 DEFAULT_PITCH_MM: Millimetres = 10.0
 
+#: Every operation type, listed once: iterating the enum class itself
+#: is a measurable part of sizing a grid on each problem construction.
+_OPERATION_TYPES = tuple(OperationType)
+
 
 class Cell(NamedTuple):
     """One grid cell, addressed by column ``x`` and row ``y``.
@@ -104,8 +108,7 @@ def auto_grid(
         raise PlacementError(f"fill ratio must be in (0, 1], got {fill_ratio}")
     total_area = sum(
         library.spec(op_type).area * allocation.count(op_type)
-        for op_type in OperationType
-        if allocation.count(op_type)
+        for op_type in _OPERATION_TYPES
     )
     side = math.ceil(math.sqrt(total_area / fill_ratio))
     side = max(side, library.max_dimension() + 2)

@@ -85,3 +85,13 @@ class TestCheckAssay:
 
     def test_silent_on_valid(self):
         check_assay(mixed_assay(), Allocation(mixers=1, heaters=1, detectors=1))
+
+    def test_memoised_verdict_is_per_allocation(self):
+        # A graph that passed on one allocation must still be checked,
+        # and fail, on another; a failure is never remembered as a pass.
+        assay = mixed_assay()
+        check_assay(assay, Allocation(mixers=1, heaters=1, detectors=1))
+        check_assay(assay, Allocation(mixers=1, heaters=1, detectors=1))
+        for _ in range(2):
+            with pytest.raises(AllocationError, match="cannot be synthesised"):
+                check_assay(assay, Allocation(mixers=1, detectors=1))

@@ -1,7 +1,10 @@
 """Tests for the benchmark registry."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
+from repro.assay.io import assay_to_dict
 from repro.benchmarks.registry import (
     SCALE_ORDER,
     TABLE1_ORDER,
@@ -10,6 +13,7 @@ from repro.benchmarks.registry import (
     scale_benchmarks,
     table1_benchmarks,
 )
+from repro.benchmarks.synthetic import synthetic_assay
 from repro.errors import AssayError
 
 
@@ -30,10 +34,16 @@ class TestRegistry:
         assert "Fig2a" in names
         assert set(TABLE1_ORDER) <= set(names)
 
-    def test_get_benchmark_builds_fresh_objects(self):
+    def test_get_benchmark_shares_one_immutable_case(self):
         a = get_benchmark("PCR")
-        b = get_benchmark("PCR")
-        assert a.assay is not b.assay
+        assert get_benchmark("PCR") is a
+        # Sharing is safe only because nothing in a case can change.
+        with pytest.raises(AttributeError):
+            a.assay.name = "other"  # type: ignore[misc]
+        with pytest.raises(FrozenInstanceError):
+            a.allocation.mixers = 9  # type: ignore[misc]
+        with pytest.raises(FrozenInstanceError):
+            a.assay = None  # type: ignore[misc]
 
     def test_operation_counts_match_table1_column2(self):
         expected = {
@@ -69,7 +79,8 @@ class TestRegistry:
         assert names == list(SCALE_ORDER)
 
     def test_scale_benchmarks_deterministic(self):
+        # The shared case equals a fresh build of the same spec.
         a = get_benchmark("Scale100")
-        b = get_benchmark("Scale100")
-        assert a.assay is not b.assay
-        assert a.assay.operation_ids == b.assay.operation_ids
+        b = synthetic_assay("Scale100")
+        assert a.assay is not b
+        assert assay_to_dict(a.assay) == assay_to_dict(b)

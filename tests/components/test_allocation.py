@@ -30,6 +30,13 @@ class TestAllocation:
         with pytest.raises(AllocationError):
             Allocation(mixers=-1)
 
+    @pytest.mark.parametrize("count", [3.0, True, "3"])
+    def test_non_integer_count_rejected(self, count):
+        # Allocation(3.0) == Allocation(3), but their digests differ, so
+        # a per-allocation digest memo must never see the pair.
+        with pytest.raises(AllocationError, match="must be an integer"):
+            Allocation(mixers=count)
+
     def test_empty_allocation_rejected(self):
         with pytest.raises(AllocationError):
             Allocation()

@@ -234,3 +234,83 @@ class TestAnnealMultistart:
         assert counters["sa.restarts"] == 3
         # SA move counters cover every restart, not just the winner.
         assert counters["sa.moves_proposed"] > 0
+
+
+class TestRestartEventCapture:
+    """Restarts record only the event names the parent's sink reads."""
+
+    @staticmethod
+    def _captured(monkeypatch):
+        import repro.parallel.multistart as multistart
+
+        names: list[set[str]] = []
+        run = multistart._run_anneal_task
+
+        def recording(task):
+            outcome = run(task)
+            names.append({event.name for event in outcome.events})
+            return outcome
+
+        monkeypatch.setattr(multistart, "_run_anneal_task", recording)
+        return names
+
+    def test_relay_sinked_job_captures_only_subscribed_events(
+        self, monkeypatch
+    ):
+        from repro.obs.live import HeartbeatRelay
+        from repro.serve.executor import JobTask, execute_submission
+
+        class Beats:
+            def __init__(self):
+                self.beats = []
+
+            def put_nowait(self, beat):
+                self.beats.append(beat)
+
+        names = self._captured(monkeypatch)
+        beats = Beats()
+        execute_submission(
+            JobTask(
+                document={
+                    "benchmark": "CPA",
+                    "parameters": {"seed": 1, "restarts": 2},
+                },
+                label="job-1",
+            ),
+            beats=beats,
+        )
+        assert len(names) == 2
+        for captured in names:
+            assert captured
+            assert captured <= HeartbeatRelay.subscribed
+        assert any(beat.kind == "sa" for beat in beats.beats)
+
+    def test_sink_subscribed_to_nothing_captures_nothing(self, monkeypatch):
+        from repro.obs.sinks import RecordingSink
+
+        class Deaf(RecordingSink):
+            subscribed = frozenset()
+
+        names = self._captured(monkeypatch)
+        grid, footprints, priorities = _problem_inputs()
+        sink = Deaf()
+        anneal_multistart(
+            grid, footprints, priorities, parameters=FAST,
+            base_seed=1, restarts=2, instrumentation=Instrumentation(sink),
+        )
+        assert names == [set(), set()]
+        assert sink.events == []
+
+    def test_unsubscribed_sink_still_captures_everything(self, monkeypatch):
+        from repro.obs.sinks import RecordingSink
+
+        names = self._captured(monkeypatch)
+        grid, footprints, priorities = _problem_inputs()
+        sink = RecordingSink()
+        anneal_multistart(
+            grid, footprints, priorities, parameters=FAST,
+            base_seed=1, restarts=2, instrumentation=Instrumentation(sink),
+        )
+        assert len(names) == 2
+        assert all("sa.step" in captured for captured in names)
+        assert sink.named("sa.step")
