@@ -31,7 +31,7 @@ class TestParseSubmission:
 
     def test_digest_matches_the_problem(self):
         submission = parse_submission(_pcr(seed=5))
-        assert submission.digest == problem_digest(submission.problem())
+        assert submission.digest == problem_digest(submission.problem)
 
     def test_equal_submissions_share_a_digest(self):
         assert (
@@ -112,6 +112,18 @@ class TestParseSubmission:
             parse_submission(_pcr(job_id="a/b"))
         with pytest.raises(SubmissionError, match="characters"):
             parse_submission(_pcr(job_id="x" * 200))
+
+    def test_job_id_takes_integers_and_refuses_other_types(self):
+        assert parse_submission(_pcr(job_id=42)).job_id == "42"
+        assert parse_submission(_pcr(job_id=-7)).job_id == "-7"
+        limit = 10**120 - 1
+        assert parse_submission(_pcr(job_id=limit)).job_id == str(limit)
+        for huge in (10**120, 10**5000, -(10**5000)):
+            with pytest.raises(SubmissionError, match="characters"):
+                parse_submission(_pcr(job_id=huge))
+        for other in (True, 1.5, [1], {"id": 1}):
+            with pytest.raises(SubmissionError, match="string or an integer"):
+                parse_submission(_pcr(job_id=other))
 
 
 class TestResultDocument:
