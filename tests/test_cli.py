@@ -119,6 +119,26 @@ class TestObservabilityFlags:
         ]
         assert {r["name"] for r in records} >= {"synthesize", "route.tasks_routed"}
 
+    def test_live_pooled_restarts_end_to_end(self, tmp_path, capsys):
+        import multiprocessing
+
+        def stdout_of(argv):
+            assert run(argv) == 0
+            out = capsys.readouterr().out
+            return [line for line in out.splitlines() if "cpu time" not in line]
+
+        argv = ["CPA", "--seed", "3", "--restarts", "4", "--jobs", "2"]
+        plain = stdout_of(argv + ["--no-ledger"])
+        ledger = tmp_path / "ledger.jsonl"
+        live = stdout_of(argv + ["--live", "--ledger", str(ledger)])
+        # Heartbeats are telemetry: --live renders on stderr only.
+        assert live == plain
+        (record,) = [json.loads(line) for line in ledger.read_text().splitlines()]
+        done = {p["worker"] for p in record["checkpoints"] if p["kind"] == "done"}
+        assert done == {0, 1, 2, 3}
+        # The pool and the beat channel leave no process behind.
+        assert multiprocessing.active_children() == []
+
     def test_unwritable_trace_path_fails_cleanly(self, tmp_path, capsys):
         target = tmp_path / "no-such-dir" / "trace.jsonl"
         assert run(["PCR", "--trace", str(target)]) == EXIT_REPRO_ERROR
