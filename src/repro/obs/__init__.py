@@ -32,7 +32,8 @@ On top of the core sit the production-telemetry modules:
   pipeline run, content-addressed by problem digest, queried and
   regression-checked by ``python -m repro stats``;
 * **Live progress** (:mod:`repro.obs.live`) — throttled worker
-  heartbeats over a queue, rendered as a live per-worker line;
+  heartbeats over one lock-free pipe, rendered as a live per-worker
+  line (``--live``) or streamed to a service job's SSE feed;
 * **Trace export** (:mod:`repro.obs.export`) — ``--trace`` JSONL →
   Chrome trace-event JSON (``python -m repro trace2chrome``).
 

@@ -27,24 +27,18 @@ documented trade-off of a single-process deployment.
 
 Workers bridge progress out through the obs heartbeat relay
 (:class:`~repro.obs.live.HeartbeatRelay`, subscribed to ``sa.step`` /
-``route.task`` events) over one :class:`BeatPipe` that the server
-creates before the pool: workers inherit its write end through the
-pool initializer, the inline path writes to it directly, and the
-server pumps the beats into per-job SSE streams.  Writing a beat takes
-no lock, so a deadline kill that stops a worker mid-beat cannot wedge
-the channel for later jobs.
+``route.task`` events) over one :class:`~repro.obs.live.BeatPipe`, the
+heartbeat channel the CLI's ``--live`` uses too.  The server creates
+it before the pool: workers inherit its write end through the pool
+initializer, the inline path writes to it directly, and the server
+pumps the beats into per-job SSE streams.  Writing a beat takes no
+lock, so a deadline kill that stops a worker mid-beat cannot wedge the
+channel for later jobs.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import pickle
-import queue
-import select
-import struct
 import threading
-import time
 from dataclasses import dataclass
 from functools import partial
 from typing import Any
@@ -55,12 +49,16 @@ from repro.errors import (
     ReproError,
 )
 from repro.obs.instrument import Instrumentation, InstrumentationSnapshot
-from repro.obs.live import HeartbeatRelay
+from repro.obs.live import (
+    BeatPipe,
+    BeatSender,
+    HeartbeatRelay,
+    install_beats,
+    installed_beats,
+)
 from repro.parallel.pool import PoolSession
 
 __all__ = [
-    "BeatPipe",
-    "BeatSender",
     "DEFAULT_RETRIES",
     "JobDeadlineError",
     "JobExecutor",
@@ -71,99 +69,6 @@ __all__ = [
 
 #: Default pool-rebuild retries per job before giving up.
 DEFAULT_RETRIES = 3
-
-#: Length header of one beat frame on a :class:`BeatPipe`.
-_FRAME = struct.Struct("!I")
-
-
-class BeatSender:
-    """Write end of a :class:`BeatPipe`: the queue a relay puts beats on.
-
-    :meth:`put_nowait` pickles the beat and sends it, length header
-    included, as one ``os.write`` of at most ``PIPE_BUF`` bytes on a
-    non-blocking pipe.  POSIX makes such a write atomic: it never
-    interleaves with another process's beat and never blocks, and it
-    takes no lock that a worker killed mid-write could leave held.  A
-    full pipe or an oversized beat raises :class:`queue.Full`, which
-    the relay treats as a dropped beat.
-    """
-
-    def __init__(self, connection: Any) -> None:
-        #: ``multiprocessing`` connection, so the end survives pickling
-        #: into a spawned worker as well as fork inheritance.
-        self.connection = connection
-
-    def put_nowait(self, beat: Any) -> None:
-        data = pickle.dumps(beat, pickle.HIGHEST_PROTOCOL)
-        frame = _FRAME.pack(len(data)) + data
-        if len(frame) > select.PIPE_BUF:
-            raise queue.Full(f"beat of {len(frame)} bytes exceeds PIPE_BUF")
-        try:
-            os.write(self.connection.fileno(), frame)
-        except BlockingIOError:
-            raise queue.Full("beat pipe full") from None
-
-
-class BeatPipe:
-    """The service's one heartbeat channel: job executions to the server.
-
-    Created before the pool; workers keep :attr:`sender` through the
-    pool initializer, and the server's pump thread blocks in
-    :meth:`get`.  Shutdown wakes the pump with :meth:`wake`.
-    """
-
-    def __init__(self) -> None:
-        reader, writer = multiprocessing.Pipe(duplex=False)
-        os.set_blocking(writer.fileno(), False)
-        self.reader = reader
-        self.sender = BeatSender(writer)
-
-    def get(self) -> Any:
-        """The next beat, blocking until one arrives (``None`` is the
-        :meth:`wake` sentinel).  Raises :class:`EOFError` once every
-        write end is closed."""
-        (size,) = _FRAME.unpack(self._read(_FRAME.size))
-        return pickle.loads(self._read(size))
-
-    def _read(self, size: int) -> bytes:
-        data = b""
-        while len(data) < size:
-            chunk = os.read(self.reader.fileno(), size - len(data))
-            if not chunk:
-                raise EOFError("beat pipe closed")
-            data += chunk
-        return data
-
-    def wake(self, timeout: float = 5.0) -> None:
-        """Send the sentinel that ends a blocked :meth:`get`, waiting up
-        to *timeout* seconds for room while the pipe is full."""
-        deadline = time.monotonic() + timeout
-        while True:
-            try:
-                self.sender.put_nowait(None)
-                return
-            except queue.Full:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return
-                select.select(
-                    [], [self.sender.connection.fileno()], [], remaining
-                )
-
-    def close(self) -> None:
-        self.reader.close()
-        self.sender.connection.close()
-
-
-#: This pool worker's beat-pipe write end (set by :func:`_install_beats`).
-_worker_beats: BeatSender | None = None
-
-
-def _install_beats(sender: BeatSender | None) -> None:
-    """Pool initializer: keep the inherited beat pipe for every job."""
-    global _worker_beats
-    _worker_beats = sender
-
 
 class JobDeadlineError(ReproError):
     """Raised when a job exceeds its deadline (the job fails; the
@@ -210,7 +115,7 @@ def execute_submission(
 
     submission = parse_submission(task.document)
     problem = submission.problem
-    beats = beats if beats is not None else _worker_beats
+    beats = beats if beats is not None else installed_beats()
     relay = (
         HeartbeatRelay(
             beats, worker=0, seed=problem.parameters.seed, label=task.label
@@ -259,7 +164,7 @@ class JobExecutor:
         self.beats = beats
         sender = beats.sender if beats is not None else None
         self.session = PoolSession(
-            jobs=pool_jobs, initializer=_install_beats, initargs=(sender,)
+            jobs=pool_jobs, initializer=install_beats, initargs=(sender,)
         )
         # Pool workers hold the pipe from the initializer; an inline
         # run is handed it.

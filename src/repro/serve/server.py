@@ -37,8 +37,9 @@ Design points:
   microseconds with the original run's result byte for byte.
 * **Progress is the obs stream** — workers' ``sa.step`` /
   ``route.task`` events ride the heartbeat relay over one lock-free
-  pipe (:class:`~repro.serve.executor.BeatPipe`) that workers inherit;
-  the server pumps them into per-job SSE streams.  Worker counter/histogram
+  pipe (:class:`~repro.obs.live.BeatPipe`, the channel the CLI's
+  ``--live`` uses too) that workers inherit; the server pumps them
+  into per-job SSE streams.  Worker counter/histogram
   aggregates are absorbed into the server's instrumentation, and every
   executed job appends a ``source: "serve"`` run-ledger record
   (inspect with ``python -m repro stats --serve``).
@@ -63,9 +64,9 @@ from typing import Any, AsyncIterator
 
 from repro.errors import ReproError
 from repro.obs.instrument import Instrumentation
-from repro.obs.live import Heartbeat
+from repro.obs.live import BeatPipe, Heartbeat
 from repro.serve.cache import ResultCache
-from repro.serve.executor import BeatPipe, JobExecutor, JobOutcome
+from repro.serve.executor import JobExecutor, JobOutcome
 from repro.serve.http import (
     HttpError,
     Request,
@@ -242,8 +243,8 @@ class SynthesisServer:
         self._beats = self.executor.beats
         if self._beats is not None:
             self._pump = threading.Thread(
-                target=self._pump_beats, name="repro-serve-beats",
-                daemon=True,
+                target=self._beats.pump, args=(self._post_beat,),
+                name="repro-serve-beats", daemon=True,
             )
             self._pump.start()
         # Journal-replayed jobs re-enter the event machinery as queued.
@@ -467,21 +468,11 @@ class SynthesisServer:
             self.instr.count("serve.ledger_errors")
             self.instr.event("serve.ledger_error", error=str(error))
 
-    # -- heartbeat pump (thread) ----------------------------------------
-    def _pump_beats(self) -> None:
-        # A blocking read: shutdown wakes it with the pipe's sentinel.
-        while True:
-            try:
-                beat = self._beats.get()
-            except (EOFError, OSError):
-                return  # pipe torn down
-            if beat is None:
-                return
-            if isinstance(beat, Heartbeat) and self._loop is not None:
-                try:
-                    self._loop.call_soon_threadsafe(self._on_beat, beat)
-                except RuntimeError:
-                    return  # loop closed mid-shutdown
+    # -- heartbeats ------------------------------------------------------
+    def _post_beat(self, beat: Heartbeat) -> None:
+        # On the pump thread: hand the beat to the event loop.
+        with contextlib.suppress(RuntimeError):  # loop closed mid-shutdown
+            self._loop.call_soon_threadsafe(self._on_beat, beat)
 
     def _on_beat(self, beat: Heartbeat) -> None:
         log = self._events.get(beat.label)

@@ -9,7 +9,6 @@ from repro.obs.live import (
     MAX_CHECKPOINTS_PER_WORKER,
     Heartbeat,
     HeartbeatRelay,
-    HeartbeatSpec,
     LiveProgressMonitor,
     active_monitor,
     install_monitor,
@@ -84,19 +83,11 @@ class TestHeartbeatRelay:
         relay.close()
         assert relay.sent == 0
 
-    def test_spec_builds_equivalent_relay(self):
-        q = queue.Queue()
-        spec = HeartbeatSpec(queue=q, worker=5, seed=9, interval=0.5)
-        relay = spec.build()
-        assert (relay.worker, relay.seed, relay.interval) == (5, 9, 0.5)
-        assert relay.queue is q
-
     def test_label_stamped_on_beats_and_done(self):
         # Portfolio arms label their rows (e.g. "a002:inc"); the label
         # must ride every beat, including the final done beat.
         q = queue.Queue()
-        spec = HeartbeatSpec(queue=q, worker=2, seed=7, label="a002:inc")
-        relay = spec.build()
+        relay = HeartbeatRelay(q, worker=2, seed=7, label="a002:inc")
         relay.emit(_sa_step(t=0.1))
         relay.close()
         beats = []
@@ -107,13 +98,8 @@ class TestHeartbeatRelay:
 
 
 class TestLiveProgressMonitor:
-    def _monitor(self, **kwargs):
-        # An injected stdlib queue keeps the test single-process: no
-        # multiprocessing manager, no consumer-thread races to wait on.
-        return LiveProgressMonitor(queue=queue.Queue(), **kwargs)
-
     def test_handle_updates_state_and_checkpoints(self):
-        monitor = self._monitor()
+        monitor = LiveProgressMonitor()
         monitor._handle(Heartbeat(worker=0, seed=1, kind="sa", t=0.1,
                                   fields={"temperature": 9.0, "energy": 4.0}))
         monitor._handle(Heartbeat(worker=1, seed=2, kind="done", t=0.4,
@@ -126,7 +112,7 @@ class TestLiveProgressMonitor:
         assert points[1]["kind"] == "done"
 
     def test_checkpoints_capped_per_worker(self):
-        monitor = self._monitor()
+        monitor = LiveProgressMonitor()
         for i in range(MAX_CHECKPOINTS_PER_WORKER + 25):
             monitor._handle(Heartbeat(worker=0, seed=1, kind="sa",
                                       t=float(i), fields={}))
@@ -136,7 +122,7 @@ class TestLiveProgressMonitor:
         assert points[-1]["t"] == float(MAX_CHECKPOINTS_PER_WORKER + 24)
 
     def test_non_scalar_fields_kept_out_of_checkpoints(self):
-        monitor = self._monitor()
+        monitor = LiveProgressMonitor()
         monitor._handle(Heartbeat(worker=0, seed=1, kind="sa", t=0.0,
                                   fields={"energy": 1.0, "blob": [1, 2]}))
         (point,) = monitor.checkpoints()
@@ -144,7 +130,7 @@ class TestLiveProgressMonitor:
 
     def test_renders_one_line_per_refresh(self):
         stream = io.StringIO()
-        monitor = self._monitor(stream=stream)
+        monitor = LiveProgressMonitor(stream=stream)
         monitor._handle(Heartbeat(worker=0, seed=1, kind="sa", t=0.1,
                                   fields={"temperature": 50.0, "energy": 4.0}))
         monitor._handle(Heartbeat(worker=1, seed=2, kind="done", t=0.2,
@@ -155,7 +141,7 @@ class TestLiveProgressMonitor:
 
     def test_labelled_rows_render_the_arm_id(self):
         stream = io.StringIO()
-        monitor = self._monitor(stream=stream)
+        monitor = LiveProgressMonitor(stream=stream)
         monitor._handle(Heartbeat(worker=0, seed=1, kind="sa", t=0.1,
                                   label="a000:inc",
                                   fields={"temperature": 50.0,
@@ -167,7 +153,7 @@ class TestLiveProgressMonitor:
     def test_heartbeats_republished_into_instrumentation(self):
         sink = RecordingSink()
         instr = Instrumentation(sink)
-        monitor = self._monitor(instrumentation=instr)
+        monitor = LiveProgressMonitor(instrumentation=instr)
         monitor._handle(Heartbeat(worker=0, seed=1, kind="sa", t=0.1,
                                   fields={"energy": 4.0}))
         (event,) = sink.named("live.heartbeat")
@@ -175,40 +161,32 @@ class TestLiveProgressMonitor:
         assert event.fields["state"] == "sa"
         assert event.fields["energy"] == 4.0
 
-    def test_start_stop_drains_injected_queue(self):
+    def test_start_stop_drains_its_pipe(self):
         stream = io.StringIO()
-        monitor = self._monitor(stream=stream)
+        monitor = LiveProgressMonitor(stream=stream)
         with monitor:
             assert active_monitor() is monitor
-            spec = monitor.spec_for(worker=0, seed=1)
-            relay = spec.build()
+            relay = HeartbeatRelay(monitor.pipe.sender, worker=0, seed=1)
             relay.emit(_sa_step(t=0.1))
             relay.close()
-            # stop() below joins the consumer; beats already queued are
+            # stop() below joins the pump; beats already written are
             # drained before the sentinel lands behind them.
         assert active_monitor() is None
         assert monitor.received >= 1
         assert stream.getvalue().endswith("\n")
 
-    def test_spec_for_requires_a_queue(self):
-        import pytest
-
-        monitor = LiveProgressMonitor()
-        with pytest.raises(RuntimeError, match="no heartbeat queue"):
-            monitor.spec_for(worker=0, seed=1)
-
 
 class TestRegistry:
     def test_install_and_clear(self):
-        monitor = LiveProgressMonitor(queue=queue.Queue())
+        monitor = LiveProgressMonitor()
         install_monitor(monitor)
         assert active_monitor() is monitor
         install_monitor(None)
         assert active_monitor() is None
 
     def test_stale_clear_cannot_evict_newer_monitor(self):
-        old = LiveProgressMonitor(queue=queue.Queue())
-        new = LiveProgressMonitor(queue=queue.Queue())
+        old = LiveProgressMonitor()
+        new = LiveProgressMonitor()
         install_monitor(new)
         install_monitor(None, expected=old)  # stale stop() of `old`
         assert active_monitor() is new

@@ -14,8 +14,8 @@ import pytest
 
 from repro.errors import ParallelExecutionError, ParallelTimeoutError
 from repro.obs.instrument import Instrumentation
+from repro.obs.live import BeatPipe
 from repro.serve.executor import (
-    BeatPipe,
     JobDeadlineError,
     JobExecutor,
     JobOutcome,
