@@ -246,6 +246,32 @@ class TestServiceDigestIsTheLibraryDigest:
         )
         assert submission.digest == oracle(fresh)
 
+    #: Legal integral values of each float field.  ``cooling_rate`` has
+    #: none: it must lie strictly between 0 and 1.
+    INTEGRAL_VALUES = {
+        "transport_time": st.integers(0, 100),
+        "beta": st.integers(0, 10**6),
+        "gamma": st.integers(0, 10**6),
+        "initial_temperature": st.integers(100, 10_000),
+        "min_temperature": st.integers(1, 99),
+        "initial_cell_weight": st.integers(0, 10**6),
+        "cell_pitch_mm": st.integers(1, 100),
+        "grid_fill_ratio": st.just(1),
+    }
+
+    @pytest.mark.parametrize("name", sorted(INTEGRAL_VALUES))
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_int_and_float_spellings_share_an_address(self, name, data):
+        value = data.draw(self.INTEGRAL_VALUES[name])
+        as_int, as_float = (
+            parse_submission({"benchmark": "PCR", "parameters": {name: v}})
+            for v in (value, float(value))
+        )
+        assert as_int.digest == as_float.digest
+        assert as_int.cache_key == as_float.cache_key
+        assert as_int.digest == oracle(as_float.problem)
+
 
 class TestConcurrentMemos:
     """The service digests on its event loop while an inline job parses
