@@ -19,9 +19,8 @@ Violations carry stable rule ids (the catalogue lives in
 :mod:`repro.check.report` and is documented in ``docs/VERIFICATION.md``);
 :func:`check_result` bundles a full audit into a
 :class:`~repro.check.report.CheckReport`.  The deliberate-corruption
-harness proving each rule fires — and only that rule — lives in
-:mod:`repro.check.faults` (imported on demand; it is a test fixture, not
-part of the audit path).
+harness proving each rule fires — and only that rule — is a test
+fixture, ``tests/oracles/faults.py``, not part of the installed package.
 """
 
 from __future__ import annotations

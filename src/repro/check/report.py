@@ -5,8 +5,8 @@ artefacts against the paper's constraints.  Every constraint it can
 detect is registered here as a :class:`Rule` with a stable identifier
 (``SCH-PRECEDENCE``, ``RTE-CONFLICT``, ...), a one-line statement of the
 constraint, and the paper section it comes from — the same identifiers
-the fault-injection harness (:mod:`repro.check.faults`), the tests, and
-``docs/VERIFICATION.md`` use.
+the fault-injection harness (``tests/oracles/faults.py``), the tests,
+and ``docs/VERIFICATION.md`` use.
 
 A checker that finds a broken constraint emits a :class:`Violation`
 (rule id, severity, offending entities, human-readable detail); a full

@@ -10,7 +10,7 @@ import pytest
 
 from repro.assay.validation import validate_assay
 from repro.check import check_result
-from repro.check.faults import (
+from tests.oracles.faults import (
     FaultInjectionError,
     build_input_fault,
     fired_error_rules,
