@@ -27,7 +27,8 @@ builds on.  Its contract:
 :class:`PoolSession` is the wave-oriented sibling of :func:`run_tasks`:
 one long-lived worker pool that serves *multiple* submission waves, so
 workers are forked once, not once per wave.  The synthesis service's
-executor (:mod:`repro.serve.executor`) dispatches its jobs through one.
+executor (:mod:`repro.serve.executor`) dispatches its jobs through one,
+and multi-start placement its restarts.
 Each wave uses the same :class:`ReproError`-as-data transport as
 :func:`run_tasks`.  A broken
 or timed-out session is poisoned: later waves fail fast with
@@ -188,8 +189,10 @@ class PoolSession:
 
     *initializer* runs with *initargs* once in every worker process,
     including the workers of a pool re-forked after :meth:`reset`; the
-    service uses it to hand workers a pipe they inherit from the
-    parent.  The inline ``jobs=1`` path never calls it.
+    service and multi-start placement use it to hand workers the
+    heartbeat pipe they inherit from the parent
+    (:func:`repro.obs.live.install_beats`).  The inline ``jobs=1`` path
+    never calls it.
     """
 
     def __init__(
