@@ -235,6 +235,24 @@ class TestAnnealMultistart:
         # SA move counters cover every restart, not just the winner.
         assert counters["sa.moves_proposed"] > 0
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_live_monitor_hears_every_restart(self, jobs):
+        from repro.obs.live import LiveProgressMonitor
+
+        grid, footprints, priorities = _problem_inputs()
+        with LiveProgressMonitor() as monitor:
+            anneal_multistart(
+                grid, footprints, priorities, parameters=FAST,
+                base_seed=1, restarts=3, jobs=jobs,
+            )
+        # Inline restarts write to the monitor's pipe, pooled ones to
+        # the pipe their initializer installed: both reach the monitor.
+        assert {
+            point["worker"]
+            for point in monitor.checkpoints()
+            if point["kind"] == "done"
+        } == {0, 1, 2}
+
 
 class TestRestartEventCapture:
     """Restarts record only the event names the parent's sink reads."""
