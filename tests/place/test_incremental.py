@@ -1,13 +1,13 @@
 """Tests for the incremental annealing workspace and engine parity.
 
 The contract under test (see ``repro/place/incremental.py``): the
-workspace's maintained energy is at all times *bit-identical* to a
-from-scratch :func:`placement_energy`, proposals' incident-nets deltas
-agree with the realised change within ``1e-9``, the bitset legality
-test agrees with ``Placement.is_legal`` and the occupancy bitset always
-matches the blocks, and a seeded incremental annealing run
-produces the identical best placement and energy as the immutable
-reference loop of :mod:`tests.oracles.annealing`.
+workspace's exact energy is at all times *bit-identical* to a
+from-scratch :func:`placement_energy`, the kernel's incident-nets
+deltas agree with the realised change within ``1e-9``, its bitset
+legality test agrees with ``Placement.is_legal`` and the occupancy
+bitset always matches the blocks, and a seeded kernel step or whole
+annealing run walks the identical trajectory as the immutable reference
+loop of :mod:`tests.oracles.annealing`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,11 @@ from hypothesis import strategies as st
 from repro.benchmarks.registry import get_benchmark
 from repro.core.problem import MAX_GRID_CELLS, SynthesisProblem
 from repro.errors import PlacementError
-from repro.place.annealing import AnnealingParameters, anneal_placement
+from repro.place.annealing import (
+    AnnealingParameters,
+    _commit_checker,
+    anneal_placement,
+)
 from repro.place.energy import (
     ConnectionPriorities,
     build_connection_priorities,
@@ -34,7 +38,7 @@ from repro.place.incremental import PlacementWorkspace
 from repro.place.moves import random_placement
 from repro.place.placement import PlacedComponent, Placement
 from repro.schedule import schedule_assay
-from tests.oracles.annealing import anneal_reference
+from tests.oracles.annealing import anneal_reference, anneal_step_reference
 
 GRID = ChipGrid(12, 12)
 
@@ -70,23 +74,6 @@ def make_workspace(seed: int = 0):
     return PlacementWorkspace(placement, PRIORITIES), rng
 
 
-def propose_random(workspace: PlacementWorkspace, rng: random.Random):
-    """One random proposal through the workspace's public API."""
-    kind = rng.choice(("translate", "swap", "rotate"))
-    components = workspace.components()
-    if kind == "translate":
-        cid = rng.choice(components)
-        block = workspace.block(cid)
-        x = rng.randint(0, workspace.grid.width - block.width)
-        y = rng.randint(0, workspace.grid.height - block.height)
-        return workspace.propose_translate(cid, x, y)
-    if kind == "swap":
-        cid_a, cid_b = rng.sample(components, 2)
-        return workspace.propose_swap(cid_a, cid_b)
-    cid = rng.choice(components)
-    return workspace.propose_rotate(cid)
-
-
 class TestWorkspaceBasics:
     def test_requires_legal_placement(self):
         overlapping = Placement(
@@ -109,90 +96,15 @@ class TestWorkspaceBasics:
         workspace, rng = make_workspace()
         snapshot = workspace.snapshot()
         blocks_before = {cid: snapshot.block(cid) for cid in snapshot.components()}
-        committed = False
-        while not committed:
-            move = propose_random(workspace, rng)
-            if move is not None:
-                workspace.commit(move)
-                committed = True
+        _trials, accepted, _best, _blocks = workspace.anneal_step(
+            rng, 1000.0, 20, workspace.energy
+        )
+        assert accepted > 0
+        assert workspace.snapshot_blocks() != blocks_before
         # The earlier snapshot must not see the mutation.
         assert {
             cid: snapshot.block(cid) for cid in snapshot.components()
         } == blocks_before
-
-    def test_stale_move_rejected(self):
-        workspace, rng = make_workspace()
-        cid = workspace.components()[0]
-        block = workspace.block(cid)
-        first = second = None
-        while first is None or second is None:
-            x = rng.randint(0, workspace.grid.width - block.width)
-            y = rng.randint(0, workspace.grid.height - block.height)
-            move = workspace.propose_translate(cid, x, y)
-            if move is None:
-                continue
-            if first is None:
-                first = move
-            elif move.changes[0][1:3] != first.changes[0][1:3]:
-                second = move
-        workspace.commit(first)
-        # ``second`` still references the pre-commit block: stale.
-        with pytest.raises(PlacementError, match="stale move"):
-            workspace.commit(second)
-
-
-class TestApplyUndoProperty:
-    """Thousands of seeded apply/undo steps against the oracles."""
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_random_walk_matches_oracles(self, seed):
-        workspace, rng = make_workspace(seed)
-        steps = 0
-        attempts = 0
-        while steps < 250 and attempts < 4000:
-            attempts += 1
-            move = propose_random(workspace, rng)
-            if move is None:
-                continue
-            steps += 1
-            applied = workspace.apply(move)
-            # Delta estimate agrees with the realised change.
-            assert abs(move.delta - applied.delta) <= 1e-9
-            # Occupancy + legality + bit-exact energy after every step.
-            workspace.check_consistency()
-            if rng.random() < 0.3:
-                workspace.undo(applied)
-                workspace.check_consistency()
-        assert steps == 250
-
-    def test_undo_restores_exact_state(self):
-        workspace, rng = make_workspace(3)
-        blocks_before = workspace.snapshot_blocks()
-        energy_before = workspace.energy
-        applied = []
-        for _ in range(500):
-            move = propose_random(workspace, rng)
-            if move is not None:
-                applied.append(workspace.apply(move))
-        for token in reversed(applied):
-            workspace.undo(token)
-        assert workspace.snapshot_blocks() == blocks_before
-        assert workspace.energy == energy_before
-        workspace.check_consistency()
-
-    def test_commit_matches_apply(self):
-        ws_a, rng_a = make_workspace(7)
-        ws_b, rng_b = make_workspace(7)
-        for _ in range(300):
-            move_a = propose_random(ws_a, rng_a)
-            move_b = propose_random(ws_b, rng_b)
-            if move_a is None:
-                assert move_b is None
-                continue
-            ws_a.commit(move_a)
-            ws_b.apply(move_b)
-            assert ws_a.energy == ws_b.energy
-            assert ws_a.snapshot_blocks() == ws_b.snapshot_blocks()
 
 
 def _edge_biased(low: int, high: int, *extra: int):
@@ -232,52 +144,50 @@ def flush_placements(draw):
     return placement
 
 
-class TestBitsetLegality:
-    """Every proposal is legal exactly when ``Placement.is_legal`` says
-    the candidate placement is, on grids and footprints nobody picked."""
+class TestKernelAgainstOracle:
+    """One :meth:`PlacementWorkspace.anneal_step` walks exactly as the
+    immutable oracle step, on grids and footprints nobody picked: every
+    legality verdict (bounds, no full span, clearance — the kernel's
+    bitset test against ``Placement.is_legal``) and every accept/reject
+    decision shows in the trial and acceptance counts, the best and the
+    final blocks."""
 
     @settings(max_examples=300, deadline=None)
-    @given(placement=flush_placements(), data=st.data())
-    def test_proposals_match_is_legal(self, placement, data):
+    @given(
+        placement=flush_placements(),
+        seed=st.integers(0, 2**32 - 1),
+        temperature=st.sampled_from([0.5, 5.0, 50.0, 5000.0]),
+        best_fraction=st.sampled_from([1.0, 0.75]),
+    )
+    def test_step_matches_oracle_step(
+        self, placement, seed, temperature, best_fraction
+    ):
         cids = placement.components()
         priorities = ConnectionPriorities(
             priorities={
                 pair: 1.0 + i for i, pair in enumerate(zip(cids, cids[1:]))
             }
         )
+        energy = placement_energy(placement, priorities)
+        # The annealer's best never exceeds the current energy.
+        best_energy = energy * best_fraction
         workspace = PlacementWorkspace(placement, priorities)
-        width, height = placement.grid.width, placement.grid.height
-        for _ in range(30):
-            current = workspace.snapshot()
-            kind = data.draw(st.sampled_from(["translate", "rotate", "swap"]))
-            cid = data.draw(st.sampled_from(cids))
-            block = current.block(cid)
-            if kind == "translate":
-                # One cell past either edge too: those must be refused.
-                x = data.draw(_edge_biased(-1, width - block.width + 1))
-                y = data.draw(_edge_biased(-1, height - block.height + 1))
-                move = workspace.propose_translate(cid, x, y)
-                candidate = current.with_block(block.moved_to(x, y))
-            elif kind == "rotate":
-                move = workspace.propose_rotate(cid)
-                candidate = current.with_block(block.rotated())
-            else:
-                other = current.block(data.draw(st.sampled_from(cids)))
-                if other.cid == cid:
-                    assert workspace.propose_swap(cid, cid) is None
-                    continue
-                move = workspace.propose_swap(cid, other.cid)
-                candidate = current.with_blocks(
-                    block.moved_to(other.x, other.y),
-                    other.moved_to(block.x, block.y),
-                )
-            assert (move is not None) == candidate.is_legal(), (kind, cid)
-            if move is not None:
-                realised = placement_energy(candidate, priorities) - (
-                    placement_energy(current, priorities)
-                )
-                assert abs(move.delta - realised) <= 1e-9
-                workspace.commit(move)
+        trials, accepted, kernel_best, kernel_blocks = workspace.anneal_step(
+            random.Random(seed), temperature, 40, best_energy,
+            check=_commit_checker(workspace),
+        )
+        final, _energy, oracle_trials, oracle_accepted, oracle_best, best = (
+            anneal_step_reference(
+                placement, energy, priorities, random.Random(seed),
+                temperature, 40, best_energy,
+            )
+        )
+        assert (trials, accepted) == (oracle_trials, oracle_accepted)
+        assert kernel_best == oracle_best
+        assert (kernel_blocks is None) == (best is None)
+        if best is not None:
+            assert list(kernel_blocks.values()) == best.blocks()
+        assert workspace.snapshot().blocks() == final.blocks()
         workspace.check_consistency()
 
 
