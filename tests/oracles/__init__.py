@@ -10,7 +10,7 @@ deliberately broken solutions.
 * :mod:`tests.oracles.astar` — the Cell/dict A* over that
   :class:`RoutingGrid`, plus both routing loops driven through it;
 * :mod:`tests.oracles.annealing` — the immutable full-recompute SA move
-  loop;
+  loop, over the immutable moves of :mod:`tests.oracles.moves`;
 * :mod:`tests.oracles.faults` — the deterministic fault injection that
   proves every checker rule fires, and only that rule.
 """

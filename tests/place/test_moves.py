@@ -3,14 +3,9 @@
 import random
 
 from repro.place.grid import ChipGrid
-from repro.place.moves import (
-    random_move,
-    random_placement,
-    rotate,
-    swap,
-    translate,
-)
+from repro.place.moves import random_placement
 from repro.place.placement import PlacedComponent, Placement
+from tests.oracles.moves import random_move, rotate, swap, translate
 
 
 def base_placement() -> Placement:

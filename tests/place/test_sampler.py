@@ -13,7 +13,7 @@ digests.
 Each case anneals one instance twice on a short schedule, through
 :func:`~repro.place.annealing.anneal_placement` and through the oracle
 :func:`tests.oracles.annealing.anneal_reference`, which draws with the
-public ``random`` API via :func:`~repro.place.moves.random_move`, and
+public ``random`` API via :func:`tests.oracles.moves.random_move`, and
 asserts the two walks are identical.  Component counts 0–40 cover no
 legal move at all, no swap, and both branches of ``sample`` (its list
 pool up to 21 items, its rejection set above); grids 9, 16, 17 and 24

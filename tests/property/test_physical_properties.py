@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.place.grid import Cell, ChipGrid
-from repro.place.moves import random_move, random_placement
+from repro.place.moves import random_placement
 from repro.place.placement import Placement
 from repro.route.flat import FlatRoutingState, find_path_flat
 from repro.route.timeslots import TimeSlot
+from tests.oracles.moves import random_move
 
 
 footprint_sets = st.dictionaries(
