@@ -45,7 +45,9 @@ makes that *deterministic*:
 ``restarts=1, jobs=1`` short-circuits to a direct
 :func:`~repro.place.annealing.anneal_placement` call with the caller's
 instrumentation — bit-identical to the pre-parallel pipeline, including
-the live ``sa.step`` event stream.
+the live ``sa.step`` event stream — unless a live monitor is installed:
+then the one restart runs inline on the restart path, which relays its
+heartbeats, and returns the same result.
 """
 
 from __future__ import annotations
@@ -237,9 +239,12 @@ def anneal_multistart(
 
     Determinism contract: the returned result depends only on
     ``(base_seed, restarts)`` — never on ``jobs`` —
-    and ``restarts=1, jobs=1`` is the unmodified single-anneal path.
+    and ``restarts=1, jobs=1`` is the unmodified single-anneal path,
+    unless a live monitor listens: its heartbeats ride the restart path,
+    whose one restart keeps the base seed.
     """
-    if restarts == 1 and jobs == 1:
+    monitor = active_monitor()
+    if restarts == 1 and jobs == 1 and monitor is None:
         return anneal_placement(
             grid,
             footprints,
@@ -254,7 +259,6 @@ def anneal_multistart(
     capture_names = instrumentation.sink.subscribed if capture else None
     if capture_names is not None and not capture_names:
         capture = False
-    monitor = active_monitor()
     dispatch_t = instrumentation.now() if instrumentation is not None else 0.0
     seeds = multistart_seeds(base_seed, restarts, seed_derivation)
     tasks = [

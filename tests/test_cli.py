@@ -139,6 +139,27 @@ class TestObservabilityFlags:
         # The pool and the beat channel leave no process behind.
         assert multiprocessing.active_children() == []
 
+    def test_live_single_restart_end_to_end(self, tmp_path, capsys):
+        """The default one-restart run relays heartbeats too, and its
+        answer is the one a run without ``--live`` prints."""
+
+        def stdout_of(argv):
+            assert run(argv) == 0
+            out = capsys.readouterr().out
+            return [line for line in out.splitlines() if "cpu time" not in line]
+
+        argv = ["PCR", "--seed", "1"]
+        plain = stdout_of(argv + ["--no-ledger"])
+        ledger = tmp_path / "ledger.jsonl"
+        live = stdout_of(argv + ["--live", "--ledger", str(ledger)])
+        assert live == plain
+        (record,) = [json.loads(line) for line in ledger.read_text().splitlines()]
+        done = {
+            p["worker"] for p in record.get("checkpoints", ())
+            if p["kind"] == "done"
+        }
+        assert done == {0}
+
     def test_unwritable_trace_path_fails_cleanly(self, tmp_path, capsys):
         target = tmp_path / "no-such-dir" / "trace.jsonl"
         assert run(["PCR", "--trace", str(target)]) == EXIT_REPRO_ERROR
