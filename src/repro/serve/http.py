@@ -81,13 +81,16 @@ class Request:
         return self.headers.get("connection", "").lower() == "close"
 
     def json(self) -> Any:
-        """The request body parsed as JSON (400 on garbage)."""
+        """The request body parsed as JSON (400 on garbage or nesting
+        too deep for the parser)."""
         if not self.body:
             raise HttpError(400, "request body required")
         try:
             return json.loads(self.body.decode("utf-8"))
         except (UnicodeDecodeError, ValueError) as error:
             raise HttpError(400, f"request body is not JSON: {error}")
+        except RecursionError:
+            raise HttpError(400, "request body is nested too deeply") from None
 
 
 async def read_request(
