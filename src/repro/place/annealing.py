@@ -21,7 +21,8 @@ sequence as the straightforward immutable formulation (one new
 Eq. 3 evaluation per trial) and makes identical accept/reject
 decisions, so a given seed yields the same best placement and
 bit-identical best energy.  The test suite keeps that formulation as an
-oracle and asserts the parity in ``tests/place/test_incremental.py``
+oracle (``tests/oracles/annealing.py``) and asserts the parity per
+temperature step and per anneal in ``tests/place/test_incremental.py``
 and ``tests/place/test_sampler.py``.
 
 The kernel does not pay a full Eq. 3 pass per accepted move.  After a
