@@ -3,8 +3,10 @@
 Audits a :class:`~repro.schedule.schedule.Schedule` against the problem
 inputs (assay, allocation, ``t_c``) from first principles — none of the
 scheduling engine's bookkeeping (:class:`ComponentState`, resident-fluid
-state machines) is consulted, and no code is shared with the raising
-oracle in :mod:`repro.schedule.validate`.
+state machines) is consulted.  These rules are the only definition of a
+valid schedule: both flows run them inline on every schedule through
+:func:`repro.schedule.validate.validate_schedule`, which raises on any
+error-severity violation, and ``check=report|strict`` reports them.
 
 Emitted rules: ``SCH-COVERAGE``, ``SCH-BINDING``, ``SCH-DURATION``,
 ``SCH-PRECEDENCE``, ``SCH-EXCLUSIVITY``, ``SCH-MOVEMENT``,

@@ -33,7 +33,7 @@ from repro.core.solution import SynthesisResult
 from repro.core.synthesizer import synthesize_problem
 from repro.errors import CheckError
 from repro.obs.instrument import Instrumentation, InstrumentationSnapshot
-from repro.parallel.pool import run_tasks
+from repro.parallel.pool import PoolSession, resolve_jobs
 
 __all__ = ["BenchmarkComparison", "run_benchmark", "run_all"]
 
@@ -128,11 +128,10 @@ def run_all(
             run_benchmark(name, parameters, instrumentation=instrumentation)
             for name in names
         ]
-    outcomes = run_tasks(
-        _benchmark_worker,
-        [(name, parameters) for name in names],
-        jobs=jobs,
-    )
+    with PoolSession(jobs=min(resolve_jobs(jobs), len(names))) as session:
+        outcomes = session.run(
+            _benchmark_worker, [(name, parameters) for name in names]
+        )
     comparisons = []
     for comparison, snapshot in outcomes:
         if instrumentation is not None:

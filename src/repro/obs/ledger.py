@@ -53,6 +53,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.digest import problem_digest
+from repro.obs.sinks import read_jsonl
 
 __all__ = [
     "DEFAULT_LEDGER_PATH",
@@ -164,19 +165,7 @@ def read_ledger(path: str | Path | None = None) -> list[dict[str, Any]]:
     ledger = Path(path) if path is not None else DEFAULT_LEDGER_PATH
     if not ledger.exists():
         return []
-    records: list[dict[str, Any]] = []
-    with open(ledger, "r", encoding="utf-8") as stream:
-        for line in stream:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-    return records
+    return list(read_jsonl(ledger))
 
 
 # ----------------------------------------------------------------------

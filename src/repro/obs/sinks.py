@@ -174,9 +174,17 @@ class TeeSink(Sink):
 
 
 def read_jsonl(path: str | Path) -> Iterable[dict]:
-    """Parse a trace file written by :class:`JsonlSink`, line by line."""
+    """The JSON objects of a JSONL file, line by line.
+
+    Blank lines, unparseable lines and non-object values are skipped:
+    a writer killed mid-append (a trace, the run ledger, the job
+    journal) leaves a torn last line, and the file must stay readable.
+    """
     with open(path, "r", encoding="utf-8") as stream:
         for line in stream:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+            try:
+                record = json.loads(line)
+            except ValueError:
+                continue
+            if isinstance(record, dict):
+                yield record

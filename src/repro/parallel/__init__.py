@@ -4,23 +4,20 @@
 single-core synthesis pipeline into one that saturates a machine
 without ever changing an answer:
 
-* :func:`~repro.parallel.pool.run_tasks` — fan a list of picklable
-  task payloads out over a :class:`concurrent.futures.ProcessPoolExecutor`
-  (or run them inline at ``jobs=1``) and return the results in
-  **submission order**, so downstream reductions are independent of
-  worker count and completion order.  :class:`~repro.errors.ReproError`
-  subclasses raised inside a worker are re-raised in the parent with
-  their original type and message, preserving the CLI's exit-code-3
-  contract.
+* :class:`~repro.parallel.pool.PoolSession` — fan waves of picklable
+  task payloads out over one long-lived
+  :class:`concurrent.futures.ProcessPoolExecutor` (or run them inline
+  at ``jobs=1``) and return the results in **submission order**, so
+  downstream reductions are independent of worker count and
+  completion order.  :class:`~repro.errors.ReproError` subclasses
+  raised inside a worker are re-raised in the parent with their
+  original type and message, preserving the CLI's exit-code-3
+  contract.  The synthesis service runs its jobs on one.
 * :func:`~repro.parallel.multistart.anneal_multistart` — run
   ``restarts`` independent SA placement anneals from deterministically
   derived seeds and reduce to the best result under a total order
   (energy, then derived seed), so the winner is bit-identical for any
   ``jobs`` value.
-
-:class:`~repro.parallel.pool.PoolSession` keeps one worker pool alive
-across many submission waves; the synthesis service runs its jobs on
-one.
 
 Multi-start merges the workers' instrumentation aggregates back into
 the caller's :class:`~repro.obs.Instrumentation` (see
@@ -37,7 +34,7 @@ from repro.parallel.multistart import (
     select_best,
     splitmix64,
 )
-from repro.parallel.pool import PoolSession, resolve_jobs, run_tasks
+from repro.parallel.pool import PoolSession, resolve_jobs
 
 __all__ = [
     "SEED_DERIVATIONS",
@@ -47,7 +44,6 @@ __all__ = [
     "derive_seed",
     "multistart_seeds",
     "resolve_jobs",
-    "run_tasks",
     "select_best",
     "splitmix64",
 ]

@@ -1,7 +1,11 @@
 """Process-pool task fan-out with deterministic result order.
 
-:func:`run_tasks` is the single pool primitive the rest of the code
-builds on.  Its contract:
+:class:`PoolSession` is the single pool primitive the rest of the code
+builds on: one worker pool that serves *multiple* submission waves, so
+workers are forked once, not once per wave.  The synthesis service's
+executor (:mod:`repro.serve.executor`) dispatches its jobs through one,
+multi-start placement its restarts and the experiment runner its
+benchmarks.  Each wave's contract:
 
 * Results come back in **submission order**, never completion order —
   every caller's reduction is therefore independent of scheduling.
@@ -22,18 +26,9 @@ builds on.  Its contract:
 * Pool-infrastructure failures (a dead worker, a timeout) surface as
   :class:`~repro.errors.ParallelExecutionError`, which *is* a
   :class:`~repro.errors.ReproError`, so existing ``except ReproError``
-  guards and the CLI exit code keep working.
-
-:class:`PoolSession` is the wave-oriented sibling of :func:`run_tasks`:
-one long-lived worker pool that serves *multiple* submission waves, so
-workers are forked once, not once per wave.  The synthesis service's
-executor (:mod:`repro.serve.executor`) dispatches its jobs through one,
-and multi-start placement its restarts.
-Each wave uses the same :class:`ReproError`-as-data transport as
-:func:`run_tasks`.  A broken
-or timed-out session is poisoned: later waves fail fast with
-:class:`ParallelExecutionError` instead of dispatching onto a dead
-pool, so no wave can silently orphan its tasks.
+  guards and the CLI exit code keep working.  A broken or timed-out
+  session is poisoned: later waves fail fast instead of dispatching
+  onto a dead pool, so no wave can silently orphan its tasks.
 """
 
 from __future__ import annotations
@@ -53,7 +48,7 @@ from repro.errors import (
     ReproError,
 )
 
-__all__ = ["PoolSession", "resolve_jobs", "run_tasks"]
+__all__ = ["PoolSession", "resolve_jobs"]
 
 
 @dataclass(frozen=True)
@@ -115,60 +110,24 @@ def resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def run_tasks(
-    fn: Callable[[Any], Any],
-    payloads: Iterable[Any],
-    jobs: int = 1,
-    timeout: float | None = None,
-) -> list[Any]:
-    """Apply *fn* to every payload, optionally across a process pool.
-
-    Parameters
-    ----------
-    fn:
-        A module-level (picklable) callable of one argument.
-    payloads:
-        Task inputs; each must be picklable when ``jobs > 1``.
-    jobs:
-        Worker processes.  ``1`` runs inline (the reference semantics);
-        ``0``/``None`` means one worker per CPU.
-    timeout:
-        Optional overall deadline in seconds for the pooled path; a
-        wedged worker then raises :class:`ParallelExecutionError`
-        instead of hanging the parent forever.
-
-    Returns
-    -------
-    list
-        ``[fn(p) for p in payloads]`` — identical (and identically
-        ordered) for every ``jobs`` value.
-    """
-    items: Sequence[Any] = list(payloads)
-    jobs = resolve_jobs(jobs)
-    if jobs == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with PoolSession(jobs=min(jobs, len(items))) as session:
-        return session.run(fn, items, timeout=timeout)
-
-
 class PoolSession:
     """A reusable worker pool serving multiple submission waves.
 
     Each :meth:`run` call is one *wave*: all payloads are dispatched,
     all results gathered in submission order, and only then does the
-    wave return — exactly the :func:`run_tasks` contract, but the
-    worker processes persist between waves, so a long-running caller
-    such as the service executor forks its pool once.
+    wave return.  The worker processes persist between waves, so a
+    long-running caller such as the service executor forks its pool
+    once.
 
     ``jobs=1`` runs every wave inline (no processes, native
-    exceptions), mirroring :func:`run_tasks`'s reference semantics.
+    exceptions): the reference semantics.
 
     Failure semantics:
 
     * a :class:`ReproError` in a worker aborts the wave and re-raises
-      in the parent with its original type (the data transport of
-      :func:`run_tasks`); the session stays usable — the error was the
-      task's, not the pool's;
+      in the parent with its original type (the data transport
+      above); the session stays usable — the error was the task's,
+      not the pool's;
     * a broken pool raises :class:`ParallelExecutionError` and an
       exceeded wave deadline raises :class:`ParallelTimeoutError` (a
       subclass); both *poison the session*: every later :meth:`run`

@@ -1,170 +1,37 @@
-"""Independent validity checking of schedules.
+"""The raising schedule check every synthesis runs.
 
-The engine asserts its invariants as it goes, but a defence-in-depth
-validator that replays a finished :class:`~repro.schedule.schedule.Schedule`
-against the problem definition catches whole-schedule inconsistencies and
-gives the property-based tests a single oracle to call.
-
-Checked invariants (see DESIGN.md §7):
-
-1. every operation is scheduled exactly once, on a component of its type;
-2. operations on one component never overlap in time;
-3. every sequencing-graph edge is served by exactly one fluid movement
-   whose timeline is consistent (``depart ≥ producer end``,
-   ``arrive − depart ∈ {0, t_c}``, ``consume == consumer start``);
-4. Eq. 2 wash gaps: after an output fully leaves a component (other than
-   by in-place consumption), the next operation starts no earlier than
-   removal + wash time.
+:func:`validate_schedule` replays a finished
+:class:`~repro.schedule.schedule.Schedule` against its problem definition
+through the ``SCH-*`` design rules of :mod:`repro.check.schedule` —
+coverage, binding, duration, precedence, exclusivity, movement service,
+the transport-or-store timeline of every fluid and the Eq. 2 wash gaps
+(see ``docs/VERIFICATION.md``).  Both flows call it on every schedule,
+so the inline check and the ``check=report|strict`` audit share one
+definition of a valid schedule.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-
+from repro.check.report import Severity
+from repro.check.schedule import check_schedule
 from repro.errors import ValidationError
 from repro.schedule.schedule import Schedule
-from repro.units import approx_eq, approx_ge
 
 __all__ = ["validate_schedule"]
 
 
 def validate_schedule(schedule: Schedule) -> None:
-    """Raise :class:`ValidationError` on the first violated invariant."""
-    _check_bindings(schedule)
-    _check_component_exclusivity(schedule)
-    _check_movements(schedule)
-    _check_wash_gaps(schedule)
-
-
-def _check_bindings(schedule: Schedule) -> None:
-    assay = schedule.assay
-    scheduled_ids = set(schedule.operations)
-    expected_ids = set(assay.operation_ids)
-    if scheduled_ids != expected_ids:
-        missing = expected_ids - scheduled_ids
-        extra = scheduled_ids - expected_ids
-        raise ValidationError(
-            f"schedule/assay mismatch: missing={sorted(missing)}, "
-            f"extra={sorted(extra)}"
+    """Raise :class:`ValidationError` listing every error-severity
+    ``SCH-*`` violation of *schedule* as ``RULE-ID: detail``."""
+    errors = [
+        f"{v.rule_id}: {v.detail}"
+        for v in check_schedule(
+            schedule.assay,
+            schedule.allocation,
+            schedule.transport_time,
+            schedule,
         )
-    types = {
-        cid: op_type for cid, op_type in schedule.allocation.iter_components()
-    }
-    for op_id, record in schedule.operations.items():
-        op = assay.operation(op_id)
-        if record.component_id not in types:
-            raise ValidationError(
-                f"operation {op_id} bound to unknown component "
-                f"{record.component_id!r}"
-            )
-        if types[record.component_id] != op.op_type:
-            raise ValidationError(
-                f"operation {op_id} ({op.op_type.value}) bound to "
-                f"{record.component_id}, a {types[record.component_id].value} "
-                "component"
-            )
-        if not approx_eq(record.end - record.start, op.duration):
-            raise ValidationError(
-                f"operation {op_id}: scheduled duration "
-                f"{record.end - record.start} differs from {op.duration}"
-            )
-
-
-def _check_component_exclusivity(schedule: Schedule) -> None:
-    for cid, _ in schedule.allocation.iter_components():
-        records = schedule.operations_on(cid)
-        for earlier, later in zip(records, records[1:]):
-            if not approx_ge(later.start, earlier.end):
-                raise ValidationError(
-                    f"component {cid}: operations {earlier.op_id} and "
-                    f"{later.op_id} overlap "
-                    f"([{earlier.start},{earlier.end}] vs "
-                    f"[{later.start},{later.end}])"
-                )
-
-
-def _check_movements(schedule: Schedule) -> None:
-    assay = schedule.assay
-    t_c = schedule.transport_time
-    served: dict[tuple[str, str], int] = defaultdict(int)
-    for movement in schedule.movements:
-        key = (movement.producer, movement.consumer)
-        served[key] += 1
-        producer_end = schedule.operation(movement.producer).end
-        consumer = schedule.operation(movement.consumer)
-        if not approx_ge(movement.depart, producer_end):
-            raise ValidationError(
-                f"movement {key}: departs at {movement.depart} before the "
-                f"producer finishes at {producer_end}"
-            )
-        if not approx_eq(movement.consume, consumer.start):
-            raise ValidationError(
-                f"movement {key}: consumed at {movement.consume}, but the "
-                f"consumer starts at {consumer.start}"
-            )
-        expected_travel = 0.0 if movement.in_place else t_c
-        if not approx_eq(movement.transport_time, expected_travel):
-            raise ValidationError(
-                f"movement {key}: transport takes {movement.transport_time}, "
-                f"expected {expected_travel}"
-            )
-        if movement.in_place and movement.src_component != movement.dst_component:
-            raise ValidationError(
-                f"movement {key}: flagged in-place across two components"
-            )
-        if movement.src_component != schedule.operation(movement.producer).component_id:
-            raise ValidationError(
-                f"movement {key}: source component {movement.src_component} "
-                "is not the producer's binding"
-            )
-        if movement.dst_component != consumer.component_id:
-            raise ValidationError(
-                f"movement {key}: destination {movement.dst_component} is "
-                "not the consumer's binding"
-            )
-    for edge in assay.edges:
-        if served[edge] != 1:
-            raise ValidationError(
-                f"edge {edge}: served by {served[edge]} movements, expected 1"
-            )
-    if sum(served.values()) != len(assay.edges):
-        raise ValidationError("movements exist for non-edges")
-
-
-def _check_wash_gaps(schedule: Schedule) -> None:
-    # Reconstruct, per component, when each operation's output fully left
-    # and whether the final departure was an in-place consumption.
-    leave_time: dict[str, float] = {}
-    leave_in_place: dict[str, bool] = {}
-    for movement in schedule.movements:
-        current = leave_time.get(movement.producer)
-        if current is None or movement.depart > current:
-            leave_time[movement.producer] = movement.depart
-            leave_in_place[movement.producer] = movement.in_place
-        elif approx_eq(movement.depart, current) and movement.in_place:
-            # Simultaneous sibling eviction + in-place consumption: the
-            # engine charges no wash, mirror that here.
-            leave_in_place[movement.producer] = True
-
-    for cid, _ in schedule.allocation.iter_components():
-        records = schedule.operations_on(cid)
-        for earlier, later in zip(records, records[1:]):
-            op = schedule.assay.operation(earlier.op_id)
-            if not schedule.assay.children(earlier.op_id):
-                # Sink output: collected at end through the outlet, wash owed.
-                departed, in_place = earlier.end, False
-            else:
-                if earlier.op_id not in leave_time:
-                    raise ValidationError(
-                        f"component {cid}: output of {earlier.op_id} never "
-                        f"left, yet {later.op_id} runs afterwards"
-                    )
-                departed = leave_time[earlier.op_id]
-                in_place = leave_in_place[earlier.op_id]
-            required = departed if in_place else departed + op.wash_time
-            if not approx_ge(later.start, required):
-                raise ValidationError(
-                    f"component {cid}: {later.op_id} starts at {later.start} "
-                    f"but the residue of {earlier.op_id} is only washed by "
-                    f"{required}"
-                )
+        if v.severity is Severity.ERROR
+    ]
+    if errors:
+        raise ValidationError("invalid schedule: " + "; ".join(errors))

@@ -107,7 +107,7 @@ def execute_submission(
     convergence and routing progress stream back to the server while
     histograms/counters ride home in the snapshot.
     """
-    from repro.core.baseline import synthesize_baseline
+    from repro.core.baseline import synthesize_problem_baseline
     from repro.core.digest import canonical_json
     from repro.core.synthesizer import synthesize_problem
     from repro.obs.ledger import build_record
@@ -125,17 +125,12 @@ def execute_submission(
     )
     instrumentation = Instrumentation(sink=relay)
     try:
-        if submission.algorithm == "baseline":
-            result = synthesize_baseline(
-                problem.assay,
-                problem.allocation,
-                problem.parameters,
-                instrumentation=instrumentation,
-            )
-        else:
-            result = synthesize_problem(
-                problem, instrumentation=instrumentation
-            )
+        synthesize = (
+            synthesize_problem_baseline
+            if submission.algorithm == "baseline"
+            else synthesize_problem
+        )
+        result = synthesize(problem, instrumentation=instrumentation)
     finally:
         if relay is not None:
             relay.close()

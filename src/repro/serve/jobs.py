@@ -62,6 +62,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from repro.errors import ReproError
+from repro.obs.sinks import read_jsonl
 
 __all__ = [
     "DEFAULT_QUEUE_LIMIT",
@@ -128,19 +129,7 @@ def read_journal(path: str | Path) -> list[dict[str, Any]]:
     journal = Path(path)
     if not journal.exists():
         return []
-    records: list[dict[str, Any]] = []
-    with open(journal, "r", encoding="utf-8") as stream:
-        for line in stream:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(record, dict) and "kind" in record:
-                records.append(record)
-    return records
+    return [record for record in read_jsonl(journal) if "kind" in record]
 
 
 class JobQueue:

@@ -10,6 +10,8 @@ import pytest
 
 from repro.assay.validation import validate_assay
 from repro.check import check_result
+from repro.errors import ValidationError
+from repro.schedule.validate import validate_schedule
 from tests.oracles.faults import (
     FaultInjectionError,
     build_input_fault,
@@ -89,6 +91,18 @@ def test_fault_fires_exactly_its_rule(rule_id, name, flow):
     assert fired == {rule_id}
     # Injection never mutates the original solution.
     assert fired_error_rules(check_result(result)) == set()
+
+
+@pytest.mark.parametrize("flow", ["ours", "baseline"])
+@pytest.mark.parametrize(
+    "rule_id", [r for r in sorted(FAULT_MATRIX) if r.startswith("SCH-")]
+)
+def test_inline_schedule_check_names_the_rule(rule_id, flow):
+    """The check both flows run on every schedule raises on each
+    ``SCH-*`` fault and names the rule that fired."""
+    corrupted = inject(_substrate("CPA", flow), rule_id)
+    with pytest.raises(ValidationError, match=f"{rule_id}: "):
+        validate_schedule(corrupted.schedule)
 
 
 def test_occupation_outside_its_window_fires_commit():

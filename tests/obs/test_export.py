@@ -99,6 +99,21 @@ class TestConvertTrace:
         assert "wrote" in capsys.readouterr().out
         assert out.exists()
 
+    def test_cli_converts_a_trace_torn_mid_line(self, tmp_path, capsys):
+        """A run killed mid-write leaves a torn last line; the intact
+        lines still convert."""
+        trace = self._trace(tmp_path)
+        data = trace.read_bytes()
+        last_line = data.rstrip(b"\n").rsplit(b"\n", 1)[-1]
+        assert len(last_line) > 40  # the cut lands inside the last line
+        trace.write_bytes(data[:-40])
+        out = tmp_path / "out.json"
+        assert run_trace2chrome([str(trace), "-o", str(out)]) == 0
+        assert "wrote" in capsys.readouterr().out
+        events = json.loads(out.read_text())["traceEvents"]
+        intact = data.count(b"\n") - 1
+        assert len([e for e in events if e["ph"] != "M"]) == intact
+
     def test_cli_missing_input(self, tmp_path, capsys):
         assert run_trace2chrome([str(tmp_path / "nope.jsonl")]) == 2
         assert "not found" in capsys.readouterr().out

@@ -140,7 +140,7 @@ class TestLedgerOffOverhead:
 
 class TestCheckOffOverhead:
     """``check="off"`` must stay free: no checker phase, no checker work,
-    and not even an import of the domain-checker modules."""
+    and not even an import of the audit-only checker modules."""
 
     def test_check_off_runs_no_checker_phase(self, pcr_case):
         problem = _benchmark_problem(pcr_case)
@@ -153,9 +153,10 @@ class TestCheckOffOverhead:
         import sys
 
         # A fresh interpreter proves the lazy import: an off-mode run
-        # must never pull in the checker implementation modules (the
-        # report vocabulary is allowed - the parameters validate
-        # against it).
+        # must never pull in the placement, routing or metrics checkers
+        # (the report vocabulary is allowed - the parameters validate
+        # against it - and so are the SCH-* rules, which are the
+        # schedule check every flow runs inline).
         script = (
             "import sys\n"
             "from repro.benchmarks.registry import get_benchmark\n"
@@ -170,7 +171,8 @@ class TestCheckOffOverhead:
             "    allocation=case.allocation, parameters=params)\n"
             "synthesize_problem(problem)\n"
             "loaded = [m for m in sys.modules if m.startswith('repro.check.')\n"
-            "          and m != 'repro.check.report']\n"
+            "          and m not in ('repro.check.report',\n"
+            "                        'repro.check.schedule')]\n"
             "assert not loaded, f'checker modules imported: {loaded}'\n"
         )
         completed = subprocess.run(

@@ -22,7 +22,6 @@ from repro.parallel.pool import (
     _rebuild_exception,
     _WorkerFailure,
     resolve_jobs,
-    run_tasks,
 )
 
 
@@ -65,21 +64,18 @@ def _slow_then_raise(payload):
 
 
 class TestRunTasks:
+    """One :meth:`PoolSession.run` wave: inline semantics and order."""
+
     def test_inline_matches_map(self):
-        assert run_tasks(_square, [3, 1, 2], jobs=1) == [9, 1, 4]
+        with PoolSession(jobs=1) as session:
+            assert session.run(_square, [3, 1, 2]) == [9, 1, 4]
 
     def test_pooled_matches_inline_in_submission_order(self):
         payloads = list(range(7))
-        assert run_tasks(_square, payloads, jobs=3) == [
-            x * x for x in payloads
-        ]
-
-    def test_empty_payloads(self):
-        assert run_tasks(_square, [], jobs=4) == []
-
-    def test_single_payload_runs_inline(self):
-        # One task never pays for a pool, whatever jobs says.
-        assert run_tasks(_square, [5], jobs=8) == [25]
+        with PoolSession(jobs=3) as session:
+            assert session.run(_square, payloads) == [
+                x * x for x in payloads
+            ]
 
 
 class TestResolveJobs:
@@ -101,37 +97,35 @@ class TestErrorTransport:
     """ReproError subclasses must cross the pool boundary losslessly."""
 
     def test_original_type_and_message_reraised(self):
-        with pytest.raises(RoutingError, match="no path for task"):
-            run_tasks(_raise_routing, [1, 2], jobs=2)
+        with PoolSession(jobs=2) as session:
+            with pytest.raises(RoutingError, match="no path for task"):
+                session.run(_raise_routing, [1, 2])
 
     def test_custom_init_signature_survives(self):
         # GraphCycleError's __init__ takes a cycle list, not a message —
         # naive exception pickling reconstructs it wrongly, the data
         # transport must not.
-        with pytest.raises(GraphCycleError, match="a -> b -> a"):
-            run_tasks(_raise_cycle, [1, 2], jobs=2)
+        with PoolSession(jobs=2) as session:
+            with pytest.raises(GraphCycleError, match="a -> b -> a"):
+                session.run(_raise_cycle, [1, 2])
 
     def test_worker_traceback_attached(self):
-        try:
-            run_tasks(_raise_routing, [1, 2], jobs=2)
-        except RoutingError as error:
-            assert "RoutingError" in error.worker_traceback
-        else:  # pragma: no cover
-            pytest.fail("expected RoutingError")
+        with PoolSession(jobs=2) as session:
+            with pytest.raises(RoutingError) as excinfo:
+                session.run(_raise_routing, [1, 2])
+        assert "RoutingError" in excinfo.value.worker_traceback
 
     def test_inline_path_raises_natively(self):
-        with pytest.raises(RoutingError) as excinfo:
-            run_tasks(_raise_routing, [1, 2], jobs=1)
+        with PoolSession(jobs=1) as session:
+            with pytest.raises(RoutingError) as excinfo:
+                session.run(_raise_routing, [1, 2])
         # Inline execution preserves the full exception object.
         assert excinfo.value.task_id == "t42"
 
     def test_non_repro_errors_propagate(self):
-        with pytest.raises(ValueError, match="not a repro error"):
-            run_tasks(_raise_value_error, [1, 2], jobs=2)
-
-    def test_timeout_raises_parallel_error(self):
-        with pytest.raises(ParallelExecutionError, match="timed out"):
-            run_tasks(_sleep_forever, [1, 2], jobs=2, timeout=0.5)
+        with PoolSession(jobs=2) as session:
+            with pytest.raises(ValueError, match="not a repro error"):
+                session.run(_raise_value_error, [1, 2])
 
 
 class TestPoolSession:

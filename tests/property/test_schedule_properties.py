@@ -1,9 +1,11 @@
 """Property-based tests: both schedulers on random valid assays.
 
-The independent validator (:mod:`repro.schedule.validate`) is the oracle:
-every schedule either scheduler produces for *any* valid assay must pass
-all invariants — dependencies, component exclusivity, movement timing,
-and Eq. 2 wash gaps.
+The ``SCH-*`` design rules of :mod:`repro.check.schedule`, raised
+through :func:`repro.schedule.validate.validate_schedule`, are the
+oracle: every schedule either scheduler produces for *any* valid assay
+must pass all of them — coverage, binding, durations, precedence,
+component exclusivity, movement service, the transport-or-store
+timeline and the Eq. 2 wash gaps.
 """
 
 from hypothesis import given, settings

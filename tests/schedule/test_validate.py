@@ -1,4 +1,4 @@
-"""Unit tests for the independent schedule validator."""
+"""Unit tests for the inline schedule check (the ``SCH-*`` rules)."""
 
 import pytest
 
@@ -43,7 +43,7 @@ class TestValidator:
         operations = dict(schedule.operations)
         del operations["b"]
         broken = clone_with(schedule, operations=operations)
-        with pytest.raises(ValidationError, match="missing"):
+        with pytest.raises(ValidationError, match="SCH-COVERAGE"):
             validate_schedule(broken)
 
     def test_wrong_component_type_rejected(self):
@@ -55,7 +55,7 @@ class TestValidator:
             "a", "Detector1", record.start, record.end
         )
         broken = clone_with(schedule, operations=operations)
-        with pytest.raises(ValidationError, match="unknown component"):
+        with pytest.raises(ValidationError, match="SCH-BINDING"):
             validate_schedule(broken)
 
     def test_wrong_duration_rejected(self):
@@ -66,7 +66,7 @@ class TestValidator:
             "a", record.component_id, record.start, record.end + 1.0
         )
         broken = clone_with(schedule, operations=operations)
-        with pytest.raises(ValidationError, match="duration"):
+        with pytest.raises(ValidationError, match="SCH-DURATION"):
             validate_schedule(broken)
 
     def test_component_overlap_rejected(self):
