@@ -7,9 +7,8 @@ Subcommands:
   :mod:`repro.serve` and ``docs/SERVICE.md``.
 * ``submit``       — submit jobs to a running server (and query stats,
   follow progress, or drain it); see :mod:`repro.serve.client`.
-* ``stats``        — summarise the run ledger, optionally flagging
-  regressions (``--baseline``) or only server-side runs (``--serve``);
-  see :mod:`repro.obs.ledger`.
+* ``stats``        — summarise the run ledger, optionally only
+  server-side runs (``--serve``); see :mod:`repro.obs.ledger`.
 * ``trace2chrome`` — convert a ``--trace`` JSONL file to Chrome
   trace-event JSON for Perfetto; see :mod:`repro.obs.export`.
 * anything else    — forwarded verbatim to the synthesis CLI

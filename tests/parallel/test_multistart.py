@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.benchmarks.registry import get_benchmark
 from repro.core.problem import SynthesisParameters, SynthesisProblem
+from repro.core.synthesizer import synthesize
 from repro.errors import PlacementError
 from repro.obs import Instrumentation
 from repro.parallel.multistart import (
@@ -26,7 +27,7 @@ from repro.place.annealing import (
     AnnealingResult,
     anneal_placement,
 )
-from repro.place.energy import build_connection_priorities
+from repro.place.energy import build_connection_priorities, placement_energy
 from repro.schedule.list_scheduler import schedule_assay
 
 #: A fast SA schedule for tests (same shape the runner tests use).
@@ -234,6 +235,23 @@ class TestAnnealMultistart:
         assert counters["sa.restarts"] == 3
         # SA move counters cover every restart, not just the winner.
         assert counters["sa.moves_proposed"] > 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_energy_gauges_report_the_winning_restart(self, jobs):
+        # Restart 3 ends at 2971.04, but restart 2 wins with 2701.16:
+        # the gauges must describe the placement that is returned.
+        case = get_benchmark("CPA")
+        params = SynthesisParameters(seed=1, restarts=4, jobs=jobs)
+        instr = Instrumentation()
+        result = synthesize(
+            case.assay, case.allocation, params, instrumentation=instr
+        )
+        priorities = build_connection_priorities(
+            result.schedule, beta=params.beta, gamma=params.gamma
+        )
+        returned = placement_energy(result.placement, priorities)
+        assert instr.gauges["sa.final_energy"] == returned
+        assert returned == pytest.approx(2701.16)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_live_monitor_hears_every_restart(self, jobs):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.assay.fluids import Fluid
 from repro.assay.graph import Operation, OperationType, SequencingGraph
 from repro.components.allocation import Allocation
-from repro.schedule.exact import schedule_assay_optimal
+from tests.oracles.exact import schedule_assay_optimal
 from repro.schedule.list_scheduler import schedule_assay
 from repro.schedule.validate import validate_schedule
 

@@ -5,7 +5,7 @@ import pytest
 from repro.assay.builder import AssayBuilder
 from repro.components.allocation import Allocation
 from repro.errors import SchedulingError
-from repro.schedule.exact import schedule_assay_optimal
+from tests.oracles.exact import schedule_assay_optimal
 from repro.schedule.list_scheduler import schedule_assay
 from repro.schedule.validate import validate_schedule
 
