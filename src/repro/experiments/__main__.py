@@ -21,4 +21,6 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    from repro.experiments.reporting import run_main
+
+    run_main(main)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.benchmarks.registry import TABLE1_ORDER, get_benchmark
 from repro.core.metrics import channel_wash_time
-from repro.experiments.reporting import format_table
+from repro.experiments.reporting import format_table, run_main
 from repro.place.annealing import AnnealingParameters, anneal_placement
 from repro.place.energy import build_connection_priorities
 from repro.core.problem import SynthesisProblem
@@ -209,4 +209,4 @@ def main() -> None:  # pragma: no cover - exercised via CLI
 
 
 if __name__ == "__main__":  # pragma: no cover
-    main()
+    run_main(main)

@@ -7,7 +7,7 @@ with ``python -m repro.experiments.fig8`` or ``repro-fig8``.
 
 from __future__ import annotations
 
-from repro.experiments.reporting import format_grouped_bars
+from repro.experiments.reporting import format_grouped_bars, run_main
 from repro.experiments.runner import BenchmarkComparison, run_all
 
 __all__ = ["fig8_series", "render_fig8", "main"]
@@ -38,4 +38,4 @@ def main() -> None:  # pragma: no cover - exercised via CLI
 
 
 if __name__ == "__main__":  # pragma: no cover
-    main()
+    run_main(main)

@@ -8,7 +8,7 @@ plus final cleanup) for the proposed algorithm and BA.  Run with
 
 from __future__ import annotations
 
-from repro.experiments.reporting import format_grouped_bars
+from repro.experiments.reporting import format_grouped_bars, run_main
 from repro.experiments.runner import BenchmarkComparison, run_all
 
 __all__ = ["fig9_series", "render_fig9", "main"]
@@ -39,4 +39,4 @@ def main() -> None:  # pragma: no cover - exercised via CLI
 
 
 if __name__ == "__main__":  # pragma: no cover
-    main()
+    run_main(main)

@@ -8,9 +8,27 @@ EXPERIMENTS.md and terminal logs.
 
 from __future__ import annotations
 
-from typing import Sequence
+import os
+import sys
+from typing import Callable, Sequence
 
-__all__ = ["format_table", "format_grouped_bars"]
+__all__ = ["format_table", "format_grouped_bars", "run_main"]
+
+
+def run_main(main: Callable[[], None]) -> None:
+    """Run a harness's ``main``; a reader that closes stdout early
+    (``python -m repro.experiments.runner | head``) ends it quietly,
+    with exit status 1, instead of with a ``BrokenPipeError``
+    traceback."""
+    try:
+        main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: point it at the null
+        # device so that flush cannot fail as well.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        raise SystemExit(1)
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:

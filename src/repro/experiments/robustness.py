@@ -19,7 +19,7 @@ from repro.benchmarks.registry import TABLE1_ORDER, get_benchmark
 from repro.core.baseline import synthesize_problem_baseline
 from repro.core.problem import SynthesisParameters, SynthesisProblem
 from repro.core.synthesizer import synthesize_problem
-from repro.experiments.reporting import format_table
+from repro.experiments.reporting import format_table, run_main
 
 __all__ = ["SeedStudy", "run_seed_study", "render_seed_study", "main"]
 
@@ -151,4 +151,4 @@ def main() -> None:  # pragma: no cover - exercised via CLI
 
 
 if __name__ == "__main__":  # pragma: no cover
-    main()
+    run_main(main)

@@ -199,4 +199,6 @@ def main(argv: list[str] | None = None) -> None:  # pragma: no cover - CLI
 
 
 if __name__ == "__main__":  # pragma: no cover
-    main()
+    from repro.experiments.reporting import run_main
+
+    run_main(main)

@@ -10,7 +10,7 @@ BA).  Run with ``python -m repro.experiments.table1`` or the
 from __future__ import annotations
 
 from repro.benchmarks.registry import get_benchmark
-from repro.experiments.reporting import format_table
+from repro.experiments.reporting import format_table, run_main
 from repro.experiments.runner import BenchmarkComparison, run_all
 
 __all__ = ["render_table1", "table1_rows", "main"]
@@ -130,4 +130,4 @@ def main() -> None:  # pragma: no cover - exercised via CLI
 
 
 if __name__ == "__main__":  # pragma: no cover
-    main()
+    run_main(main)

@@ -60,21 +60,14 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, AsyncIterator
+from typing import Any, AsyncIterator, Awaitable
 
 from repro.errors import ReproError
 from repro.obs.instrument import Instrumentation
 from repro.obs.live import BeatPipe, Heartbeat
 from repro.serve.cache import ResultCache
 from repro.serve.executor import JobExecutor, JobOutcome
-from repro.serve.http import (
-    HttpError,
-    Request,
-    read_request,
-    sse_event,
-    write_json,
-    write_response,
-)
+from repro.serve.http import HttpConnection, HttpError, Request, sse_event
 from repro.serve.jobs import DEFAULT_QUEUE_LIMIT, Job, JobQueue, QueueFullError
 from repro.serve.protocol import Submission, parse_submission
 
@@ -95,6 +88,12 @@ MAX_WAIT_SECONDS = 3600.0
 #: Cap on retained events per job (heartbeats are throttled, so this
 #: is minutes of progress; lifecycle events are never dropped).
 MAX_JOB_EVENTS = 500
+
+#: Bounds of the per-server memo of parsed ``POST /jobs`` bodies: the
+#: entry count, and the longest body kept (a registered-benchmark
+#: submission is ~50 bytes; longer inline assays are parsed each time).
+MEMO_ENTRIES = 256
+MEMO_BODY_BYTES = 64 * 1024
 
 
 @dataclass
@@ -195,6 +194,10 @@ class SynthesisServer:
         self._server: asyncio.base_events.Server | None = None
         self._threads: ThreadPoolExecutor | None = None
         self._events: dict[str, JobEventLog] = {}
+        #: ``POST /jobs`` body -> its parsed submission (see
+        #: :meth:`_submission`).
+        self._submissions: dict[bytes, Submission] = {}
+        self._connections: set[HttpConnection] = set()
         self._inflight = 0
         self._draining = False
         self._stopping = False
@@ -255,8 +258,10 @@ class SynthesisServer:
                 )
         if self.queue.recovered:
             self.instr.count("serve.jobs_recovered", self.queue.recovered)
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=cfg.host, port=cfg.port
+        self._server = await self._loop.create_server(
+            lambda: HttpConnection(self._route, self._connections),
+            host=cfg.host,
+            port=cfg.port,
         )
         self.bound_port = self._server.sockets[0].getsockname()[1]
         self._dispatcher = asyncio.create_task(self._dispatch())
@@ -327,6 +332,8 @@ class SynthesisServer:
             self._threads.shutdown(wait=True)
         if self.executor is not None:
             self.executor.close()
+        for conn in list(self._connections):
+            conn.close()
         if pump is not None and not pump.is_alive():
             # A pump still blocked in a read keeps its descriptor: a
             # closed one could be reused and read by it.
@@ -493,103 +500,50 @@ class SynthesisServer:
     # ------------------------------------------------------------------
     # HTTP front
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        """Serve requests on one connection until it closes.
+    def _route(
+        self, request: Request, conn: HttpConnection
+    ) -> Awaitable[None] | None:
+        """Answer one request now, or return the coroutine that answers
+        it once it has waited (long-polls, SSE, batches).
 
-        Keep-alive: JSON exchanges loop; SSE streams, protocol errors,
-        and ``Connection: close`` requests end the connection.
+        Keep-alive: every JSON answer keeps the connection unless the
+        client sent ``Connection: close``; SSE streams, protocol errors
+        and ``/admin/shutdown`` end it.
         """
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                    if request is None:
-                        return
-                    keep = await self._route(request, writer)
-                    if not keep:
-                        return
-                except asyncio.CancelledError:
-                    # Server closing while this keep-alive connection
-                    # idles between requests: end quietly.
-                    return
-                except HttpError as error:
-                    await write_json(
-                        writer, error.status, {"error": str(error)}
-                    )
-                    return
-                except ConnectionError:
-                    return
-                except Exception as error:  # pragma: no cover - defensive
-                    with contextlib.suppress(Exception):
-                        await write_json(
-                            writer,
-                            500,
-                            {"error": f"internal error: {error!r}"},
-                        )
-                    return
-        finally:
-            # CancelledError too: the close handshake itself gets
-            # cancelled when the server shuts down mid-connection
-            # (it derives from BaseException, which plain
-            # ``suppress(Exception)`` would let escape to the loop's
-            # exception handler as noise).
-            with contextlib.suppress(Exception, asyncio.CancelledError):
-                writer.close()
-                await writer.wait_closed()
-
-    async def _route(
-        self, request: Request, writer: asyncio.StreamWriter
-    ) -> bool:
-        """Dispatch one request; returns True to keep the connection."""
-        keep = not request.wants_close
+        close = request.wants_close
         method, path = request.method, request.path.rstrip("/")
-        if path == "/healthz" and method == "GET":
-            await write_json(
-                writer,
-                200,
-                {"status": "ok", "draining": self._draining},
-                close=not keep,
-            )
-            return keep
-        if path == "/stats" and method == "GET":
-            await write_json(writer, 200, self.stats(), close=not keep)
-            return keep
         if path == "/jobs" and method == "POST":
-            await self._handle_submit(request, writer, keep)
-            return keep
+            return self._handle_submit(request, conn, close)
+        if path == "/healthz" and method == "GET":
+            conn.respond_json(
+                200, {"status": "ok", "draining": self._draining}, close=close
+            )
+            return None
+        if path == "/stats" and method == "GET":
+            conn.respond_json(200, self.stats(), close=close)
+            return None
         if path == "/jobs/batch" and method == "POST":
-            await self._handle_batch(request, writer, keep)
-            return keep
+            return self._handle_batch(request, conn, close)
         if path == "/admin/shutdown" and method == "POST":
             self.request_shutdown()
-            await write_json(writer, 200, {"status": "draining"}, close=True)
-            return False
+            conn.respond_json(200, {"status": "draining"}, close=True)
+            return None
         if path == "/admin/pause" and method == "POST":
             self.set_paused(True)
-            await write_json(
-                writer, 200, {"status": "paused"}, close=not keep
-            )
-            return keep
+            conn.respond_json(200, {"status": "paused"}, close=close)
+            return None
         if path == "/admin/resume" and method == "POST":
             self.set_paused(False)
-            await write_json(
-                writer, 200, {"status": "running"}, close=not keep
-            )
-            return keep
+            conn.respond_json(200, {"status": "running"}, close=close)
+            return None
         if path.startswith("/jobs/") and method == "GET":
             rest = path[len("/jobs/"):]
             if rest.endswith("/events"):
-                await self._handle_events(
-                    request, rest[: -len("/events")], writer
+                return self._handle_events(
+                    request, rest[: -len("/events")], conn
                 )
-                return False  # SSE bodies are connection-delimited
             if "/" not in rest:
-                await self._handle_status(request, rest, writer, keep)
-                return keep
+                return self._handle_status(request, rest, conn, close)
         raise HttpError(
             404 if method in ("GET", "POST") else 405,
             f"no route for {method} {request.path}",
@@ -639,51 +593,89 @@ class SynthesisServer:
                 return payload, {"result": text}
         return payload, None
 
-    async def _handle_submit(
-        self, request: Request, writer: asyncio.StreamWriter, keep: bool
-    ) -> None:
-        if self._draining:
-            await write_json(
-                writer, 503, {"error": "server is draining"}, close=not keep
+    async def _await_terminal(self, job_id: str, wait: float) -> Job:
+        """The job once it is done or failed, or after *wait* seconds."""
+        with contextlib.suppress(asyncio.TimeoutError):
+            await asyncio.wait_for(
+                self._event_log(job_id).wait_terminal(), timeout=wait
             )
-            return
+        return self.queue.get(job_id)
+
+    def _submission(self, request: Request) -> Submission:
+        """The parsed submission of a ``POST /jobs`` body, memoised.
+
+        :func:`parse_submission` is a pure function of the body, so an
+        equal body may reuse an earlier parse.  Only successful parses
+        of bodies up to :data:`MEMO_BODY_BYTES` are kept, at most
+        :data:`MEMO_ENTRIES` of them (the oldest goes first).  Keys are
+        the bytes, never the decoded value: ``1`` and ``1.0`` are equal
+        in Python but spell different submissions.
+        """
+        memo, body = self._submissions, request.body
+        submission = memo.get(body)
+        if submission is None:
+            submission = parse_submission(request.json())
+            if len(body) <= MEMO_BODY_BYTES:
+                if len(memo) >= MEMO_ENTRIES:
+                    del memo[next(iter(memo))]
+                memo[body] = submission
+        return submission
+
+    def _handle_submit(
+        self, request: Request, conn: HttpConnection, close: bool
+    ) -> Awaitable[None] | None:
+        if self._draining:
+            conn.respond_json(
+                503, {"error": "server is draining"}, close=close
+            )
+            return None
         self.instr.count("serve.requests")
         started = time.perf_counter()
         try:
-            submission = parse_submission(request.json())
+            submission = self._submission(request)
         except ReproError as error:
             self.instr.count("serve.requests_invalid")
-            await write_json(
-                writer, 400, {"error": str(error)}, close=not keep
-            )
-            return
+            conn.respond_json(400, {"error": str(error)}, close=close)
+            return None
         try:
             status, payload, raw = self._accept(submission)
         except QueueFullError as error:
             retry = self._retry_after(submission.job_id or submission.digest)
             self.instr.count("serve.jobs_rejected")
-            await write_json(
-                writer,
+            conn.respond_json(
                 429,
                 {"error": str(error), "retry_after": retry},
                 extra_headers={"Retry-After": str(retry)},
-                close=not keep,
+                close=close,
             )
-            return
+            return None
         wait = self._wait_seconds(request)
         if wait and status == 202:
-            job_id = payload["job_id"]
-            log = self._event_log(job_id)
-            with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(log.wait_terminal(), timeout=wait)
-            job = self.queue.get(job_id)
-            payload, raw = self._result_payload(job)
-            payload["cached"] = False
-            status = 200 if job.status in ("done", "failed") else 202
+            return self._long_poll_submit(
+                payload["job_id"], wait, started, conn, close
+            )
         self.instr.observe(
             "serve.request_seconds", time.perf_counter() - started
         )
-        await write_json(writer, status, payload, raw=raw, close=not keep)
+        conn.respond_json(status, payload, raw=raw, close=close)
+        return None
+
+    async def _long_poll_submit(
+        self,
+        job_id: str,
+        wait: float,
+        started: float,
+        conn: HttpConnection,
+        close: bool,
+    ) -> None:
+        job = await self._await_terminal(job_id, wait)
+        payload, raw = self._result_payload(job)
+        payload["cached"] = False
+        status = 200 if job.status in ("done", "failed") else 202
+        self.instr.observe(
+            "serve.request_seconds", time.perf_counter() - started
+        )
+        conn.respond_json(status, payload, raw=raw, close=close)
 
     def _accept(
         self, submission: Submission, sync: bool = True
@@ -691,7 +683,7 @@ class SynthesisServer:
         """Cache-or-queue one parsed submission (429 raises through).
 
         Returns ``(status, payload, raw)``; *raw* carries pre-serialised
-        result text for :func:`~repro.serve.http.write_json` to splice
+        result text for :func:`~repro.serve.http.dumps_with_raw` to splice
         in verbatim (the cache-hit fast path).  ``sync=False`` defers
         the journal fsync to the caller's :meth:`JobQueue.sync`.
         """
@@ -732,11 +724,11 @@ class SynthesisServer:
         return (200 if job.status == "done" else 202), payload, raw
 
     async def _handle_batch(
-        self, request: Request, writer: asyncio.StreamWriter, keep: bool
+        self, request: Request, conn: HttpConnection, close: bool
     ) -> None:
         if self._draining:
-            await write_json(
-                writer, 503, {"error": "server is draining"}, close=not keep
+            conn.respond_json(
+                503, {"error": "server is draining"}, close=close
             )
             return
         self.instr.count("serve.requests")
@@ -755,7 +747,7 @@ class SynthesisServer:
                     )
                     if raw is not None:
                         # Batch responses embed results as parsed
-                        # objects; write_json's canonical serialisation
+                        # objects; the canonical serialisation
                         # keeps them byte-identical to the stored text.
                         payload["result"] = json.loads(raw["result"])
                 except QueueFullError as error:
@@ -787,8 +779,7 @@ class SynthesisServer:
             # durable before any response byte (200 or an error from
             # the connection handler) acknowledges it.
             self.queue.sync()
-        await write_json(
-            writer,
+        conn.respond_json(
             200,
             {
                 "jobs": entries,
@@ -796,31 +787,37 @@ class SynthesisServer:
                 "cached": hits,
                 "rejected": rejected,
             },
-            close=not keep,
+            close=close,
         )
 
-    async def _handle_status(
+    def _handle_status(
         self,
         request: Request,
         job_id: str,
-        writer: asyncio.StreamWriter,
-        keep: bool,
-    ) -> None:
+        conn: HttpConnection,
+        close: bool,
+    ) -> Awaitable[None] | None:
         job = self.queue.get(job_id)
         if job is None:
             raise HttpError(404, f"unknown job {job_id!r}")
         wait = self._wait_seconds(request)
         if wait and job.status in ("queued", "running"):
-            log = self._event_log(job_id)
-            with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(log.wait_terminal(), timeout=wait)
-            job = self.queue.get(job_id)
+            return self._long_poll_status(job_id, wait, conn, close)
         payload, raw = self._result_payload(job)
-        await write_json(writer, 200, payload, raw=raw, close=not keep)
+        conn.respond_json(200, payload, raw=raw, close=close)
+        return None
 
-    async def _handle_events(
-        self, request: Request, job_id: str, writer: asyncio.StreamWriter
+    async def _long_poll_status(
+        self, job_id: str, wait: float, conn: HttpConnection, close: bool
     ) -> None:
+        payload, raw = self._result_payload(
+            await self._await_terminal(job_id, wait)
+        )
+        conn.respond_json(200, payload, raw=raw, close=close)
+
+    def _handle_events(
+        self, request: Request, job_id: str, conn: HttpConnection
+    ) -> Awaitable[None]:
         job = self.queue.get(job_id)
         if job is None:
             raise HttpError(404, f"unknown job {job_id!r}")
@@ -833,13 +830,13 @@ class SynthesisServer:
                 raise HttpError(400, f"malformed start={raw_start!r}")
             if start < 0:
                 raise HttpError(400, "start must be >= 0")
-        await write_response(
-            writer,
-            200,
-            b"",
-            content_type="text/event-stream",
-            extra_headers={"Cache-Control": "no-cache"},
-            head_only=True,
+        return self._stream_events(job_id, start, conn)
+
+    async def _stream_events(
+        self, job_id: str, start: int, conn: HttpConnection
+    ) -> None:
+        conn.start_stream(
+            "text/event-stream", extra_headers={"Cache-Control": "no-cache"}
         )
         log = self._event_log(job_id)
         async for index, event in log.follow(start):
@@ -848,14 +845,13 @@ class SynthesisServer:
             # ``?start=i+1`` and resumes without replay or loss.
             data = dict(event)
             data["i"] = index
-            writer.write(sse_event(data, event.get("event"), event_id=index))
-            await writer.drain()
+            conn.write(sse_event(data, event.get("event"), event_id=index))
+            await conn.drain()
         end_index = len(log.events)
-        writer.write(
+        conn.write(
             sse_event({"event": "end", "i": end_index}, "end",
                       event_id=end_index)
         )
-        await writer.drain()
 
     # ------------------------------------------------------------------
     # Introspection

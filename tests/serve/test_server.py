@@ -818,27 +818,33 @@ class TestMalformedParameters:
 
 
 class _FsyncLog:
-    """Counts journal fsyncs and response writes, in order."""
+    """Counts journal fsyncs and response writes, in order.
+
+    Writes are logged where bytes reach the transport, so no response
+    byte can leave unlogged."""
 
     def __init__(self, monkeypatch):
         import os
 
         import repro.serve.jobs as jobs_module
-        import repro.serve.server as server_module
+        from repro.serve.http import HttpConnection
 
         self.order: list[str] = []
-        real_fsync, real_write = os.fsync, server_module.write_json
+        real_fsync, real_write = os.fsync, HttpConnection.write
 
         def fsync(fd):
             self.order.append("fsync")
             return real_fsync(fd)
 
-        async def write_json(writer, status, *args, **kwargs):
-            self.order.append(f"write {status}")
-            return await real_write(writer, status, *args, **kwargs)
+        def write(connection, data):
+            if data.startswith(b"HTTP/1.1 "):
+                self.order.append(f"write {data[9:12].decode()}")
+            else:
+                self.order.append("write")
+            return real_write(connection, data)
 
         monkeypatch.setattr(jobs_module.os, "fsync", fsync)
-        monkeypatch.setattr(server_module, "write_json", write_json)
+        monkeypatch.setattr(HttpConnection, "write", write)
 
     @property
     def fsyncs(self) -> int:
