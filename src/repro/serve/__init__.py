@@ -15,8 +15,9 @@ service (ROADMAP item 1).  Layers, bottom up:
 * :mod:`repro.serve.executor` — job execution over the
   :class:`~repro.parallel.pool.PoolSession` process pool with per-job
   deadlines and retry-after-worker-death.
-* :mod:`repro.serve.http` — a minimal asyncio HTTP/1.1 layer (stdlib
-  only; no new dependencies).
+* :mod:`repro.serve.http` — a minimal HTTP/1.1 front on one
+  ``asyncio.BufferedProtocol`` per connection (stdlib only; no new
+  dependencies): incremental parsing, pipelining, size caps.
 * :mod:`repro.serve.server` — the orchestrator tying the above into
   ``python -m repro serve``: endpoints, backpressure (429 +
   ``Retry-After``), SSE progress streams, graceful shutdown.

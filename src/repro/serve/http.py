@@ -160,23 +160,21 @@ def _parse_head(head: str) -> tuple[Request, int]:
     return request, length
 
 
-def response_head(
+def _response_head(
     status: int,
-    content_type: str = "application/json",
-    length: int | None = None,
-    close: bool = True,
-    extra_headers: dict[str, str] | None = None,
+    content_type: str,
+    length: int | None,
+    close: bool,
+    extra_headers: dict[str, str] | None,
 ) -> bytes:
     """Status line and headers of one response, blank line included.
 
-    ``length=None`` starts a connection-delimited stream (SSE) and
-    forces ``Connection: close``.
+    ``length=None`` starts a connection-delimited stream (SSE), which
+    must *close*.
     """
     head = f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
     head += f"Content-Type: {content_type}\r\n"
-    if length is None:
-        close = True
-    else:
+    if length is not None:
         head += f"Content-Length: {length}\r\n"
     head += "Connection: close\r\n" if close else "Connection: keep-alive\r\n"
     for name, value in (extra_headers or {}).items():
@@ -312,16 +310,16 @@ class HttpConnection(asyncio.BufferedProtocol):
         self,
         status: int,
         body: bytes = b"",
-        content_type: str = "application/json",
         extra_headers: dict[str, str] | None = None,
         close: bool = True,
     ) -> None:
-        """Write one complete response in one ``write()``, so it leaves
-        in one ``send()``.  *close* ends the connection after it."""
-        self.write(
-            response_head(status, content_type, len(body), close,
-                          extra_headers) + body
+        """Write one complete JSON response in one ``write()``, so it
+        leaves in one ``send()``.  *close* ends the connection after
+        it."""
+        head = _response_head(
+            status, "application/json", len(body), close, extra_headers
         )
+        self.write(head + body)
         if close:
             self._closing = True
 
@@ -345,7 +343,9 @@ class HttpConnection(asyncio.BufferedProtocol):
     ) -> None:
         """Write the head of a connection-delimited stream (SSE): the
         connection closes once the handler's coroutine returns."""
-        self.write(response_head(200, content_type, None, True, extra_headers))
+        self.write(
+            _response_head(200, content_type, None, True, extra_headers)
+        )
         self._closing = True
 
     async def drain(self) -> None:

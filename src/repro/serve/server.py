@@ -34,7 +34,10 @@ Design points:
   is a 429 with a measured ``Retry-After``, not an unbounded buffer.
 * **Cache before queue** — the content address is computed at accept
   time; a hit never touches the queue or the pool and returns in
-  microseconds with the original run's result byte for byte.
+  microseconds with the original run's result byte for byte.  A
+  repeated ``POST /jobs`` body skips even the parse: each server keeps
+  a bounded memo of parsed bodies (:meth:`SynthesisServer._submission`),
+  and answers it from the read callback, without a task.
 * **Progress is the obs stream** — workers' ``sa.step`` /
   ``route.task`` events ride the heartbeat relay over one lock-free
   pipe (:class:`~repro.obs.live.BeatPipe`, the channel the CLI's
@@ -90,10 +93,12 @@ MAX_WAIT_SECONDS = 3600.0
 MAX_JOB_EVENTS = 500
 
 #: Bounds of the per-server memo of parsed ``POST /jobs`` bodies: the
-#: entry count, and the longest body kept (a registered-benchmark
-#: submission is ~50 bytes; longer inline assays are parsed each time).
+#: entry count, and the longest body kept.  A benchmark submission is
+#: ~50 bytes and every Table I assay sent inline fits; a kept inline
+#: assay holds ~8× its body size in parsed objects, so the bound on
+#: body size is what bounds the memo's memory.
 MEMO_ENTRIES = 256
-MEMO_BODY_BYTES = 64 * 1024
+MEMO_BODY_BYTES = 16 * 1024
 
 
 @dataclass
