@@ -7,10 +7,11 @@ anywhere the library does.
 
 :class:`HttpConnection` reads with ``recv_into`` into one reusable
 64 KiB buffer per connection and parses requests incrementally out of
-it.  A plain ``asyncio.Protocol`` (``StreamReader`` included) is handed
+it.  A plain ``asyncio.Protocol``, the streams API's included, is handed
 a fresh 256 KiB ``bytes`` object by the selector transport on every
-``recv()``; on the cache-hit path that allocation, returned to and
-re-faulted from the OS per request, cost more than the lookup.  A body
+``recv()``, and depending on the allocator's state that memory goes
+back to the OS and is faulted in again per request (2.9 minor faults
+per cache hit for this front fed through ``data_received``).  A body
 larger than the buffer is read straight into its own buffer of the
 declared length.
 
@@ -46,6 +47,8 @@ from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable
 from urllib.parse import parse_qsl, unquote, urlsplit
 
+from repro.core.digest import canonical_json
+
 __all__ = [
     "HttpConnection",
     "HttpError",
@@ -65,9 +68,6 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Per-connection read buffer: a head at its cap fits with room to
 #: spare; bodies longer than this get a buffer of their own.
 BUFFER_BYTES = 64 * 1024
-
-#: The service's one JSON spelling: sorted keys, compact separators.
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 _REASONS = {
     200: "OK",
@@ -192,15 +192,14 @@ def dumps_with_raw(payload: Any, raw: dict[str, str] | None = None) -> str:
     text reaches the wire untouched, and the output equals the
     canonical JSON of the document with *raw* parsed in.
     """
-    encode = _CANONICAL.encode
     if not raw:
-        return encode(payload)
+        return canonical_json(payload)
     fields = []
     for name in sorted(payload.keys() | raw.keys()):
         text = raw.get(name)
         if text is None:
-            text = encode(payload[name])
-        fields.append(f"{encode(name)}:{text}")
+            text = canonical_json(payload[name])
+        fields.append(f"{canonical_json(name)}:{text}")
     return "{" + ",".join(fields) + "}"
 
 
@@ -217,7 +216,7 @@ def sse_event(
         lines.append(f"id: {event_id}")
     if event:
         lines.append(f"event: {event}")
-    lines.append("data: " + _CANONICAL.encode(data))
+    lines.append("data: " + canonical_json(data))
     return ("\n".join(lines) + "\n\n").encode("utf-8")
 
 
