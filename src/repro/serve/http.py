@@ -21,7 +21,8 @@ or returns a coroutine that the connection runs as a task (long-polls,
 SSE streams, batches).  The connection parses nothing further until
 that task finishes, so pipelined responses leave in request order;
 bytes that arrive meanwhile stay buffered, and reading pauses once the
-buffer is full.
+buffer is full.  Once a response has closed the connection (an SSE
+stream), further input is read and dropped.
 
 Scope (deliberate):
 
@@ -273,11 +274,18 @@ class HttpConnection(asyncio.BufferedProtocol):
         self._wake_drainers()
 
     def get_buffer(self, sizehint: int) -> memoryview:
+        if self._closing:
+            # Nothing more is parsed (an SSE stream runs until the
+            # connection closes): what the client still sends lands at
+            # the buffer's start and is dropped.
+            return self._view
         if self._body is not None:
             return memoryview(self._body)[self._filled:]
         return self._view[self._end:]
 
     def buffer_updated(self, nbytes: int) -> None:
+        if self._closing:
+            return
         if self._body is not None:
             self._filled += nbytes
             if self._filled < self._length:

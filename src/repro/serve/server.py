@@ -93,12 +93,10 @@ MAX_WAIT_SECONDS = 3600.0
 MAX_JOB_EVENTS = 500
 
 #: Bounds of the per-server memo of parsed ``POST /jobs`` bodies: the
-#: entry count, and the longest body kept.  A benchmark submission is
-#: ~50 bytes and every Table I assay sent inline fits; a kept inline
-#: assay holds ~8× its body size in parsed objects, so the bound on
-#: body size is what bounds the memo's memory.
+#: entry count, and the longest body kept.  A benchmark-name submission
+#: is ~50 bytes; inline assays are larger and are parsed every time.
 MEMO_ENTRIES = 256
-MEMO_BODY_BYTES = 16 * 1024
+MEMO_BODY_BYTES = 1024
 
 
 @dataclass

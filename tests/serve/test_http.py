@@ -334,6 +334,39 @@ class TestConnectionUnit:
 
         asyncio.run(scenario())
 
+    def test_input_behind_a_stream_is_read_and_dropped(self):
+        async def scenario():
+            release = asyncio.Event()
+            seen = []
+
+            def handler(request, conn):
+                seen.append(request.path)
+
+                async def stream():
+                    conn.start_stream("text/event-stream")
+                    await release.wait()
+                    conn.write(b"data: end\n\n")
+                return stream()
+
+            transport = FakeTransport()
+            conn = HttpConnection(handler)
+            conn.connection_made(transport)
+            feed(conn, request("GET", "/events"))
+            await asyncio.sleep(0)
+            # feed() asserts that every buffer handed out has room.
+            more = request("GET", "/q") * (3 * BUFFER_BYTES // 20)
+            assert len(more) > 2 * BUFFER_BYTES
+            assert feed(conn, more) == b""
+            assert transport.reading and not transport.closed
+            release.set()
+            await asyncio.sleep(0)
+            await asyncio.sleep(0)
+            assert seen == ["/events"]
+            assert transport.closed
+            assert transport.written.endswith(b"data: end\n\n")
+
+        asyncio.run(scenario())
+
     def test_drain_waits_for_resume_writing(self):
         async def scenario():
             conn = HttpConnection(lambda request, conn: None)
